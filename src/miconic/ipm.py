@@ -3,9 +3,19 @@
 Solves  min c.z  s.t.  A z = b,  z in K  through a homogeneous self-dual
 embedding: iterates (z, lam, beta, tau, kappa) with z interior to K and
 beta interior to K* follow the central path of the embedding, and exactly
-one of tau or kappa survives in the limit.  Every iteration the scaled
-points are offered to independent validators, so a returned certificate
-never relies on solver internals:
+one of tau or kappa survives in the limit.
+
+Steps follow a Mizuno-Todd-Ye style predictor-corrector scheme with two
+neighbourhoods of the central path, measured by the squared proximity in
+the local barrier-Hessian metric.  While the point lies outside the
+narrow one (0.1) the step is a centering step; from inside it the step is
+a pure predictor, which backtracks until it lands inside the wide one
+(0.25).  Each trial point of the line search needs its block Hessian for
+the proximity test, and the accepted trial's Hessian is the one the next
+iteration factors, so it is carried forward instead of built again.
+
+Every iteration the scaled points are offered to independent validators,
+so a returned certificate never relies on solver internals:
 
   optimal     z/tau primal feasible, beta = c - A'lam/tau dual feasible,
               matching objectives
@@ -40,6 +50,11 @@ EPS_PAIRING = 1e-8
 
 _MAX_ITERS = 400
 
+# neighbourhoods of the central path, in squared proximity: a predictor
+# step starts only inside the narrow one and must land inside the wide one
+_NARROW = 0.1
+_WIDE = 0.25
+
 
 @dataclass
 class ContinuousConicProblem:
@@ -59,6 +74,12 @@ class ContinuousConicProblem:
             raise ValueError("cone product does not cover the z block")
 
 
+def _no_steps():
+    """The interior-point step counts reported in ConicResult.metrics."""
+    return dict.fromkeys(("predictor_steps", "centering_steps",
+                          "line_search_trials", "hessian_builds"), 0)
+
+
 @dataclass
 class ConicResult:
     """Solve outcome with its certificate vectors.
@@ -66,6 +87,10 @@ class ConicResult:
     For optimal/almost_optimal: z, obj, lam (beta = c - A'lam in K*).
     For infeasible: lam scaled so that either max|A'lam| = 1 or b.lam = 1,
     with beta = -A'lam.  For unbounded: ray with max|ray| = 1.
+    iterations counts interior-point iterations run, and metrics counts
+    their predictor and centering steps, the trial points of their line
+    searches and the block Hessians built; all are 0 when preprocessing
+    settled the problem.
     """
 
     status: str
@@ -75,7 +100,7 @@ class ConicResult:
     beta: np.ndarray = None
     ray: np.ndarray = None
     iterations: int = 0
-    metrics: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=_no_steps)
 
 
 def dual_product(K):
@@ -97,7 +122,10 @@ def _validate_optimal(A, b, c, K, Kd, z, lam, tol):
         return None
     pobj = float(c @ z)
     dobj = float(b @ lam)
-    if abs(pobj - dobj) > tol * (1.0 + abs(pobj) + abs(dobj)):
+    # the gap test is a tenth of the others: the objective of the returned
+    # point should be as accurate as its feasibility, and primal and dual
+    # residuals of size tol already move it by about that much
+    if abs(pobj - dobj) > 0.1 * tol * (1.0 + abs(pobj) + abs(dobj)):
         return None
     return z, lam, beta, pobj
 
@@ -210,7 +238,12 @@ def _interior(K, Kd, z, beta, tau, kappa):
 
 
 def _proximity(K, z, beta, tau, kappa, nu):
-    """Squared distance to the central path in the local Hessian metric."""
+    """Squared distance to the central path in the local Hessian metric.
+
+    Returns (distance, block Hessian at z), or None when either cannot be
+    formed.  The Hessian is the one the next iteration needs if z is
+    accepted, so the caller keeps it instead of building it again.
+    """
     mu = (float(z @ beta) + tau * kappa) / (nu + 1.0)
     if not np.isfinite(mu) or mu <= 0.0:
         return None
@@ -222,7 +255,7 @@ def _proximity(K, z, beta, tau, kappa, nu):
     val = float(e @ W.solve(e)) / mu + (tau * kappa / mu - 1.0) ** 2
     if not np.isfinite(val):
         return None
-    return val
+    return val, W
 
 
 def _hsde_loop(A, b, c, K, max_iters):
@@ -240,7 +273,10 @@ def _hsde_loop(A, b, c, K, max_iters):
     best_almost = None
     stalls = 0
     force_center = False
-    metrics = {}
+    # proximity and block Hessian at the current point; None means rebuild
+    W = prox2 = None
+    metrics = _no_steps()
+    it = 0
 
     for it in range(1, max_iters + 1):
         # offer scaled candidates to the validators first
@@ -268,17 +304,19 @@ def _hsde_loop(A, b, c, K, max_iters):
         mu = (float(z @ beta) + tau * kappa) / (nu + 1.0)
         if not np.isfinite(mu) or mu <= 0.0:
             break
-
-        try:
-            W = _BlockHessian(K, z, mu)
-        except np.linalg.LinAlgError:
-            break
+        if W is None:
+            metrics["hessian_builds"] += 1
+            here = _proximity(K, z, beta, tau, kappa, nu)
+            if here is None:
+                break
+            prox2, W = here
         grad = W.grad
 
-        # proximity to the central path decides centering vs progress
-        e = beta + mu * grad
-        prox2 = float(e @ W.solve(e)) / mu + (tau * kappa / mu - 1.0) ** 2
-        sigma = 1.0 if (prox2 > 0.25 or force_center) else 0.0
+        # predictor-corrector: re-centre until the point is inside the
+        # narrow neighbourhood, then take a pure predictor step from it
+        centering = prox2 > _NARROW or force_center
+        sigma = 1.0 if centering else 0.0
+        metrics["centering_steps" if centering else "predictor_steps"] += 1
         force_center = False
 
         r_p = A @ z - b * tau
@@ -330,19 +368,21 @@ def _hsde_loop(A, b, c, K, max_iters):
         dkappa = -kappa + sigma * mu / tau - (mu / tau**2) * dtau
 
         # backtrack until the trial point is interior and stays near the
-        # central path: progress steps must land back inside the prox ball,
-        # centering steps must at least shrink the proximity
+        # central path: predictor steps must land inside the wide
+        # neighbourhood, centering steps must at least shrink the proximity
         alpha = 1.0
         accepted = False
         for _ in range(90):
+            metrics["line_search_trials"] += 1
             zt = z + alpha * dz
             bt = beta + alpha * dbeta
             tt = tau + alpha * dtau
             kt = kappa + alpha * dkappa
             if _interior(K, Kd, zt, bt, tt, kt):
-                p2 = _proximity(K, zt, bt, tt, kt, nu)
-                if p2 is not None and (
-                    p2 <= 0.25 or (sigma == 1.0 and p2 < prox2)
+                metrics["hessian_builds"] += 1
+                trial = _proximity(K, zt, bt, tt, kt, nu)
+                if trial is not None and (
+                    trial[0] <= _WIDE or (centering and trial[0] < prox2)
                 ):
                     accepted = True
                     break
@@ -355,7 +395,7 @@ def _hsde_loop(A, b, c, K, max_iters):
             alpha = 0.0
         else:
             stalls = 0
-            if sigma == 0.0 and alpha < 0.05:
+            if not centering and alpha < 0.05:
                 # poor predictor progress: recenter before trying again
                 force_center = True
         if alpha > 0.0:
@@ -364,6 +404,8 @@ def _hsde_loop(A, b, c, K, max_iters):
             beta = beta + alpha * dbeta
             tau = tau + alpha * dtau
             kappa = kappa + alpha * dkappa
+            # the accepted trial point is the new point, bit for bit
+            prox2, W = trial
 
         big = max(tau, kappa, float(np.max(np.abs(z), initial=0.0)),
                   float(np.max(np.abs(beta), initial=0.0)),
@@ -372,12 +414,13 @@ def _hsde_loop(A, b, c, K, max_iters):
             s = 1.0 / big
             z, lam, beta = z * s, lam * s, beta * s
             tau, kappa = tau * s, kappa * s
+            W = None
 
     if best_almost is not None:
         zc, lc, bc, obj = best_almost
         return ConicResult(ALMOST_OPTIMAL, z=zc, obj=obj, lam=lc, beta=bc,
-                           iterations=max_iters, metrics=metrics)
-    return ConicResult(NUMERIC_FAILURE, iterations=max_iters, metrics=metrics)
+                           iterations=it, metrics=metrics)
+    return ConicResult(NUMERIC_FAILURE, iterations=it, metrics=metrics)
 
 
 def _apply_W(W, vec):

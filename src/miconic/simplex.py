@@ -7,7 +7,10 @@ finite bound (or at zero when free), and the ratio test allows bound flips.
 
 Entering variables follow Dantzig's rule with ties broken by lowest index;
 after a long run of degenerate pivots the rule switches to Bland's, which
-cannot cycle.
+cannot cycle.  An unbounded ray is returned only once it passes a check
+scaled to max|ray| = 1.  A false ray means a drifted inverse, which is
+refactored, or a basis so near singular that the column's reduced cost is
+rounding noise; that column is then kept out until the basis changes.
 
 An optimal result carries its final basis.  Passing that basis back with
 other bounds on the same rows re-optimizes by the bounded dual simplex
@@ -190,6 +193,9 @@ def _phase(tab, c, allow_unbounded):
     """
     m, n = tab.A.shape
     bland_after = 10 * (m + n)
+    # columns whose ray proved false on a fresh factorization; they may
+    # enter again once the basis changes
+    barred = []
     while True:
         tab.iterations += 1
         if tab.iterations > _MAX_ITER:
@@ -200,6 +206,7 @@ def _phase(tab, c, allow_unbounded):
         bland = tab.degenerate_pivots > bland_after
         pick = _choose_entering(tab, d, bland)
         if pick is None:
+            tab.enterable[barred] = True
             return OPTIMAL, x
         e, sigma = pick
         w = tab.Binv @ tab.A[:, e]
@@ -240,11 +247,25 @@ def _phase(tab, c, allow_unbounded):
             ray = np.zeros(n)
             ray[e] = sigma
             ray[tab.basis] = -sigma * w
-            return UNBOUNDED, ray
+            if _ray_holds(tab.A, c, ray):
+                tab.enterable[barred] = True
+                return UNBOUNDED, ray
+            # a false ray: Binv has drifted, or the basis is so near
+            # singular that the column's reduced cost is rounding noise
+            if tab._since_refactor:
+                tab.refactor()
+            else:
+                tab.enterable[e] = False
+                barred.append(e)
+            continue
         if t_best < 1e-9:
             tab.degenerate_pivots += 1
         else:
             tab.degenerate_pivots = 0
+        if barred:
+            # the basis changes below, so barred columns may enter again
+            tab.enterable[barred] = True
+            barred.clear()
         if leave < 0:
             # entering variable flips to its opposite bound
             tab.status[e] = _AT_UPPER if sigma > 0 else _AT_LOWER
@@ -258,6 +279,20 @@ def _phase(tab, c, allow_unbounded):
         tab.status[e] = _BASIC
         tab.status[tab.basis[leave]] = leave_hit
         tab.pivot_basis(leave, e, w)
+
+
+def _ray_holds(A, c, ray):
+    """ray, scaled to max|ray| = 1, keeps A ray = 0 and has c.ray < 0.
+
+    The scaling puts both tests in units of the data, as _farkas_holds does
+    for Farkas vectors: a ray computed through a nearly singular basis can
+    have huge entries, a small raw residual and a raw descent that is
+    rounding noise once scaled.
+    """
+    r = ray / float(np.max(np.abs(ray)))
+    resid = float(np.max(np.abs(A @ r), initial=0.0))
+    return (resid <= _FEAS_TOL * (1.0 + float(np.max(np.abs(A))))
+            and float(c @ r) < -_COST_TOL)
 
 
 def _solve_box(prob):

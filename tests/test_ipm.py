@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from miconic import cones
+from miconic import cones, ipm
 from miconic.cones import ConeProduct
 from miconic.ipm import (
     ALMOST_OPTIMAL,
@@ -19,6 +19,7 @@ from miconic.ipm import (
     ConicResult,
     _barrier_grad,
     _BlockHessian,
+    _proximity,
     dual_product,
     solve_continuous,
 )
@@ -323,3 +324,128 @@ def test_block_hessian_solve_matches_checked_triangular_solves():
                 y = scipy.linalg.solve_triangular(L, rhs[sl], lower=True)
                 want[sl] = scipy.linalg.solve_triangular(L.T, y, lower=False)
             assert_array_equal(W.solve(rhs), want)
+
+
+def random_feasible_problems(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        K = random_cone_product(rng)
+        n = K.dim
+        m = int(rng.integers(1, n))
+        A = rng.standard_normal((m, n))
+        b = A @ cones.sample_product(K, rng, interior=True)
+        c = sample_dual_interior(K, rng) + A.T @ rng.standard_normal(m)
+        yield ContinuousConicProblem(A, b, c, K)
+
+
+def test_step_counts_add_up_and_line_searches_stay_short():
+    iterations = trials = 0
+    for prob in random_feasible_problems(501, 40):
+        res = solve_continuous(prob)
+        assert res.status == OPTIMAL
+        steps = res.metrics
+        # the last iteration certifies the point and takes no step
+        assert steps["predictor_steps"] + steps["centering_steps"] == (
+            res.iterations - 1)
+        assert steps["predictor_steps"] > 0
+        # the first Hessian, then at most one per trial point
+        assert 1 <= steps["hessian_builds"] <= steps["line_search_trials"] + 1
+        iterations += res.iterations
+        trials += steps["line_search_trials"]
+    # predictors start near the central path, so few backtracks are needed
+    assert trials / iterations <= 3.0
+
+
+def test_accepted_trial_hessian_is_not_built_again(monkeypatch):
+    calls = []
+    interior = []
+    real_barrier = cones.barrier_value_grad_hess
+    real_interior = ipm._interior
+
+    def counted_barrier(f, z):
+        calls.append(f)
+        return real_barrier(f, z)
+
+    def counted_interior(*args):
+        ok = real_interior(*args)
+        interior.append(ok)
+        return ok
+
+    monkeypatch.setattr(cones, "barrier_value_grad_hess", counted_barrier)
+    monkeypatch.setattr(ipm, "_interior", counted_interior)
+    for prob in random_feasible_problems(503, 10):
+        calls.clear()
+        interior.clear()
+        res = solve_continuous(prob)
+        assert res.status == OPTIMAL
+        # one Hessian at the start, then one per interior trial point and
+        # none at the top of later iterations
+        builds = res.metrics["hessian_builds"]
+        assert builds == 1 + sum(interior)
+        # one barrier call per factor for the starting gradient and one
+        # per factor for each Hessian, and no other
+        assert len(calls) == len(prob.cones.factors) * (1 + builds)
+
+
+@pytest.mark.parametrize("factor", [
+    cones.nonneg(3), cones.soc(4), cones.rsoc(4), cones.exp_cone(),
+    cones.pow_cone(0.3),
+], ids=lambda f: f.kind)
+def test_proximity_hessian_equals_a_fresh_build(factor):
+    # the loop carries this Hessian into the next iteration in place of
+    # building one there, so it must be that build, bit for bit
+    rng = np.random.default_rng(911)
+    K = ConeProduct([factor, cones.nonneg(1)])
+    for _ in range(5):
+        z = cones.sample_product(K, rng, interior=True)
+        beta = sample_dual_interior(K, rng)
+        tau, kappa = rng.uniform(0.5, 2.0, size=2)
+        p2, W = _proximity(K, z, beta, tau, kappa, K.nu)
+        mu = (float(z @ beta) + tau * kappa) / (K.nu + 1.0)
+        fresh = _BlockHessian(K, z, mu)
+        assert_array_equal(W.grad, fresh.grad)
+        assert len(W.chols) == len(fresh.chols)
+        for L, L_fresh in zip(W.chols, fresh.chols):
+            assert_array_equal(L, L_fresh)
+        e = beta + mu * fresh.grad
+        want = float(e @ fresh.solve(e)) / mu + (tau * kappa / mu - 1.0) ** 2
+        assert p2 == want
+
+
+def _one_problem():
+    return next(random_feasible_problems(505, 1))
+
+
+def test_iterations_count_on_failed_factorization(monkeypatch):
+    real = scipy.linalg.cho_factor
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise scipy.linalg.LinAlgError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", third_fails)
+    res = solve_continuous(_one_problem())
+    assert res.status in (NUMERIC_FAILURE, ALMOST_OPTIMAL)
+    assert res.iterations == 3
+
+
+def test_iterations_count_on_repeated_stalls(monkeypatch):
+    real = ipm._BlockHessian
+    built = []
+
+    def only_first(K, z, mu):
+        built.append(None)
+        if len(built) > 1:
+            raise np.linalg.LinAlgError("forced")
+        return real(K, z, mu)
+
+    monkeypatch.setattr(ipm, "_BlockHessian", only_first)
+    res = solve_continuous(_one_problem())
+    # no trial point gets a Hessian, so each iteration stalls; the third
+    # stall ends the loop
+    assert res.status == NUMERIC_FAILURE
+    assert res.iterations == 3
+    assert res.metrics["line_search_trials"] == 3 * 90

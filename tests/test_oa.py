@@ -286,6 +286,23 @@ def test_brute_force_empty_integer_range_is_infeasible():
 # ------------------------------------------------------------ mini corpus
 
 
+def test_halved_row_of_corpus_program_31_stays_optimal():
+    # halving the single row of seed-2024 feasible program 31 changes
+    # neither its feasible set nor its optimum; it used to end in
+    # assumption_failure, because a MILP's simplex returned a false ray
+    rng = np.random.default_rng(2024)
+    prog = [instances.random_feasible_program(rng) for _ in range(32)][31]
+    halved = ConicProgram(
+        c=prog.c, A_x=0.5 * prog.A_x, A_z=0.5 * prog.A_z, b=0.5 * prog.b,
+        L=prog.L, U=prog.U, cones=prog.cones, obj_offset=prog.obj_offset,
+    )
+    res = oa_solve(halved)
+    assert res.status == OPTIMAL, res.diagnostic
+    assert res.obj + prog.obj_offset == pytest.approx(-0.70273, abs=1e-5)
+    rb = brute_force_solve(prog)
+    assert _agreement(res, rb)
+
+
 def test_random_corpus_oa_agrees_with_brute_force():
     rng = np.random.default_rng(42)
     progs = [instances.random_feasible_program(rng) for _ in range(12)]

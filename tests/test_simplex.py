@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from miconic import simplex
 from miconic.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpResult, solve_lp
 
 
@@ -306,3 +307,101 @@ def test_warm_start_with_a_basis_of_other_shape_solves_cold():
     assert res.status == OPTIMAL and not res.warm
     assert_allclose(res.obj, -1.5, atol=1e-9)
     assert res.basis is not None
+
+
+def _tableau(A, b, lb, ub, basis, status):
+    A = np.asarray(A, dtype=float)
+    tab = simplex._Tableau(
+        A=A, b=np.asarray(b, dtype=float), lb=np.asarray(lb, dtype=float),
+        ub=np.asarray(ub, dtype=float), basis=np.array(basis),
+        status=np.array(status), enterable=np.ones(A.shape[1], dtype=bool),
+    )
+    tab.refactor()
+    return tab
+
+
+def test_false_ray_from_a_drifted_inverse_is_refactored_away():
+    # min -x2 with x1 = x2 and x1 <= 2: bounded, optimum x = (2, 2).  A
+    # drifted Binv (here with its sign flipped) makes x2 look like a ray
+    # along which x1 falls without limit, but A ray != 0
+    tab = _tableau([[1.0, -1.0]], [0.0], [-np.inf, 0.0], [2.0, np.inf],
+                   basis=[0], status=[simplex._BASIC, simplex._AT_LOWER])
+    tab.Binv = -tab.Binv
+    tab._since_refactor = 5
+    st, x = simplex._phase(tab, np.array([0.0, -1.0]), allow_unbounded=True)
+    assert st == OPTIMAL
+    assert_allclose(x, [2.0, 2.0])
+
+
+def test_false_ray_on_a_fresh_basis_bars_its_column_until_the_basis_changes(
+    monkeypatch,
+):
+    # x1 = 1e12 x2 with x1 free: the ray of x2 descends by 1e-12 per unit
+    # of its largest entry, below the pricing tolerance, so it is no ray.
+    # x2 is kept out until x4 enters, priced again after that pivot, kept
+    # out again, and may enter afterwards
+    checked = []
+    real = simplex._ray_holds
+
+    def spy(A, c, ray):
+        checked.append(ray.copy())
+        return real(A, c, ray)
+
+    monkeypatch.setattr(simplex, "_ray_holds", spy)
+    tab = _tableau(
+        [[1.0, -1e12, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]], [0.0, 1.0],
+        [-np.inf, 0.0, 0.0, 0.0], [np.inf] * 4, basis=[0, 2],
+        status=[simplex._BASIC, simplex._AT_LOWER, simplex._BASIC,
+                simplex._AT_LOWER],
+    )
+    c = np.array([0.0, -1.0, 0.0, -0.5])
+    st, x = simplex._phase(tab, c, allow_unbounded=True)
+    assert st == OPTIMAL
+    assert_allclose(x, [0.0, 0.0, 0.0, 1.0])
+    # once before the pivot; after it, once on the updated inverse and
+    # once on its refactor
+    assert len(checked) == 3
+    assert all(r[1] == 1.0 for r in checked)
+    assert tab.enterable.all()
+
+
+def test_false_ray_through_a_nearly_singular_basis_is_not_unbounded():
+    # the root LP of the first OA MILP for seed-2024 corpus program 31 with
+    # its equality row halved: that row, seven cut rows with slacks and the
+    # objective row c.z - s = -0.70273, s >= 0, which bounds the LP.  The
+    # cold solve priced a column whose "ray" had entries up to 5e7,
+    # max|A ray| = 1e-8 and c.ray = -2e-9: -4e-17 once scaled to max 1
+    rows = [
+        {0: -0.1875419879955593, 1: 0.443700316285514,
+         2: -0.3499739923153898, 3: -0.29110596629904695,
+         4: -0.24543186700409358, 5: -0.25354166392939503,
+         6: 0.38316984631221945, 7: 0.05422222239249313},
+        {2: 0.5860251632372422, 3: 0.4139748367627578, 4: 1.0},
+        {2: 0.5860251632372422, 3: 0.4139748367627578, 4: -1.0},
+        {5: -0.36787944117144233, 6: -0.7357588823428847, 7: 1.0},
+        {5: -1.0, 6: -1.0, 7: 1.0},
+        {5: -1.0, 7: 0.36787944117144233},
+        {2: 0.7372237297118838, 3: 1.0, 4: 0.6296340583493997},
+        {5: -1.0, 6: 0.2635714065260008, 7: 0.2826427894959608},
+        {2: 1.8510786316054135, 3: 2.367806843252113,
+         4: 1.5392724998010248, 5: -0.9915913182406979,
+         6: 0.014860356979987888, 7: 0.2938549663640193},
+    ]
+    cols = np.zeros((9, 8))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[i, j] = v
+    A = np.hstack([cols, -np.eye(9)[:, 1:]])
+    b = np.zeros(9)
+    b[0], b[8] = 0.3392299475067073, -0.7027264729091872
+    c = np.concatenate([cols[8], np.zeros(8)])
+    lb = np.concatenate([[1.0, 0.0, 0.0, 0.0, -np.inf, -np.inf, 0.0, 0.0],
+                         np.zeros(8)])
+    ub = np.concatenate([[3.0, 1.0], np.full(14, np.inf)])
+    prob = LpProblem(A, b, c, lb, ub)
+    res = solve_lp(prob)
+    assert res.status == OPTIMAL
+    assert np.all(res.x >= lb - 1e-8) and np.all(res.x <= ub + 1e-8)
+    assert_allclose(A @ res.x, b, atol=1e-7)
+    # the objective row is tight at the optimum
+    assert res.obj == pytest.approx(b[8], abs=1e-8)
