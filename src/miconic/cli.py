@@ -96,6 +96,14 @@ def _shifted(value, offset):
     return float(value) + offset
 
 
+_TRACE_VALUES = ("milp_value", "subproblem_value", "lower_bound", "upper_bound")
+
+
+def _trace_in_model_units(record, offset):
+    return {key: _shifted(value, offset) if key in _TRACE_VALUES else value
+            for key, value in record.items()}
+
+
 def _cmd_solve(args):
     program = _load_program(args.input)
     config = OaConfig(tol=args.tol, max_iters=args.max_iters,
@@ -128,7 +136,8 @@ def _cmd_solve(args):
         if not agree:
             exit_code = 4
     if args.trace:
-        lines = [json.dumps(_json_safe(record)) for record in res.trace]
+        lines = [json.dumps(_json_safe(_trace_in_model_units(record, offset)))
+                 for record in res.trace]
         _atomic_write(args.trace, "".join(line + "\n" for line in lines))
     print(json.dumps(_json_safe(result)))
     return exit_code

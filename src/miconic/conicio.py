@@ -17,18 +17,10 @@ Floats are written with 17 significant digits so read(write(p)) is exact.
 import numpy as np
 
 from . import cones
-from .errors import FormatError
+from .errors import DimensionMismatch, FormatError
 from .program import ConicProgram
 
 _SECTIONS = ("VER", "OBJ", "VARX", "VARZ", "AX", "AZ", "B")
-
-_CONE_READERS = {
-    cones.NONNEG: lambda d, p: cones.nonneg(d),
-    cones.SOC: lambda d, p: cones.soc(d),
-    cones.RSOC: lambda d, p: cones.rsoc(d),
-    cones.EXP: lambda d, p: cones.exp_cone(),
-    cones.POW: lambda d, p: cones.pow_cone(p),
-}
 
 
 def _fmt(value):
@@ -57,7 +49,7 @@ def write_conic(program):
     lines.append("")
     lines += ["VARZ", "%d" % len(program.cones.factors)]
     for f in program.cones.factors:
-        if f.kind == cones.POW:
+        if f.alpha is not None:
             lines.append("%s %d %s" % (f.kind, f.dim, _fmt(f.alpha)))
         else:
             lines.append("%s %d" % (f.kind, f.dim))
@@ -151,15 +143,13 @@ def read_conic(text):
                 parts = line.split()
                 if len(parts) not in (2, 3):
                     r.fail("cone lines are 'kind dim [parameter]'")
-                kind = parts[0]
-                if kind not in _CONE_READERS:
-                    r.fail("unknown cone kind %r" % kind)
+                if parts[0] not in cones.PRIMAL_KINDS:
+                    r.fail("unknown cone kind %r" % parts[0])
                 try:
-                    dim = int(parts[1])
                     param = float(parts[2]) if len(parts) == 3 else None
-                except ValueError:
-                    r.fail("bad cone line %r" % line)
-                factors.append((kind, dim, param))
+                    factors.append(cones.Cone(parts[0], int(parts[1]), param))
+                except (DimensionMismatch, ValueError) as err:
+                    r.fail("bad cone line %r: %s" % (line, err))
             data["VARZ"] = factors
         elif header in ("AX", "AZ"):
             data[header] = [
@@ -179,27 +169,8 @@ def read_conic(text):
     return _assemble(r, data)
 
 
-def _build_factor(r, kind, dim, param):
-    if dim < 1:
-        r.fail("cone dimension must be positive")
-    if kind in (cones.EXP, cones.POW) and dim != 3:
-        r.fail("%s cones have dimension 3, not %d" % (kind, dim))
-    if kind == cones.POW:
-        if param is None or not 0.0 < param < 1.0:
-            r.fail("pow cones need a parameter strictly between 0 and 1")
-    elif param is not None:
-        r.fail("%s cones take no parameter" % kind)
-    try:
-        return _CONE_READERS[kind](dim, param)
-    except Exception as err:
-        r.fail(str(err))
-
-
 def _assemble(r, data):
-    r.section = "VARZ"
-    factors = [_build_factor(r, kind, dim, param)
-               for kind, dim, param in data["VARZ"]]
-    K = cones.ConeProduct(tuple(factors))
+    K = cones.ConeProduct(tuple(data["VARZ"]))
     nz = K.dim
 
     r.section = "VARX"

@@ -119,12 +119,6 @@ def _random_cones(rng, max_factors=3):
     )
 
 
-def _sample_dual_interior(K, rng):
-    return np.concatenate(
-        [cones.sample_interior(cones.dual(f), rng) for f in K.factors]
-    )
-
-
 def _integer_box(rng, nx, bound_range):
     L = rng.integers(-2, 2, size=nx).astype(float)
     U = L + rng.integers(0, bound_range + 1, size=nx).astype(float)
@@ -152,7 +146,7 @@ def random_feasible_program(rng, num_int=None, bound_range=3):
     z0 = cones.sample_product(K, rng, interior=True)
     b = A_x @ x0 + A_z @ z0
     y = rng.normal(size=m)
-    c = A_z.T @ y + _sample_dual_interior(K, rng)
+    c = A_z.T @ y + cones.sample_product(K.dual(), rng, interior=True)
     return ConicProgram(
         c=c, A_x=A_x, A_z=A_z, b=b, L=L, U=U, cones=K
     )
@@ -169,7 +163,7 @@ def random_continuous_feasible(rng):
     A = rng.normal(size=(m, K.dim))
     z0 = cones.sample_product(K, rng, interior=True)
     y = rng.normal(size=m)
-    c = A.T @ y + _sample_dual_interior(K, rng)
+    c = A.T @ y + cones.sample_product(K.dual(), rng, interior=True)
     return ContinuousConicProblem(A, A @ z0, c, K)
 
 
@@ -183,7 +177,7 @@ def random_continuous_infeasible(rng):
     m = int(rng.integers(2, 4))
     lam = rng.normal(size=m)
     lam /= np.linalg.norm(lam)
-    beta0 = _sample_dual_interior(K, rng)
+    beta0 = cones.sample_product(K.dual(), rng, interior=True)
     R = rng.normal(size=(m, K.dim))
     A = R - np.outer(lam, lam @ R + beta0)
     b_r = rng.normal(size=m)
@@ -205,7 +199,7 @@ def random_infeasible_program(rng, bound_range=3):
     m = int(rng.integers(2, 4))
     lam = rng.normal(size=m)
     lam /= np.linalg.norm(lam)
-    beta0 = _sample_dual_interior(K, rng)
+    beta0 = cones.sample_product(K.dual(), rng, interior=True)
     R = rng.normal(size=(m, nz))
     A_z = R - np.outer(lam, lam @ R + beta0)
     P = rng.normal(size=(m, nx))

@@ -103,10 +103,6 @@ class ConicResult:
     metrics: dict = field(default_factory=_no_steps)
 
 
-def dual_product(K):
-    return cones.ConeProduct(tuple(cones.dual(f) for f in K.factors))
-
-
 def _validate_optimal(A, b, c, K, Kd, z, lam, tol):
     if not np.all(np.isfinite(z)) or not np.all(np.isfinite(lam)):
         return None
@@ -261,7 +257,7 @@ def _proximity(K, z, beta, tau, kappa, nu):
 def _hsde_loop(A, b, c, K, max_iters):
     """Run the embedding on a preprocessed full-row-rank system."""
     m, n = A.shape
-    Kd = dual_product(K)
+    Kd = K.dual()
     nu = K.nu
 
     z = np.concatenate([cones.interior_point(f) for f in K.factors])
@@ -456,7 +452,7 @@ def solve_continuous(prob, max_iters=_MAX_ITERS):
     """Solve a continuous conic program with preprocessing and validation."""
     A0, b0, c, K = prob.A, prob.b, prob.c, prob.cones
     m, n = A0.shape
-    Kd = dual_product(K)
+    Kd = K.dual()
 
     if n == 0:
         if float(np.max(np.abs(b0), initial=0.0)) <= 1e-12:

@@ -95,11 +95,10 @@ _interior_cache = {}
 
 def _dual_interior(f):
     """A canonical strictly interior direction of the dual factor."""
-    key = (f.kind, f.dim, getattr(f, "alpha", None))
-    if key not in _interior_cache:
+    if f not in _interior_cache:
         g = cones.sample_interior(cones.dual(f), np.random.default_rng(7))
-        _interior_cache[key] = g / float(np.max(np.abs(g)))
-    return _interior_cache[key]
+        _interior_cache[f] = g / float(np.max(np.abs(g)))
+    return _interior_cache[f]
 
 
 def _repair_block(f, block):
@@ -162,61 +161,13 @@ def add_cut(state, cut):
     return state
 
 
-def _factor_tangents(f):
-    """Boundary points of the dual cone used as initial relaxation cuts."""
-    d = f.dim
-    out = []
-    if f.kind == cones.NONNEG:
-        for i in range(d):
-            v = np.zeros(d)
-            v[i] = 1.0
-            out.append(v)
-    elif f.kind == cones.SOC:
-        v = np.zeros(d)
-        v[0] = 1.0
-        out.append(v.copy())
-        for i in range(1, d):
-            for s in (1.0, -1.0):
-                v = np.zeros(d)
-                v[0], v[i] = 1.0, s
-                out.append(v)
-    elif f.kind == cones.RSOC:
-        for i in (0, 1):
-            v = np.zeros(d)
-            v[i] = 1.0
-            out.append(v)
-        for i in range(2, d):
-            for a, b in ((1.0, 0.5), (0.5, 1.0)):
-                for s in (1.0, -1.0):
-                    v = np.zeros(d)
-                    v[0], v[1], v[i] = a, b, s
-                    out.append(v)
-    elif f.kind == cones.EXP:
-        out.append(np.array([0.0, 1.0, 0.0]))
-        out.append(np.array([0.0, 0.0, 1.0]))
-        for x0 in (-1.0, 0.0, 1.0):
-            g = math.exp(x0)
-            out.append(np.array([-g, -g * (1.0 - x0), 1.0]))
-    elif f.kind == cones.POW:
-        a = f.alpha
-        out.append(np.array([1.0, 0.0, 0.0]))
-        out.append(np.array([0.0, 1.0, 0.0]))
-        for s in (1.0, -1.0):
-            out.append(np.array([a, 1.0 - a, s]))
-    else:
-        raise ValueError(f.kind)
-    return out
-
-
 def _initial_cuts(K):
     out = []
-    at = 0
-    for f in K.factors:
-        for local in _factor_tangents(f):
+    for f, sl in K.slices():
+        for local in cones.tangents(f):
             beta = np.zeros(K.dim)
-            beta[at : at + f.dim] = local
+            beta[sl] = local
             out.append(beta)
-        at += f.dim
     return out
 
 

@@ -24,6 +24,15 @@ ALL_PRIMAL = [
     cones.pow_cone(0.8),
 ]
 
+ALL_DUAL = [
+    Cone(cones.EXPDUAL, 3),
+    Cone(cones.POWDUAL, 3, 0.25),
+    Cone(cones.POWDUAL, 3, 0.5),
+    Cone(cones.POWDUAL, 3, 0.8),
+]
+
+ALL_FAMILIES = ALL_PRIMAL + ALL_DUAL
+
 
 def test_membership_orthant():
     c = cones.nonneg(3)
@@ -104,6 +113,10 @@ def test_cone_validation():
     with pytest.raises(ValueError):
         cones.pow_cone(1.0)
     with pytest.raises(ValueError):
+        Cone(cones.SOC, 3, 0.5)
+    with pytest.raises(DimensionMismatch):
+        Cone(cones.POWDUAL, 4, 0.5)
+    with pytest.raises(ValueError):
         Cone("ball", 3)
 
 
@@ -127,7 +140,7 @@ def _outside_points(cone, rng, count):
     return pts
 
 
-@pytest.mark.parametrize("cone", ALL_PRIMAL, ids=str)
+@pytest.mark.parametrize("cone", ALL_FAMILIES, ids=str)
 def test_separation_contract(cone):
     rng = np.random.default_rng(11)
     dual = cones.dual(cone)
@@ -139,12 +152,51 @@ def test_separation_contract(cone):
         assert float(beta @ p) < 0.0
 
 
-@pytest.mark.parametrize("cone", ALL_PRIMAL, ids=str)
+@pytest.mark.parametrize("cone", ALL_FAMILIES, ids=str)
 def test_separate_returns_none_inside(cone):
     rng = np.random.default_rng(13)
     for _ in range(50):
         p = cones.sample_point(cone, rng)
         assert cones.separate(cone, p) is None
+
+
+@pytest.mark.parametrize("cone", ALL_FAMILIES, ids=str)
+def test_strict_member_is_the_open_interior(cone):
+    # the interior test must match the barrier's domain on primal families,
+    # since the IPM screens its line search with it
+    rng = np.random.default_rng(41)
+    inside = [cones.sample_interior(cone, rng) for _ in range(50)]
+    outside = [np.zeros(cone.dim)] + _outside_points(cone, rng, 50)
+    for points, expected in ((inside, True), (outside, False)):
+        for p in points:
+            assert cones.strict_member(cone, p) == expected
+            if cone in ALL_PRIMAL:
+                try:
+                    cones.barrier_value_grad_hess(cone, p)
+                    evaluated = True
+                except NotInterior:
+                    evaluated = False
+                assert evaluated is expected
+
+
+@pytest.mark.parametrize("cone", ALL_FAMILIES, ids=str)
+def test_membership_tests_return_python_bools(cone):
+    rng = np.random.default_rng(43)
+    points = [cones.sample_interior(cone, rng), cones.sample_point(cone, rng)]
+    points += _outside_points(cone, rng, 2)
+    for p in points:
+        assert type(cones.member(cone, p)) is bool
+        assert type(cones.member(cone, p, 1e-9)) is bool
+        assert type(cones.strict_member(cone, p)) is bool
+
+
+@pytest.mark.parametrize("cone", ALL_PRIMAL, ids=str)
+def test_initial_tangents_lie_in_the_dual_cone(cone):
+    dual = cones.dual(cone)
+    tangents = cones.tangents(cone)
+    assert tangents
+    for beta in tangents:
+        assert cones.member(dual, beta, 1e-12)
 
 
 def test_separation_examples():

@@ -184,6 +184,12 @@ def test_cone_dimension_and_parameter_validation():
         read_conic(_pathology_text().replace("rsoc 3", "pow 3"))
     with pytest.raises(FormatError):
         read_conic(_pathology_text().replace("rsoc 3", "pyramid 3"))
+    with pytest.raises(FormatError):
+        read_conic(_pathology_text().replace("rsoc 3", "exp 3 0.5"))
+    with pytest.raises(FormatError):
+        read_conic(_pathology_text().replace("rsoc 3", "rsoc 0"))
+    with pytest.raises(FormatError):
+        read_conic(_pathology_text().replace("rsoc 3", "expdual 3"))
 
 
 def test_duplicate_triplet_is_rejected():
@@ -279,6 +285,20 @@ def test_cli_trace_has_one_record_per_iteration(tmp_path, capsys):
     assert len(records) == result["iterations"]
     assert records[0]["iteration"] == 1
     assert {"milp_status", "lower_bound", "upper_bound"} <= set(records[0])
+
+
+def test_cli_trace_bounds_are_in_model_units(tmp_path, capsys):
+    # the toy's objective has a nonzero offset, so internal units differ
+    trace = tmp_path / "trace.jsonl"
+    code, out, _ = _run(
+        ["solve", str(INSTANCE_DIR / "trimloss_toy.model"),
+         "--trace", str(trace), "--no-timing"], capsys)
+    assert code == 0
+    result = json.loads(out)
+    last = json.loads(trace.read_text().splitlines()[-1])
+    assert last["lower_bound"] == result["lower_bound"]
+    assert last["upper_bound"] == result["upper_bound"]
+    assert last["upper_bound"] == result["objective"]
 
 
 def test_cli_rejects_malformed_input(tmp_path, capsys):

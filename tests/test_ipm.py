@@ -20,7 +20,6 @@ from miconic.ipm import (
     _barrier_grad,
     _BlockHessian,
     _proximity,
-    dual_product,
     solve_continuous,
 )
 from miconic.simplex import LpProblem, solve_lp
@@ -43,7 +42,7 @@ def random_cone_product(rng, max_factors=3):
 
 
 def sample_dual_interior(K, rng):
-    Kd = dual_product(K)
+    Kd = K.dual()
     return np.concatenate([cones.sample_interior(f, rng) for f in Kd.factors])
 
 
@@ -55,7 +54,7 @@ def check_optimal_certificate(prob, res, tol=1e-6):
     assert np.abs(prob.A @ z - prob.b).max() <= tol * (1 + np.abs(prob.b).max())
     beta = prob.c - prob.A.T @ lam
     assert cones.member_product(
-        dual_product(prob.cones), beta, tol * (1 + np.abs(beta).max())
+        prob.cones.dual(), beta, tol * (1 + np.abs(beta).max())
     )
     pobj, dobj = float(prob.c @ z), float(prob.b @ lam)
     assert abs(pobj - dobj) <= tol * (1 + abs(pobj) + abs(dobj))
@@ -66,7 +65,7 @@ def check_infeasible_certificate(prob, res, tol=1e-6):
     lam = res.lam
     beta = -(prob.A.T @ lam)
     assert cones.member_product(
-        dual_product(prob.cones), beta, tol * (1 + np.abs(beta).max())
+        prob.cones.dual(), beta, tol * (1 + np.abs(beta).max())
     )
     assert float(prob.b @ lam) > 1e-9
 
