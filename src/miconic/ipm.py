@@ -14,6 +14,11 @@ a pure predictor, which backtracks until it lands inside the wide one
 the proximity test, and the accepted trial's Hessian is the one the next
 iteration factors, so it is carried forward instead of built again.
 
+The problems are small, so the linear algebra is dense.  The block-diagonal
+barrier Hessian of a point is one matrix with one Cholesky factor, as is
+the Schur complement of the reduced Newton system; each factorization and
+each solve is one direct LAPACK call.
+
 Every iteration the scaled points are offered to independent validators,
 so a returned certificate never relies on solver internals:
 
@@ -90,7 +95,8 @@ class ConicResult:
     iterations counts interior-point iterations run, and metrics counts
     their predictor and centering steps, the trial points of their line
     searches and the block Hessians built; all are 0 when preprocessing
-    settled the problem.
+    settled the problem.  For almost_optimal and numeric_failure,
+    diagnostic names the exit that ended the iterations.
     """
 
     status: str
@@ -101,6 +107,7 @@ class ConicResult:
     ray: np.ndarray = None
     iterations: int = 0
     metrics: dict = field(default_factory=_no_steps)
+    diagnostic: str = None
 
 
 def _validate_optimal(A, b, c, K, Kd, z, lam, tol):
@@ -171,47 +178,42 @@ def _validate_unbounded(A, c, K, z, tol):
     return ray
 
 
-# LAPACK's triangular solve, called without scipy.linalg's per-call input
-# validation, which costs over ten times the solve itself on these blocks
-_trtrs = scipy.linalg.lapack.dtrtrs
+# LAPACK's Cholesky factorization and solve, called without scipy.linalg's
+# per-call input validation, which costs several times the work itself on
+# these small matrices
+_potrf = scipy.linalg.lapack.dpotrf
+_potrs = scipy.linalg.lapack.dpotrs
 
 
 class _BlockHessian:
-    """Block-diagonal barrier Hessian with per-factor Cholesky factors.
+    """Scaled barrier Hessian H = mu * F''(z), dense, with lower factor L.
 
-    Built from one barrier evaluation per factor, which also leaves the
-    barrier gradient at z in grad.
+    H has one diagonal block per cone factor, each from one barrier call,
+    which also leaves the barrier gradient at z in grad.  A block whose own
+    Cholesky factorization fails gets a small jitter on its diagonal and H
+    is factored again; every other block is kept as evaluated.
     """
 
     def __init__(self, K, z, mu):
         self.grad = np.empty_like(z)
-        self.slices = []
-        self.chols = []
+        self.H = np.zeros((len(z), len(z)))
         for f, sl in K.slices():
             _, g, h = cones.barrier_value_grad_hess(f, z[sl])
             self.grad[sl] = g
-            h = mu * h
-            try:
-                if h.shape == (1, 1) and h[0, 0] > 0.0:
-                    # the factor of a positive 1x1 block is its square root,
-                    # the same bits cholesky returns, without its overhead
-                    L = np.sqrt(h)
-                else:
-                    L = np.linalg.cholesky(h)
-            except np.linalg.LinAlgError:
-                jitter = 1e-13 * max(1.0, np.trace(h) / h.shape[0])
-                L = np.linalg.cholesky(h + jitter * np.eye(h.shape[0]))
-            self.slices.append(sl)
-            self.chols.append(L)
+            self.H[sl, sl] = mu * h
+        self.L, info = _potrf(self.H, lower=1)
+        if info != 0:
+            for _, sl in K.slices():
+                block = self.H[sl, sl]
+                if _potrf(block, lower=1)[1] != 0:
+                    d = block.shape[0]
+                    block += 1e-13 * max(1.0, np.trace(block) / d) * np.eye(d)
+            self.L, info = _potrf(self.H, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("Hessian not positive definite")
 
     def solve(self, rhs):
-        out = np.empty_like(rhs)
-        for sl, L in zip(self.slices, self.chols):
-            # L y = rhs, then L' x = y; L.T is the upper factor in the
-            # column-major order LAPACK reads, so neither call copies it
-            y, _ = _trtrs(L.T, rhs[sl], lower=0, trans=1)
-            out[sl], _ = _trtrs(L.T, y, lower=0, trans=0)
-        return out
+        return _potrs(self.L, rhs, lower=1)[0]
 
 
 def _barrier_grad(K, z):
@@ -274,19 +276,20 @@ def _hsde_loop(A, b, c, K, max_iters):
     metrics = _no_steps()
     it = 0
 
+    why = "iteration limit of %d reached" % max_iters
     for it in range(1, max_iters + 1):
-        # offer scaled candidates to the validators first
+        # offer scaled candidates to the validators first; every check is
+        # monotone in its tolerance, so only a point that passes the loose
+        # one can pass the tight one
         if tau > 1e-300:
-            cand = _validate_optimal(A, b, c, K, Kd, z / tau, lam / tau, EPS_OPT)
-            if cand is not None:
-                zc, lc, bc, obj = cand
-                return ConicResult(OPTIMAL, z=zc, obj=obj, lam=lc, beta=bc,
-                                   iterations=it, metrics=metrics)
-            cand = _validate_optimal(
-                A, b, c, K, Kd, z / tau, lam / tau, EPS_ALMOST
-            )
+            zs, ls = z / tau, lam / tau
+            cand = _validate_optimal(A, b, c, K, Kd, zs, ls, EPS_ALMOST)
             if cand is not None:
                 best_almost = cand
+                if _validate_optimal(A, b, c, K, Kd, zs, ls, EPS_OPT):
+                    zc, lc, bc, obj = cand
+                    return ConicResult(OPTIMAL, z=zc, obj=obj, lam=lc, beta=bc,
+                                       iterations=it, metrics=metrics)
         cand = _validate_infeasible(A, b, Kd, lam, EPS_OPT)
         if cand is not None:
             lc, bc = cand
@@ -299,11 +302,13 @@ def _hsde_loop(A, b, c, K, max_iters):
 
         mu = (float(z @ beta) + tau * kappa) / (nu + 1.0)
         if not np.isfinite(mu) or mu <= 0.0:
+            why = "mu is not finite and positive"
             break
         if W is None:
             metrics["hessian_builds"] += 1
             here = _proximity(K, z, beta, tau, kappa, nu)
             if here is None:
+                why = "barrier Hessian not formed at the current point"
                 break
             prox2, W = here
         grad = W.grad
@@ -322,13 +327,11 @@ def _hsde_loop(A, b, c, K, max_iters):
         Winv_c = W.solve(c)
         S = W.solve(A.T)
         G = A @ S
-        try:
-            Gf = scipy.linalg.cho_factor(
-                G + 1e-13 * max(1.0, np.trace(G) / m) * np.eye(m)
-            )
-        except (scipy.linalg.LinAlgError, ValueError):
+        Gf, info = _potrf(G + 1e-13 * max(1.0, np.trace(G) / m) * np.eye(m))
+        if info != 0 or not np.all(np.isfinite(Gf)):
+            why = "Schur complement not factored"
             break
-        v = scipy.linalg.cho_solve(Gf, b + A @ Winv_c)
+        v = _potrs(Gf, b + A @ Winv_c)[0]
         g1 = b - A @ Winv_c
         denom = float(g1 @ v) + float(c @ Winv_c) + mu / tau**2
 
@@ -338,7 +341,7 @@ def _hsde_loop(A, b, c, K, max_iters):
             #   -A'dlam + c dtau + W dz = d2
             #   b'dlam - c'dz + (mu/tau^2) dtau = d3
             wd2 = W.solve(d2)
-            u = scipy.linalg.cho_solve(Gf, d1 - A @ wd2)
+            u = _potrs(Gf, d1 - A @ wd2)[0]
             dtau = (d3 + float(c @ wd2) - float(g1 @ u)) / denom
             dlam = u + v * dtau
             dz = W.solve(d2 + A.T @ dlam - c * dtau)
@@ -352,7 +355,7 @@ def _hsde_loop(A, b, c, K, max_iters):
             # iterative refinement keeps the direction accurate when the
             # scaled Hessian is badly conditioned near convergence
             e1 = d1 - (A @ dz - b * dtau)
-            e2 = d2 - (-(A.T @ dlam) + c * dtau + _apply_W(W, dz))
+            e2 = d2 - (-(A.T @ dlam) + c * dtau + W.H @ dz)
             e3 = d3 - (float(b @ dlam) - float(c @ dz) + (mu / tau**2) * dtau)
             if (
                 np.abs(e1).max(initial=0.0) + np.abs(e2).max(initial=0.0) + abs(e3)
@@ -360,7 +363,7 @@ def _hsde_loop(A, b, c, K, max_iters):
                 break
             cz, cl, ct = solve_reduced(e1, e2, e3)
             dz, dlam, dtau = dz + cz, dlam + cl, dtau + ct
-        dbeta = -beta - sigma * mu * grad - _apply_W(W, dz)
+        dbeta = -beta - sigma * mu * grad - W.H @ dz
         dkappa = -kappa + sigma * mu / tau - (mu / tau**2) * dtau
 
         # backtrack until the trial point is interior and stays near the
@@ -383,18 +386,17 @@ def _hsde_loop(A, b, c, K, max_iters):
                     accepted = True
                     break
             alpha *= 0.8
-        if not accepted or alpha < 1e-9:
+        if not accepted:
             stalls += 1
             force_center = True
             if stalls >= 3:
+                why = "3 straight line searches stalled"
                 break
-            alpha = 0.0
         else:
             stalls = 0
             if not centering and alpha < 0.05:
                 # poor predictor progress: recenter before trying again
                 force_center = True
-        if alpha > 0.0:
             z = z + alpha * dz
             lam = lam + alpha * dlam
             beta = beta + alpha * dbeta
@@ -415,15 +417,9 @@ def _hsde_loop(A, b, c, K, max_iters):
     if best_almost is not None:
         zc, lc, bc, obj = best_almost
         return ConicResult(ALMOST_OPTIMAL, z=zc, obj=obj, lam=lc, beta=bc,
-                           iterations=it, metrics=metrics)
-    return ConicResult(NUMERIC_FAILURE, iterations=it, metrics=metrics)
-
-
-def _apply_W(W, vec):
-    out = np.empty_like(vec)
-    for sl, L in zip(W.slices, W.chols):
-        out[sl] = L @ (L.T @ vec[sl])
-    return out
+                           iterations=it, metrics=metrics, diagnostic=why)
+    return ConicResult(NUMERIC_FAILURE, iterations=it, metrics=metrics,
+                       diagnostic=why)
 
 
 def _solve_unconstrained(c, K, Kd, m):

@@ -463,8 +463,9 @@ def oa_solve(program, config=None):
                     return _outcome(
                         ASSUMPTION_FAILURE, state, trace,
                         "no dual certificate and no separating cut on "
-                        "assignment %s for 3 straight iterations"
-                        % (list(assignment),),
+                        "assignment %s for 3 straight iterations; the last "
+                        "subproblem was %s: %s"
+                        % (list(assignment), sub.status, sub.diagnostic),
                     )
             else:
                 stall_assignment, stall_count = None, 0

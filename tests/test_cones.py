@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from miconic import cones
@@ -197,6 +199,40 @@ def test_initial_tangents_lie_in_the_dual_cone(cone):
     assert tangents
     for beta in tangents:
         assert cones.member(dual, beta, 1e-12)
+
+
+def _near_boundary(cone, rng, push):
+    """A point within about 10**push of the cone's boundary."""
+    inside = cones.sample_interior(cone, rng)
+    # the cones are pointed, so -inside lies outside; bisect the segment
+    outside = -inside
+    for _ in range(60):
+        mid = 0.5 * (inside + outside)
+        if cones.member(cone, mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside + 10.0**push * rng.standard_normal(cone.dim)
+
+
+# tolerances from 1e-18 to 1, a quarter decade apart, and zero
+_TOL_LADDER = [0.0] + [10.0 ** (k / 4.0) for k in range(-72, 1)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    cone=st.sampled_from(ALL_FAMILIES),
+    seed=st.integers(0, 2**32 - 1),
+    push=st.integers(-15, -1),
+)
+def test_membership_is_monotone_in_the_tolerance(cone, seed, push):
+    # the IPM offers a point to its tight validator only after the loose
+    # one passed, which loses nothing only if a looser tolerance never
+    # rejects a point that a tighter one accepts: along increasing
+    # tolerances, membership may switch on once and never off again
+    p = _near_boundary(cone, np.random.default_rng(seed), push)
+    inside = [cones.member(cone, p, t) for t in _TOL_LADDER]
+    assert inside == sorted(inside)
 
 
 def test_separation_examples():

@@ -307,22 +307,64 @@ def test_empty_z_block():
 
 
 def test_block_hessian_solve_matches_checked_triangular_solves():
-    # the reference is scipy's validated triangular solve on the same factors
+    # the reference is scipy's validated Cholesky solve on the same factor,
+    # whose diagonal blocks are the blocks' own factors up to rounding
     rng = np.random.default_rng(909)
     for _ in range(20):
         K = ConeProduct(
             [cones.nonneg(1)] * 3 + list(random_cone_product(rng).factors)
         )
         z = cones.sample_product(K, rng, interior=True)
-        W = _BlockHessian(K, z, mu=float(rng.uniform(0.1, 10.0)))
+        mu = float(rng.uniform(0.1, 10.0))
+        W = _BlockHessian(K, z, mu)
         assert_array_equal(W.grad, _barrier_grad(K, z))
+        outside = np.ones((K.dim, K.dim), dtype=bool)
+        for f, sl in K.slices():
+            h = cones.barrier_value_grad_hess(f, z[sl])[2]
+            assert_allclose(W.L[sl, sl], np.linalg.cholesky(mu * h),
+                            rtol=1e-12)
+            outside[sl, sl] = False
+        assert np.all(W.L[outside] == 0.0)
         for rhs in (rng.standard_normal(K.dim),
                     rng.standard_normal((K.dim, 4))):
-            want = np.empty_like(rhs)
-            for sl, L in zip(W.slices, W.chols):
-                y = scipy.linalg.solve_triangular(L, rhs[sl], lower=True)
-                want[sl] = scipy.linalg.solve_triangular(L.T, y, lower=False)
-            assert_array_equal(W.solve(rhs), want)
+            assert_array_equal(W.solve(rhs),
+                               scipy.linalg.cho_solve((W.L, True), rhs))
+
+
+def test_jitter_repairs_only_the_block_that_needs_it(monkeypatch):
+    K = ConeProduct([cones.soc(3), cones.nonneg(3), cones.exp_cone()])
+    rng = np.random.default_rng(913)
+    z = cones.sample_product(K, rng, interior=True)
+    beta = sample_dual_interior(K, rng)
+    mu = 0.7
+    plain = _BlockHessian(K, z, mu)
+    real = cones.barrier_value_grad_hess
+    bad = slice(3, 6)  # the orthant
+
+    def orthant_hessian_is(h_bad):
+        def barrier(f, zf):
+            val, g, h = real(f, zf)
+            return (val, g, h_bad) if f.kind == cones.NONNEG else (val, g, h)
+        monkeypatch.setattr(cones, "barrier_value_grad_hess", barrier)
+
+    # positive semidefinite of rank one: its own Cholesky fails, and the
+    # jitter alone makes it definite
+    orthant_hessian_is(np.ones((3, 3)))
+    W = _BlockHessian(K, z, mu)
+    want = plain.H.copy()
+    want[bad, bad] = mu * np.ones((3, 3)) + 1e-13 * max(1.0, mu) * np.eye(3)
+    assert_array_equal(W.H, want)
+    assert_array_equal(W.grad, plain.grad)
+    others = np.ones((K.dim, K.dim), dtype=bool)
+    others[bad, bad] = False
+    assert_array_equal(W.L[others], plain.L[others])
+    assert_allclose(W.L @ W.L.T, W.H, rtol=0, atol=1e-12)
+
+    # indefinite: the jitter cannot repair it
+    orthant_hessian_is(np.diag([1.0, -1.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        _BlockHessian(K, z, mu)
+    assert _proximity(K, z, beta, 1.0, 1.0, K.nu) is None
 
 
 def random_feasible_problems(seed, count):
@@ -403,9 +445,8 @@ def test_proximity_hessian_equals_a_fresh_build(factor):
         mu = (float(z @ beta) + tau * kappa) / (K.nu + 1.0)
         fresh = _BlockHessian(K, z, mu)
         assert_array_equal(W.grad, fresh.grad)
-        assert len(W.chols) == len(fresh.chols)
-        for L, L_fresh in zip(W.chols, fresh.chols):
-            assert_array_equal(L, L_fresh)
+        assert_array_equal(W.H, fresh.H)
+        assert_array_equal(W.L, fresh.L)
         e = beta + mu * fresh.grad
         want = float(e @ fresh.solve(e)) / mu + (tau * kappa / mu - 1.0) ** 2
         assert p2 == want
@@ -416,19 +457,27 @@ def _one_problem():
 
 
 def test_iterations_count_on_failed_factorization(monkeypatch):
-    real = scipy.linalg.cho_factor
-    calls = []
+    # the third Schur complement factorization fails, once by a nonzero
+    # info from LAPACK and once by a factor that is not finite
+    prob = _one_problem()
+    m = prob.A.shape[0]
+    real = ipm._potrf
+    for failed in (lambda a: (a, 1), lambda a: (np.full_like(a, np.nan), 0)):
+        schur = []
 
-    def third_fails(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 3:
-            raise scipy.linalg.LinAlgError("forced")
-        return real(*args, **kwargs)
+        def third_schur_fails(a, **kwargs):
+            # the barrier Hessian is n x n with n > m
+            if a.shape == (m, m):
+                schur.append(None)
+                if len(schur) == 3:
+                    return failed(a)
+            return real(a, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", third_fails)
-    res = solve_continuous(_one_problem())
-    assert res.status in (NUMERIC_FAILURE, ALMOST_OPTIMAL)
-    assert res.iterations == 3
+        monkeypatch.setattr(ipm, "_potrf", third_schur_fails)
+        res = solve_continuous(prob)
+        assert res.status in (NUMERIC_FAILURE, ALMOST_OPTIMAL)
+        assert res.iterations == 3
+        assert res.diagnostic == "Schur complement not factored"
 
 
 def test_iterations_count_on_repeated_stalls(monkeypatch):
@@ -448,3 +497,15 @@ def test_iterations_count_on_repeated_stalls(monkeypatch):
     assert res.status == NUMERIC_FAILURE
     assert res.iterations == 3
     assert res.metrics["line_search_trials"] == 3 * 90
+    assert res.diagnostic == "3 straight line searches stalled"
+
+
+def test_unformed_starting_hessian_is_named(monkeypatch):
+    def never(K, z, mu):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(ipm, "_BlockHessian", never)
+    res = solve_continuous(_one_problem())
+    assert res.status == NUMERIC_FAILURE
+    assert res.iterations == 1
+    assert res.diagnostic == "barrier Hessian not formed at the current point"

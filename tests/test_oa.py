@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from miconic import cones, instances
+from miconic import cones, instances, oa
 from miconic.compile import emit_conic, recover_solution
 from miconic.errors import InvalidCut, TooLarge
 from miconic.ipm import (
@@ -131,6 +131,17 @@ def test_unattained_dual_fiber_reports_assumption_failure():
     assert res.status not in (OPTIMAL, INFEASIBLE)
     assert res.iterations <= 50
     assert res.diagnostic
+
+
+def test_uncertified_fiber_failure_names_the_subproblem_exit(monkeypatch):
+    # a one-iteration IPM certifies no fiber, so OA separates the MILP
+    # point until no cut is left and gives up on that assignment
+    monkeypatch.setattr(oa, "solve_continuous",
+                        lambda prob: solve_continuous(prob, max_iters=1))
+    res = oa_solve(emit_conic(instances.disk_model())[0])
+    assert res.status == ASSUMPTION_FAILURE
+    assert res.diagnostic.startswith("no dual certificate and no separating")
+    assert res.diagnostic.endswith(": iteration limit of 1 reached")
 
 
 def test_trimloss_matches_brute_force():
