@@ -17,10 +17,6 @@ class NotDcp(MiconicError):
     """The model failed convexity verification and cannot be compiled."""
 
 
-class UndeclaredVariable(MiconicError):
-    """An expression references a variable index the model does not declare."""
-
-
 class UnboundedInteger(MiconicError):
     """An integer variable lacks a finite lower or upper bound."""
 

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .errors import UnboundedInteger, UndeclaredVariable
+from .errors import UnboundedInteger
 from .expr import (
     AFFINE,
     CONCAVE,
@@ -73,14 +73,6 @@ class DcpModel:
                     "add() expects constraints built with <=, >= or =="
                 )
             self.constraints.append(con)
-
-    def check_declared(self, expr):
-        declared = set(id(v) for v in self.variables)
-        for var in variables_in(expr):
-            if id(var) not in declared:
-                raise UndeclaredVariable(
-                    f"variable {var.name!r} is not declared in this model"
-                )
 
 
 @dataclass

@@ -5,9 +5,11 @@ dual cuts with continuous conic subproblems on the integer assignments the
 MILP proposes.  A feasible subproblem contributes a tangent cut and a
 candidate incumbent, an infeasible one contributes a ray cut excluding its
 assignment, and when neither certificate is available the driver falls back
-to separation cuts.  Instances whose fibers admit no dual certificates make
-the loop revisit an assignment without moving either bound; that pattern is
-detected and reported as an assumption failure rather than looped on.
+to separation cuts.  The MILP depends only on the cut pool and the lower
+bound, and every solve is deterministic, so an iteration that adds no cut
+and leaves the lower bound unchanged is a fixed point: the next one would
+repeat it forever.  Instances whose fibers admit no dual certificates end
+there, and the driver reports an assumption failure rather than loop on.
 """
 
 import itertools
@@ -39,8 +41,6 @@ ASSUMPTION_FAILURE = "assumption_failure"
 ITERATION_LIMIT = "iteration_limit"
 TIME_LIMIT = "time_limit"
 
-_PROGRESS = 1e-9
-
 
 @dataclass
 class Cut:
@@ -69,7 +69,6 @@ class OaState:
     cuts: list = field(default_factory=list)
     incumbent_x: np.ndarray = None
     incumbent_z: np.ndarray = None
-    visited: dict = field(default_factory=dict)
     iterations: int = 0
     _units: list = field(default_factory=list)
 
@@ -161,18 +160,8 @@ def add_cut(state, cut):
     return state
 
 
-def _initial_cuts(K):
-    out = []
-    for f, sl in K.slices():
-        for local in cones.tangents(f):
-            beta = np.zeros(K.dim)
-            beta[sl] = local
-            out.append(beta)
-    return out
-
-
 def _add_split(state, beta, provenance, assignment):
-    """Add a cut factor-wise (each block padded with zeros); returns count.
+    """Add a cut factor-wise, each block padded with zeros.
 
     Splitting is valid because the dual of a product is the product of the
     duals, and per-factor cuts imply the aggregate.  If every block is
@@ -181,28 +170,23 @@ def _add_split(state, beta, provenance, assignment):
     beta = np.asarray(beta, dtype=float).ravel()
     scale = float(np.max(np.abs(beta), initial=0.0))
     if scale <= 0.0 or not np.all(np.isfinite(beta)):
-        return 0
-    added = 0
+        return
+    before = len(state.cuts)
     for f, sl in state.cones.slices():
         block = beta[sl]
         if float(np.max(np.abs(block), initial=0.0)) <= 1e-12 * scale:
             continue
         padded = np.zeros_like(beta)
         padded[sl] = block
-        before = len(state.cuts)
         try:
             add_cut(state, Cut(padded, provenance, assignment))
         except InvalidCut:
-            continue
-        added += len(state.cuts) - before
-    if added == 0:
-        before = len(state.cuts)
+            pass
+    if len(state.cuts) == before:
         try:
             add_cut(state, Cut(beta, provenance, assignment))
         except InvalidCut:
-            return 0
-        added = len(state.cuts) - before
-    return added
+            pass
 
 
 def _milp_data(program, state):
@@ -288,7 +272,37 @@ def _gap_closed(state):
     )
 
 
-def _outcome(status, state, trace, diagnostic=None):
+def oa_solve(program, config=None):
+    """Globally solve a mixed-integer conic program by outer approximation."""
+    cfg = config or OaConfig()
+    t0 = time.monotonic()
+    state = OaState(cones=program.cones, tol=cfg.tol)
+    trace = []
+    end = _initialize(program, state)
+    while end is None and state.iterations < cfg.max_iters:
+        if (
+            cfg.time_limit is not None
+            and time.monotonic() - t0 > cfg.time_limit
+        ):
+            end = TIME_LIMIT, None
+            break
+        state.iterations += 1
+        record = {
+            "iteration": state.iterations,
+            "milp_status": None,
+            "milp_value": None,
+            "assignment": None,
+            "subproblem_status": None,
+            "subproblem_value": None,
+        }
+        pool = len(state.cuts)
+        end = _iterate(program, state, cfg, record)
+        record["new_cuts"] = len(state.cuts) - pool
+        record["lower_bound"] = state.z_lower
+        record["upper_bound"] = state.z_upper
+        record["cuts"] = len(state.cuts)
+        trace.append(record)
+    status, diagnostic = end or (ITERATION_LIMIT, None)
     return OaOutcome(
         status=status,
         x=state.incumbent_x,
@@ -304,24 +318,25 @@ def _outcome(status, state, trace, diagnostic=None):
     )
 
 
-def oa_solve(program, config=None):
-    """Globally solve a mixed-integer conic program by outer approximation."""
-    cfg = config or OaConfig()
-    t0 = time.monotonic()
-    state = OaState(cones=program.cones, tol=cfg.tol)
-    trace = []
-    for beta in _initial_cuts(program.cones):
-        add_cut(state, Cut(beta, INITIAL_RELAXATION))
+def _initialize(program, state):
+    """Seed the pool with tangent cuts and the root relaxation's dual cut.
 
+    Returns (status, diagnostic) when the root relaxation ends the run.
+    """
+    K = program.cones
+    for f, sl in K.slices():
+        for local in cones.tangents(f):
+            beta = np.zeros(K.dim)
+            beta[sl] = local
+            add_cut(state, Cut(beta, INITIAL_RELAXATION))
     root_status, root_obj, root_lam = _root_relaxation(program)
     if root_status == INFEASIBLE:
         state.z_lower = np.inf
-        return _outcome(INFEASIBLE, state, trace)
+        return INFEASIBLE, None
     if root_status == UNBOUNDED:
-        return _outcome(
-            ASSUMPTION_FAILURE, state, trace,
+        return ASSUMPTION_FAILURE, (
             "the continuous relaxation is unbounded, so no bounded "
-            "polyhedral relaxation exists",
+            "polyhedral relaxation exists"
         )
     if root_status == OPTIMAL:
         state.z_lower = float(root_obj)
@@ -332,158 +347,101 @@ def oa_solve(program, config=None):
             None,
         )
     # almost_optimal or numeric_failure: continue without a root cut
+    return None
 
-    nx, nz = program.num_integer, program.num_conic
-    stall_assignment, stall_count = None, 0
-    while state.iterations < cfg.max_iters:
-        if (
-            cfg.time_limit is not None
-            and time.monotonic() - t0 > cfg.time_limit
-        ):
-            return _outcome(TIME_LIMIT, state, trace)
-        state.iterations += 1
-        record = {
-            "iteration": state.iterations,
-            "milp_status": None,
-            "milp_value": None,
-            "assignment": None,
-            "subproblem_status": None,
-            "subproblem_value": None,
-            "new_cuts": 0,
-        }
 
-        A, b, c, lb, ub, int_idx = _milp_data(program, state)
-        try:
-            mres = solve_milp(
-                A, b, c, lb, ub, int_idx,
-                rel_gap=cfg.milp_gap, node_limit=cfg.node_limit,
-            )
-        except NumericFailure as err:
-            _finish(record, state, trace)
-            return _outcome(
-                ASSUMPTION_FAILURE, state, trace,
-                "MILP relaxation could not be solved: %s" % err,
-            )
-        record["milp_status"] = mres.status
-        if mres.status == INFEASIBLE:
-            _finish(record, state, trace)
-            if state.incumbent_x is not None:
-                return _outcome(
-                    ASSUMPTION_FAILURE, state, trace,
-                    "MILP relaxation infeasible while an incumbent exists",
-                )
-            state.z_lower = np.inf
-            return _outcome(INFEASIBLE, state, trace)
-        if mres.status == UNBOUNDED:
-            _finish(record, state, trace)
-            return _outcome(
-                ASSUMPTION_FAILURE, state, trace,
-                "the MILP relaxation is unbounded; valid cuts cannot bound "
-                "it, which indicates a fiber without strong duality",
-            )
-        record["milp_value"] = float(mres.obj)
-        state.z_lower = max(state.z_lower, float(mres.lower_bound))
-        assignment = tuple(int(round(v)) for v in mres.x[:nx])
-        record["assignment"] = list(assignment)
+def _iterate(program, state, cfg, record):
+    """One OA iteration: the MILP, then the fiber of its assignment.
 
-        if _gap_closed(state):
-            _finish(record, state, trace)
-            return _outcome(OPTIMAL, state, trace)
-
-        if assignment in state.visited:
-            old_lo, old_hi = state.visited[assignment]
-            if (
-                state.z_lower - old_lo <= _PROGRESS
-                and old_hi - state.z_upper <= _PROGRESS
-            ):
-                _finish(record, state, trace)
-                return _outcome(
-                    ASSUMPTION_FAILURE, state, trace,
-                    "integer assignment %s revisited without bound progress"
-                    % (list(assignment),),
-                )
-
-        x_star = np.array([float(v) for v in assignment])
-        r = program.b - program.A_x @ x_star
-        sub = solve_continuous(
-            ContinuousConicProblem(program.A_z, r, program.c, program.cones)
+    Fills the record's MILP and subproblem fields and returns (status,
+    diagnostic) when the run ends in this iteration, else None.
+    """
+    pool, lower = len(state.cuts), state.z_lower
+    A, b, c, lb, ub, int_idx = _milp_data(program, state)
+    try:
+        mres = solve_milp(
+            A, b, c, lb, ub, int_idx,
+            rel_gap=cfg.milp_gap, node_limit=cfg.node_limit,
         )
-        record["subproblem_status"] = sub.status
-        new_cuts = 0
-        if sub.status == OPTIMAL:
+    except NumericFailure as err:
+        return ASSUMPTION_FAILURE, (
+            "MILP relaxation could not be solved: %s" % err
+        )
+    record["milp_status"] = mres.status
+    if mres.status == INFEASIBLE:
+        if state.incumbent_x is not None:
+            return ASSUMPTION_FAILURE, (
+                "MILP relaxation infeasible while an incumbent exists"
+            )
+        state.z_lower = np.inf
+        return INFEASIBLE, None
+    if mres.status == UNBOUNDED:
+        return ASSUMPTION_FAILURE, (
+            "the MILP relaxation is unbounded; valid cuts cannot bound "
+            "it, which indicates a fiber without strong duality"
+        )
+    record["milp_value"] = float(mres.obj)
+    state.z_lower = max(state.z_lower, float(mres.lower_bound))
+    nx, nz = program.num_integer, program.num_conic
+    assignment = tuple(int(round(v)) for v in mres.x[:nx])
+    record["assignment"] = list(assignment)
+    if _gap_closed(state):
+        return OPTIMAL, None
+
+    x_star = np.array([float(v) for v in assignment])
+    r = program.b - program.A_x @ x_star
+    sub = solve_continuous(
+        ContinuousConicProblem(program.A_z, r, program.c, program.cones)
+    )
+    record["subproblem_status"] = sub.status
+    if sub.status == OPTIMAL:
+        record["subproblem_value"] = float(sub.obj)
+        _add_split(
+            state,
+            program.c - program.A_z.T @ sub.lam,
+            SUBPROBLEM_DUAL,
+            assignment,
+        )
+        if sub.obj < state.z_upper:
+            state.z_upper = float(sub.obj)
+            state.incumbent_x = x_star
+            state.incumbent_z = sub.z
+    elif sub.status == INFEASIBLE:
+        _add_split(
+            state, -(program.A_z.T @ sub.lam), INFEASIBILITY_RAY, assignment
+        )
+    elif sub.status == UNBOUNDED:
+        return ASSUMPTION_FAILURE, (
+            "a fiber subproblem is unbounded below, so the instance "
+            "has no finite optimum"
+        )
+    else:
+        # no certificate: separate the MILP point from each cone factor
+        if sub.obj is not None:
             record["subproblem_value"] = float(sub.obj)
-            new_cuts = _add_split(
-                state,
-                program.c - program.A_z.T @ sub.lam,
-                SUBPROBLEM_DUAL,
-                assignment,
-            )
-            if sub.obj < state.z_upper:
-                state.z_upper = float(sub.obj)
-                state.incumbent_x = x_star
-                state.incumbent_z = sub.z
-            stall_assignment, stall_count = None, 0
-        elif sub.status == INFEASIBLE:
-            new_cuts = _add_split(
-                state, -(program.A_z.T @ sub.lam), INFEASIBILITY_RAY,
-                assignment,
-            )
-            stall_assignment, stall_count = None, 0
-        elif sub.status == UNBOUNDED:
-            _finish(record, state, trace, new_cuts)
-            return _outcome(
-                ASSUMPTION_FAILURE, state, trace,
-                "a fiber subproblem is unbounded below, so the instance "
-                "has no finite optimum",
-            )
-        else:
-            # no certificate: separate the MILP point from each cone factor
-            if sub.obj is not None:
-                record["subproblem_value"] = float(sub.obj)
-            z_milp = mres.x[nx : nx + nz]
-            for f, sl in program.cones.slices():
-                g = cones.separate(f, z_milp[sl])
-                if g is None:
-                    continue
-                padded = np.zeros(nz)
-                padded[sl] = g
-                before = len(state.cuts)
-                try:
-                    add_cut(state, Cut(padded, SEPARATION, assignment))
-                except InvalidCut:
-                    continue
-                new_cuts += len(state.cuts) - before
-            if new_cuts == 0:
-                if assignment == stall_assignment:
-                    stall_count += 1
-                else:
-                    stall_assignment, stall_count = assignment, 1
-                if stall_count >= 3:
-                    _finish(record, state, trace, new_cuts)
-                    return _outcome(
-                        ASSUMPTION_FAILURE, state, trace,
-                        "no dual certificate and no separating cut on "
-                        "assignment %s for 3 straight iterations; the last "
-                        "subproblem was %s: %s"
-                        % (list(assignment), sub.status, sub.diagnostic),
-                    )
-            else:
-                stall_assignment, stall_count = None, 0
+        z_milp = mres.x[nx : nx + nz]
+        for f, sl in program.cones.slices():
+            g = cones.separate(f, z_milp[sl])
+            if g is None:
+                continue
+            padded = np.zeros(nz)
+            padded[sl] = g
+            try:
+                add_cut(state, Cut(padded, SEPARATION, assignment))
+            except InvalidCut:
+                pass
 
-        state.visited[assignment] = (state.z_lower, state.z_upper)
-        _finish(record, state, trace, new_cuts)
-        if _gap_closed(state):
-            return _outcome(OPTIMAL, state, trace)
-
-    return _outcome(ITERATION_LIMIT, state, trace)
-
-
-def _finish(record, state, trace, new_cuts=0):
-    record["new_cuts"] = new_cuts
-    record["lower_bound"] = state.z_lower
-    record["upper_bound"] = state.z_upper
-    record["cuts"] = len(state.cuts)
-    trace.append(record)
+    if _gap_closed(state):
+        return OPTIMAL, None
+    if len(state.cuts) == pool and state.z_lower == lower:
+        # the next MILP is this one, so OA would repeat this iteration
+        why = "" if sub.diagnostic is None else ": %s" % sub.diagnostic
+        return ASSUMPTION_FAILURE, (
+            "integer assignment %s added no cut and left the lower bound "
+            "unchanged, so the next MILP repeats this one; its subproblem "
+            "was %s%s" % (list(assignment), sub.status, why)
+        )
+    return None
 
 
 def brute_force_solve(program, grid_limit=100_000):

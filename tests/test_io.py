@@ -287,11 +287,14 @@ def test_cli_trace_has_one_record_per_iteration(tmp_path, capsys):
     assert {"milp_status", "lower_bound", "upper_bound"} <= set(records[0])
 
 
-def test_cli_trace_bounds_are_in_model_units(tmp_path, capsys):
-    # the toy's objective has a nonzero offset, so internal units differ
+@pytest.mark.parametrize(
+    "model", ["trimloss_toy.model", "empty_ball_naive_4.model"])
+def test_cli_trace_bounds_are_in_model_units(model, tmp_path, capsys):
+    # the toy's objective has a nonzero offset, so internal units differ;
+    # the ball ends on an infeasible MILP, whose bounds the last record shows
     trace = tmp_path / "trace.jsonl"
     code, out, _ = _run(
-        ["solve", str(INSTANCE_DIR / "trimloss_toy.model"),
+        ["solve", str(INSTANCE_DIR / model),
          "--trace", str(trace), "--no-timing"], capsys)
     assert code == 0
     result = json.loads(out)

@@ -9,6 +9,7 @@ from miconic.errors import InvalidCut, TooLarge
 from miconic.ipm import (
     INFEASIBLE,
     OPTIMAL,
+    ConicResult,
     ContinuousConicProblem,
     solve_continuous,
 )
@@ -135,13 +136,39 @@ def test_unattained_dual_fiber_reports_assumption_failure():
 
 def test_uncertified_fiber_failure_names_the_subproblem_exit(monkeypatch):
     # a one-iteration IPM certifies no fiber, so OA separates the MILP
-    # point until no cut is left and gives up on that assignment
+    # point until no cut is left; iteration 6 leaves the MILP unchanged
     monkeypatch.setattr(oa, "solve_continuous",
                         lambda prob: solve_continuous(prob, max_iters=1))
     res = oa_solve(emit_conic(instances.disk_model())[0])
     assert res.status == ASSUMPTION_FAILURE
-    assert res.diagnostic.startswith("no dual certificate and no separating")
+    assert res.iterations == 6
+    assert res.trace[-1]["new_cuts"] == 0
+    assert res.diagnostic.startswith(
+        "integer assignment [2] added no cut and left the lower bound "
+        "unchanged")
     assert res.diagnostic.endswith(": iteration limit of 1 reached")
+
+
+def test_zero_certificate_cycle_without_incumbent_is_caught(monkeypatch):
+    # every fiber after the root answers infeasible with a zero ray, which
+    # adds no cut; with no incumbent the run must still stop at once
+    calls = []
+
+    def zero_certificate(prob):
+        calls.append(prob)
+        if len(calls) == 1:
+            return solve_continuous(prob)
+        return ConicResult(INFEASIBLE, lam=np.zeros(prob.A.shape[0]),
+                           obj=np.inf)
+
+    monkeypatch.setattr(oa, "solve_continuous", zero_certificate)
+    res = oa_solve(emit_conic(instances.disk_model())[0],
+                   OaConfig(max_iters=50))
+    assert res.status == ASSUMPTION_FAILURE
+    assert res.iterations == 1
+    assert res.trace[-1]["new_cuts"] == 0
+    assert "[2]" in res.diagnostic
+    assert "infeasible" in res.diagnostic
 
 
 def test_trimloss_matches_brute_force():
@@ -175,6 +202,8 @@ def test_bounds_are_monotone_along_the_trace():
             assert b >= a - 1e-9
         for a, b in zip(ups, ups[1:]):
             assert b <= a + 1e-9
+        assert lows[-1] == res.lower_bound
+        assert ups[-1] == res.upper_bound
 
 
 def test_no_assignment_revisited_in_terminating_runs():
