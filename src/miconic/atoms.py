@@ -207,6 +207,9 @@ def _graph_logsumexp(b, forms, param):
 
 
 def _graph_pow_rational(b, forms, param):
+    if float(param) == 1.0:
+        # |x|^1 is abs, and a power cone needs its exponent 1/p below 1
+        return _graph_abs(b, forms, param)
     u, v, w = b.cone_cols(cones.POW, 3, alpha=1.0 / float(param))
     b.zero_row(b.col(v) - 1.0)
     b.zero_row(b.col(w) - forms[0])

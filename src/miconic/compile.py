@@ -3,10 +3,11 @@
 Every atom application becomes its conic graph template over fresh cone
 columns, recursively, so the emitted program is the fully disaggregated
 extended formulation implied by the expression tree.  Affine
-subexpressions are inlined into rows, never given auxiliaries.  Convex
-expressions are lowered to upper surrogates (epigraph direction) and
-concave ones to lower surrogates; the argument direction at each atom
-follows its sign-refined monotonicity.
+subexpressions are inlined into rows, never given auxiliaries, and an
+atom of constant arguments inside its domain becomes its value.  The
+lowering relies on ``dcp_verify``: in a verified model every convex atom
+is reached where its epigraph is exact and every concave one where its
+hypograph is, so each node is lowered once, by its graph alone.
 
 Continuous user variables are carried in the z block as shifted
 nonnegative columns (or a difference of two when unbounded both ways);
@@ -21,34 +22,15 @@ import numpy as np
 from . import cones
 from .errors import DimensionMismatch, NotDcp, UnboundedInteger
 from .expr import (
-    AFFINE,
     CONSTANT,
-    CONVEX,
-    NO_MONOTONICITY,
-    NONDECREASING,
-    NONINCREASING,
     AffineCombination,
     AtomApplication,
     Constant,
     Variable,
     _atom,
-    curvature_of,
-    sign_of,
 )
 from .model import dcp_verify
 from .program import LinForm, ProgramBuilder, X_BLOCK, Z_BLOCK
-
-UPPER = "upper"
-LOWER = "lower"
-EXACT = "exact"
-
-
-def _flip_dir(direction):
-    if direction == UPPER:
-        return LOWER
-    if direction == LOWER:
-        return UPPER
-    return EXACT
 
 
 class CompilationMap:
@@ -130,15 +112,13 @@ class _Lowering:
             cmap.var_forms[v.name] = form
             cmap.var_columns[v.name] = cols
 
-    def lower(self, e, direction):
-        key = (id(e), direction)
-        if key in self.memo:
-            return self.memo[key]
-        out = self._lower(e, direction)
-        self.memo[key] = out
-        return out
+    def lower(self, e):
+        key = id(e)
+        if key not in self.memo:
+            self.memo[key] = self._lower(e)
+        return self.memo[key]
 
-    def _lower(self, e, direction):
+    def _lower(self, e):
         if isinstance(e, Constant):
             return LinForm.constant(e.value)
         if isinstance(e, Variable):
@@ -146,36 +126,23 @@ class _Lowering:
         if isinstance(e, AffineCombination):
             total = LinForm.constant(e.offset)
             for c, child in zip(e.coeffs, e.children):
-                child_dir = direction if c > 0 else _flip_dir(direction)
-                total = total + c * self.lower(child, child_dir)
+                total = total + c * self.lower(child)
             return total
         if isinstance(e, AtomApplication):
-            return self._lower_atom(e, direction)
+            return self._lower_atom(e)
         raise TypeError(f"not an expression node: {e!r}")
 
-    def _lower_atom(self, e, direction):
+    def _lower_atom(self, e):
         atom = _atom(e.name)
-        natural = UPPER if atom.curvature == CONVEX else LOWER
-        if direction != natural:
-            raise NotDcp(
-                f"atom {e.name!r} cannot be bounded from the "
-                f"{'below' if direction == LOWER else 'above'} side here"
-            )
-        arg_signs = [sign_of(a) for a in e.args]
-        forms = []
-        for i, arg in enumerate(e.args):
-            mono = atom.monotonicity(i, arg_signs, e.param)
-            if mono == NONDECREASING:
-                need = direction
-            elif mono == NONINCREASING:
-                need = _flip_dir(direction)
-            else:
-                need = EXACT
-            if need == EXACT and curvature_of(arg) not in (CONSTANT, AFFINE):
-                raise NotDcp(
-                    f"argument {i} of atom {e.name!r} must be affine"
-                )
-            forms.append(self.lower(arg, need))
+        forms = [self.lower(arg) for arg in e.args]
+        if e.curvature == CONSTANT and not any(f.terms for f in forms):
+            try:
+                return LinForm.constant(
+                    atom.evaluate([f.offset for f in forms], e.param))
+            except (ValueError, OverflowError):
+                # outside the atom's domain, where its graph is infeasible,
+                # or too large for a float
+                pass
         b, cmap = self.builder, self.cmap
         z_start, f_start = b.num_conic, len(b.factors)
         t = atom.graph(b, forms, e.param)
@@ -213,14 +180,13 @@ class _Lowering:
         b, cmap = self.builder, self.cmap
         for i, con in enumerate(self.model.constraints):
             if con.kind == "eq":
-                b.zero_row(self.lower(con.expr, EXACT))
+                b.zero_row(self.lower(con.expr))
             else:
-                u = self.lower(con.expr, UPPER)
+                u = self.lower(con.expr)
                 (s,) = b.cone_cols(cones.NONNEG, 1)
                 cmap.z_owner.append(("slack", i))
                 b.zero_row(u + b.col(s))
-        b.set_objective(self.objective_form(self.lower(self.model.objective,
-                                                       UPPER)))
+        b.set_objective(self.objective_form(self.lower(self.model.objective)))
         program = b.build()
         cmap.num_integer = program.num_integer
         cmap.num_conic = program.num_conic

@@ -5,7 +5,9 @@ affine combinations, and atom applications.  Curvature is established
 purely by composition rules over the atoms' declared curvature and
 per-argument monotonicity; no semantic convexity detection is attempted.
 A small sign lattice (positive / negative / unknown), seeded from variable
-bounds, refines the monotonicity of even atoms like square and abs.
+bounds, refines the monotonicity of even atoms like square and abs.  Each
+node computes its sign and curvature once, when it is built, from its
+children's, so the analysis costs one step per distinct node.
 """
 
 import numbers
@@ -36,6 +38,14 @@ def _flip(curv):
     if curv == CONCAVE:
         return CONVEX
     return curv
+
+
+def _sign(nonnegative, nonpositive):
+    if nonnegative:
+        return POSITIVE
+    if nonpositive:
+        return NEGATIVE
+    return UNKNOWN_SIGN
 
 
 def _add_curvature(a, b):
@@ -101,6 +111,8 @@ class Expression:
 class Constant(Expression):
     def __init__(self, value):
         self.value = float(value)
+        self.sign = POSITIVE if self.value >= 0.0 else NEGATIVE
+        self.curvature = CONSTANT
 
     def __repr__(self):
         return f"Constant({self.value})"
@@ -116,6 +128,8 @@ class Variable(Expression):
         self.integer = bool(integer)
         self.lb = float(lb)
         self.ub = float(ub)
+        self.sign = _sign(self.lb >= 0.0, self.ub <= 0.0)
+        self.curvature = AFFINE
 
     def __repr__(self):
         return f"Variable({self.name!r})"
@@ -128,6 +142,20 @@ class AffineCombination(Expression):
         self.offset = float(offset)
         if len(self.coeffs) != len(self.children):
             raise ValueError("coefficient and child counts differ")
+        lo_ok = self.offset >= 0.0
+        hi_ok = self.offset <= 0.0
+        self.curvature = CONSTANT
+        for c, child in zip(self.coeffs, self.children):
+            if c == 0.0:
+                continue
+            sign, curv = child.sign, child.curvature
+            if c < 0.0:
+                sign = {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE}.get(sign, sign)
+                curv = _flip(curv)
+            lo_ok = lo_ok and sign == POSITIVE
+            hi_ok = hi_ok and sign == NEGATIVE
+            self.curvature = _add_curvature(self.curvature, curv)
+        self.sign = _sign(lo_ok, hi_ok)
 
     def __repr__(self):
         return f"AffineCombination({len(self.children)} terms)"
@@ -138,6 +166,10 @@ class AtomApplication(Expression):
         self.name = name
         self.args = tuple(args)
         self.param = param
+        atom = _atom(name)
+        arg_signs = [a.sign for a in self.args]
+        self.sign = atom.sign(arg_signs, param)
+        self.curvature = _compose(atom, self.args, arg_signs, param)
 
     def __repr__(self):
         return f"AtomApplication({self.name}, {len(self.args)} args)"
@@ -206,79 +238,37 @@ def make_atom(name, args, param=None):
     return AtomApplication(name, args, param)
 
 
+def _compose(atom, args, arg_signs, param):
+    """Curvature of atom(args) provable by the composition rules."""
+    arg_curvs = [a.curvature for a in args]
+    if all(k == CONSTANT for k in arg_curvs):
+        return CONSTANT
+    base = atom.curvature
+    for i, k in enumerate(arg_curvs):
+        if k in (CONSTANT, AFFINE):
+            continue
+        mono = atom.monotonicity(i, arg_signs, param)
+        if base == CONVEX:
+            ok = (k == CONVEX and mono == NONDECREASING) or (
+                k == CONCAVE and mono == NONINCREASING
+            )
+        else:
+            ok = (k == CONCAVE and mono == NONDECREASING) or (
+                k == CONVEX and mono == NONINCREASING
+            )
+        if not ok:
+            return UNKNOWN
+    return base
+
+
 def sign_of(expr):
     """Sign of the expression over its variables' declared bounds."""
-    if isinstance(expr, Constant):
-        return POSITIVE if expr.value >= 0.0 else NEGATIVE
-    if isinstance(expr, Variable):
-        if expr.lb >= 0.0:
-            return POSITIVE
-        if expr.ub <= 0.0:
-            return NEGATIVE
-        return UNKNOWN_SIGN
-    if isinstance(expr, AffineCombination):
-        lo_ok = expr.offset >= 0.0
-        hi_ok = expr.offset <= 0.0
-        for c, child in zip(expr.coeffs, expr.children):
-            s = sign_of(child)
-            if c > 0.0:
-                term = s
-            elif c < 0.0:
-                term = {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE}.get(s, s)
-            else:
-                continue
-            lo_ok = lo_ok and term == POSITIVE
-            hi_ok = hi_ok and term == NEGATIVE
-        if lo_ok:
-            return POSITIVE
-        if hi_ok:
-            return NEGATIVE
-        return UNKNOWN_SIGN
-    if isinstance(expr, AtomApplication):
-        atom = _atom(expr.name)
-        return atom.sign([sign_of(a) for a in expr.args], expr.param)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return expr.sign
 
 
 def curvature_of(expr):
     """Curvature provable by the composition rules, or unknown."""
-    if isinstance(expr, Constant):
-        return CONSTANT
-    if isinstance(expr, Variable):
-        return AFFINE
-    if isinstance(expr, AffineCombination):
-        total = CONSTANT
-        for c, child in zip(expr.coeffs, expr.children):
-            if c == 0.0:
-                continue
-            k = curvature_of(child)
-            if c < 0.0:
-                k = _flip(k)
-            total = _add_curvature(total, k)
-        return total
-    if isinstance(expr, AtomApplication):
-        atom = _atom(expr.name)
-        arg_curvs = [curvature_of(a) for a in expr.args]
-        if all(k == CONSTANT for k in arg_curvs):
-            return CONSTANT
-        arg_signs = [sign_of(a) for a in expr.args]
-        base = atom.curvature
-        for i, k in enumerate(arg_curvs):
-            if k in (CONSTANT, AFFINE):
-                continue
-            mono = atom.monotonicity(i, arg_signs, expr.param)
-            if base == CONVEX:
-                ok = (k == CONVEX and mono == NONDECREASING) or (
-                    k == CONCAVE and mono == NONINCREASING
-                )
-            else:
-                ok = (k == CONCAVE and mono == NONDECREASING) or (
-                    k == CONVEX and mono == NONINCREASING
-                )
-            if not ok:
-                return UNKNOWN
-        return base
-    raise TypeError(f"not an expression node: {expr!r}")
+    return expr.curvature
 
 
 def evaluate(expr, values):
@@ -304,14 +294,15 @@ def evaluate(expr, values):
 
 def variables_in(expr):
     """All distinct Variable nodes reachable from the expression."""
-    seen = []
+    found = []
     seen_ids = set()
 
     def walk(node):
+        if id(node) in seen_ids:
+            return
+        seen_ids.add(id(node))
         if isinstance(node, Variable):
-            if id(node) not in seen_ids:
-                seen_ids.add(id(node))
-                seen.append(node)
+            found.append(node)
         elif isinstance(node, AffineCombination):
             for child in node.children:
                 walk(child)
@@ -320,4 +311,4 @@ def variables_in(expr):
                 walk(child)
 
     walk(expr)
-    return seen
+    return found

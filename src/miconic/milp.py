@@ -20,6 +20,9 @@ from .errors import NumericFailure, UnboundedInteger
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 
 _INT_TOL = 1e-6
+# a node is pruned when its bound is within this relative gap of the incumbent
+_REL_GAP = 1e-8
+_NODE_LIMIT = 1_000_000
 
 
 @dataclass
@@ -42,7 +45,7 @@ def _most_fractional(x, int_idx):
     return best_j
 
 
-def solve_milp(A, b, c, lb, ub, int_idx, rel_gap=1e-6, node_limit=1_000_000):
+def solve_milp(A, b, c, lb, ub, int_idx):
     """Globally solve min c.x s.t. A x = b, lb <= x <= ub, x_j integer on int_idx."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
@@ -69,7 +72,7 @@ def solve_milp(A, b, c, lb, ub, int_idx, rel_gap=1e-6, node_limit=1_000_000):
     while heap:
         node = heapq.heappop(heap)
         bound, _, nlb, nub, warm = node
-        if bound >= best_obj - rel_gap * (1.0 + abs(best_obj)):
+        if bound >= best_obj - _REL_GAP * (1.0 + abs(best_obj)):
             # everything left on the heap is at least this bound
             heapq.heappush(heap, node)
             break
@@ -77,7 +80,7 @@ def solve_milp(A, b, c, lb, ub, int_idx, rel_gap=1e-6, node_limit=1_000_000):
             continue
         # nodes counts the node LPs solved
         nodes += 1
-        if nodes > node_limit:
+        if nodes > _NODE_LIMIT:
             raise NumericFailure("branch and bound node limit exceeded")
         res = solve_lp(LpProblem(A, b, c, nlb, nub), warm=warm)
         if res.status == INFEASIBLE:
@@ -100,7 +103,7 @@ def solve_milp(A, b, c, lb, ub, int_idx, rel_gap=1e-6, node_limit=1_000_000):
         else:
             x = res.x
             node_bound = res.obj
-            if node_bound >= best_obj - rel_gap * (1.0 + abs(best_obj)):
+            if node_bound >= best_obj - _REL_GAP * (1.0 + abs(best_obj)):
                 continue
             j = _most_fractional(x, int_idx)
             if j < 0:

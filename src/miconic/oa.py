@@ -56,8 +56,6 @@ class OaConfig:
     tol: float = 1e-5
     max_iters: int = 1000
     time_limit: float = None
-    milp_gap: float = 1e-8
-    node_limit: int = 1_000_000
 
 
 @dataclass
@@ -296,7 +294,7 @@ def oa_solve(program, config=None):
             "subproblem_value": None,
         }
         pool = len(state.cuts)
-        end = _iterate(program, state, cfg, record)
+        end = _iterate(program, state, record)
         record["new_cuts"] = len(state.cuts) - pool
         record["lower_bound"] = state.z_lower
         record["upper_bound"] = state.z_upper
@@ -350,7 +348,7 @@ def _initialize(program, state):
     return None
 
 
-def _iterate(program, state, cfg, record):
+def _iterate(program, state, record):
     """One OA iteration: the MILP, then the fiber of its assignment.
 
     Fills the record's MILP and subproblem fields and returns (status,
@@ -359,10 +357,7 @@ def _iterate(program, state, cfg, record):
     pool, lower = len(state.cuts), state.z_lower
     A, b, c, lb, ub, int_idx = _milp_data(program, state)
     try:
-        mres = solve_milp(
-            A, b, c, lb, ub, int_idx,
-            rel_gap=cfg.milp_gap, node_limit=cfg.node_limit,
-        )
+        mres = solve_milp(A, b, c, lb, ub, int_idx)
     except NumericFailure as err:
         return ASSUMPTION_FAILURE, (
             "MILP relaxation could not be solved: %s" % err

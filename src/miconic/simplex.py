@@ -112,7 +112,6 @@ class _Tableau:
     basis: np.ndarray
     status: np.ndarray
     degenerate_pivots: int = 0
-    tiny_pivots: int = 0
     iterations: int = 0
     enterable: np.ndarray = field(default=None)
     signs: np.ndarray = None
@@ -196,6 +195,9 @@ def _phase(tab, c, allow_unbounded):
     # columns whose ray proved false on a fresh factorization; they may
     # enter again once the basis changes
     barred = []
+    # a nearly singular basis can yield false ray after false ray, each
+    # barring one column; Bland's rule cannot cycle
+    false_rays = 0
     while True:
         tab.iterations += 1
         if tab.iterations > _MAX_ITER:
@@ -203,7 +205,7 @@ def _phase(tab, c, allow_unbounded):
         x = tab.values()
         y = tab.duals(c)
         d = c - tab.A.T @ y
-        bland = tab.degenerate_pivots > bland_after
+        bland = tab.degenerate_pivots > bland_after or false_rays >= 2
         pick = _choose_entering(tab, d, bland)
         if pick is None:
             tab.enterable[barred] = True
@@ -252,6 +254,7 @@ def _phase(tab, c, allow_unbounded):
                 return UNBOUNDED, ray
             # a false ray: Binv has drifted, or the basis is so near
             # singular that the column's reduced cost is rounding noise
+            false_rays += 1
             if tab._since_refactor:
                 tab.refactor()
             else:
@@ -270,12 +273,6 @@ def _phase(tab, c, allow_unbounded):
             # entering variable flips to its opposite bound
             tab.status[e] = _AT_UPPER if sigma > 0 else _AT_LOWER
             continue
-        if abs(w[leave]) < _PIVOT_TOL:
-            tab.tiny_pivots += 1
-            if tab.tiny_pivots > 30:
-                raise NumericFailure("repeated tiny simplex pivots")
-        else:
-            tab.tiny_pivots = 0
         tab.status[e] = _BASIC
         tab.status[tab.basis[leave]] = leave_hit
         tab.pivot_basis(leave, e, w)

@@ -11,6 +11,7 @@ from miconic.errors import DimensionMismatch, NotDcp
 from miconic.expr import ATOMS, CONVEX, evaluate
 from miconic.ipm import ContinuousConicProblem, solve_continuous
 from miconic.model import DcpModel
+from miconic.oa import oa_solve
 from miconic.program import LinForm, ProgramBuilder
 
 
@@ -43,6 +44,7 @@ def test_template_tightness_all_atoms():
         ("log", 1, None, (0.1, 5.0)),
         ("entropy", 1, None, (0.05, 3.0)),
         ("logsumexp", 3, None, (-2.0, 2.0)),
+        ("pow_rational", 1, 1.0, (-2.0, 2.0)),
         ("pow_rational", 1, 1.5, (-2.0, 2.0)),
         ("pow_rational", 1, 2.0, (-2.0, 2.0)),
         ("pow_rational", 1, 3.0, (-2.0, 2.0)),
@@ -309,3 +311,34 @@ def test_recover_dimension_check():
     prog, cmap = emit_conic(m)
     with pytest.raises(DimensionMismatch):
         recover_solution(cmap, np.zeros(prog.num_conic + 5))
+
+
+@pytest.mark.parametrize("constrain, best", [
+    (lambda x: x + atoms.square(3) >= -20, -10.0),
+    (lambda x: atoms.log(2) + x <= 5, -10.0),
+    (lambda x: x >= atoms.square(3) - 15, -6.0),
+], ids=["below", "above", "binding"])
+def test_constant_atoms_compile_on_either_side(constrain, best):
+    # a constant atom is evaluated, so it adds no cone and may sit on
+    # either side of a constraint
+    m = DcpModel()
+    x = m.variable("x", lb=-10.0, ub=10.0)
+    m.minimize(x)
+    m.add(constrain(x))
+    prog, _ = emit_conic(m)
+    # the bounds of x and the constraint's slack
+    assert _kind_counts(prog) == {cones.NONNEG: 3}
+    res = oa_solve(prog)
+    assert res.status == "optimal"
+    assert res.obj + prog.obj_offset == pytest.approx(best, abs=1e-6)
+
+
+def test_constant_outside_an_atom_domain_is_infeasible():
+    # log(-1) lowers to its hypograph, whose exponential cone is empty
+    m = DcpModel()
+    x = m.variable("x", lb=-10.0, ub=10.0)
+    m.minimize(x)
+    m.add(x >= atoms.log(-1))
+    prog, _ = emit_conic(m)
+    assert _kind_counts(prog).get(cones.EXP, 0) == 1
+    assert oa_solve(prog).status == "infeasible"

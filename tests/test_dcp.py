@@ -2,19 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miconic import atoms
-from miconic.errors import ArityError, UnboundedInteger, UnknownAtomError
+from miconic.atoms import Atom
+from miconic.compile import emit_conic
+from miconic.errors import (
+    ArityError,
+    NotDcp,
+    UnboundedInteger,
+    UnknownAtomError,
+)
 from miconic.expr import (
     AFFINE,
     CONCAVE,
     CONSTANT,
     CONVEX,
     NEGATIVE,
+    NONDECREASING,
+    NONINCREASING,
     POSITIVE,
     UNKNOWN,
     UNKNOWN_SIGN,
+    AffineCombination,
+    AtomApplication,
     Constant,
+    Variable,
+    _add_curvature,
+    _atom,
+    _flip,
     curvature_of,
     evaluate,
     make_atom,
@@ -274,3 +291,198 @@ def test_atom_library_contents():
         "abs", "square", "sumsquares", "norm2", "geo_mean", "exp", "log",
         "entropy", "logsumexp", "pow_rational", "inv_pos", "max",
     } <= names
+
+
+def test_dcp_verify_blames_the_shallowest_offending_node():
+    m = DcpModel()
+    x = m.variable("x", lb=0.5, ub=2.0)
+    y = m.variable("y")
+    m.minimize(x)
+    m.add(atoms.square(x) - atoms.square(y) <= 1)
+    m.add(atoms.exp(atoms.log(x)) <= 2)
+    m.add(atoms.max(atoms.square(x) - atoms.square(y), 0) <= 2)
+    report = dcp_verify(m)
+    assert report.violations == [
+        "constraint[0]: expression is unknown where convex or affine is "
+        "required, at constraint[0] (mixes convex and concave terms)",
+        "constraint[1]: expression is unknown where convex or affine is "
+        "required, at constraint[1].term[0] (composition through atom "
+        "'exp' is not covered by the rules)",
+        "constraint[2]: expression is unknown where convex or affine is "
+        "required, at constraint[2].term[0].arg[0] (mixes convex and "
+        "concave terms)",
+    ]
+
+
+# The recursive rules each node's cached analysis must reproduce.
+
+
+def _reference_sign(expr):
+    if isinstance(expr, Constant):
+        return POSITIVE if expr.value >= 0.0 else NEGATIVE
+    if isinstance(expr, Variable):
+        if expr.lb >= 0.0:
+            return POSITIVE
+        if expr.ub <= 0.0:
+            return NEGATIVE
+        return UNKNOWN_SIGN
+    if isinstance(expr, AffineCombination):
+        lo_ok = expr.offset >= 0.0
+        hi_ok = expr.offset <= 0.0
+        for c, child in zip(expr.coeffs, expr.children):
+            s = _reference_sign(child)
+            if c > 0.0:
+                term = s
+            elif c < 0.0:
+                term = {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE}.get(s, s)
+            else:
+                continue
+            lo_ok = lo_ok and term == POSITIVE
+            hi_ok = hi_ok and term == NEGATIVE
+        if lo_ok:
+            return POSITIVE
+        if hi_ok:
+            return NEGATIVE
+        return UNKNOWN_SIGN
+    assert isinstance(expr, AtomApplication)
+    atom = _atom(expr.name)
+    return atom.sign([_reference_sign(a) for a in expr.args], expr.param)
+
+
+def _reference_curvature(expr):
+    if isinstance(expr, Constant):
+        return CONSTANT
+    if isinstance(expr, Variable):
+        return AFFINE
+    if isinstance(expr, AffineCombination):
+        total = CONSTANT
+        for c, child in zip(expr.coeffs, expr.children):
+            if c == 0.0:
+                continue
+            k = _reference_curvature(child)
+            if c < 0.0:
+                k = _flip(k)
+            total = _add_curvature(total, k)
+        return total
+    assert isinstance(expr, AtomApplication)
+    atom = _atom(expr.name)
+    arg_curvs = [_reference_curvature(a) for a in expr.args]
+    if all(k == CONSTANT for k in arg_curvs):
+        return CONSTANT
+    arg_signs = [_reference_sign(a) for a in expr.args]
+    base = atom.curvature
+    for i, k in enumerate(arg_curvs):
+        if k in (CONSTANT, AFFINE):
+            continue
+        mono = atom.monotonicity(i, arg_signs, expr.param)
+        if base == CONVEX:
+            ok = (k == CONVEX and mono == NONDECREASING) or (
+                k == CONCAVE and mono == NONINCREASING
+            )
+        else:
+            ok = (k == CONCAVE and mono == NONDECREASING) or (
+                k == CONVEX and mono == NONINCREASING
+            )
+        if not ok:
+            return UNKNOWN
+    return base
+
+
+_COEFFS = st.sampled_from([1.0, -1.0, 2.5, -0.5, 3.0])
+_LEAF_VALUES = st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0])
+_LOWER = [-float("inf"), -3.0, -1.0, 0.0, 0.5]
+_UPPER = [-0.5, 0.0, 1.0, 3.0, float("inf")]
+
+
+@st.composite
+def _dags(draw):
+    """A model's variables plus a pool of expression nodes built over them.
+
+    Every operand is drawn from the pool, so nodes are shared.
+    """
+    m = DcpModel()
+    pool = []
+    for i in range(draw(st.integers(1, 3))):
+        lb = draw(st.sampled_from(_LOWER))
+        ub = draw(st.sampled_from([u for u in _UPPER if u >= lb]))
+        integer = bool(np.isfinite(lb) and np.isfinite(ub)
+                       and draw(st.booleans()))
+        pool.append(m.variable(f"x{i}", integer=integer, lb=lb, ub=ub))
+    for _ in range(draw(st.integers(0, 2))):
+        pool.append(Constant(draw(_LEAF_VALUES)))
+    operand = st.sampled_from(pool)
+    for _ in range(draw(st.integers(1, 10))):
+        op = draw(st.sampled_from(["add", "scale", "shift", "atom"]))
+        if op == "add":
+            node = draw(operand) + draw(_COEFFS) * draw(operand)
+        elif op == "scale":
+            node = draw(_COEFFS) * draw(operand)
+        elif op == "shift":
+            node = draw(operand) + draw(_LEAF_VALUES)
+        else:
+            atom = draw(st.sampled_from(atoms.atom_library()))
+            arity = draw(st.integers(atom.min_arity,
+                                     atom.max_arity or atom.min_arity + 2))
+            param = (draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+                     if atom.needs_param else None)
+            args = [draw(operand) for _ in range(arity)]
+            node = make_atom(atom.name, args, param)
+        pool.append(node)
+        operand = st.sampled_from(pool)
+    return m, pool
+
+
+# the constraint senses each curvature admits
+_SENSES = {CONSTANT: "<>=", AFFINE: "<>=", CONVEX: "<", CONCAVE: ">",
+           UNKNOWN: ""}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(dag=_dags(), data=st.data())
+def test_cached_analysis_matches_the_rules_and_verified_models_compile(
+    dag, data,
+):
+    m, pool = dag
+    objectives = [e for e in pool
+                  if curvature_of(e) in (CONSTANT, AFFINE, CONVEX)]
+    if objectives:
+        m.minimize(data.draw(st.sampled_from(objectives)))
+    # mostly senses the rules admit, so most models verify
+    any_sense = data.draw(st.booleans())
+    for e in pool:
+        senses = "<>=" if any_sense else _SENSES[curvature_of(e)]
+        if not senses or not data.draw(st.booleans()):
+            continue
+        sense = data.draw(st.sampled_from(senses))
+        m.add(e <= 0 if sense == "<" else e >= 0 if sense == ">" else e == 0)
+    for e in pool + [con.expr for con in m.constraints]:
+        assert sign_of(e) == _reference_sign(e)
+        assert curvature_of(e) == _reference_curvature(e)
+    if dcp_verify(m).ok:
+        emit_conic(m)
+    else:
+        with pytest.raises(NotDcp):
+            emit_conic(m)
+
+
+def test_analysis_runs_once_per_node_on_a_shared_chain(monkeypatch):
+    # e = exp(e) + e reaches each exp node along 2^depth paths
+    calls = []
+    for name in ("sign", "monotonicity"):
+        real = getattr(Atom, name)
+
+        def counted(self, *args, _real=real):
+            calls.append(self.name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(Atom, name, counted)
+    m = DcpModel()
+    x = m.variable("x", lb=-1.0, ub=1.0)
+    e = x
+    for _ in range(16):
+        e = atoms.exp(e) + e
+    m.minimize(e)
+    assert dcp_verify(m).ok
+    prog, _ = emit_conic(m)
+    assert len(prog.cones.factors) == 18
+    assert len(calls) <= 32

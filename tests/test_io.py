@@ -263,6 +263,23 @@ def test_cli_compile_then_solve_matches_direct_solve(tmp_path, capsys):
     assert direct == via_file
 
 
+def test_cli_check_compile_and_solve_agree_on_a_constant_atom(
+    tmp_path, capsys,
+):
+    # square(3) sits on the lower side of the constraint; it is evaluated
+    doc = tmp_path / "constant.model"
+    doc.write_text(
+        "(var x -10 10) (min x) (le (sub -20 (add x (square 3))) 0)\n")
+    code, out, _ = _run(["check", str(doc)], capsys)
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, _, _ = _run(["compile", str(doc), "-o", str(tmp_path / "c.conic")],
+                      capsys)
+    assert code == 0
+    code, out, _ = _run(["solve", str(doc), "--no-timing"], capsys)
+    assert code == 0
+    assert json.loads(out)["objective"] == pytest.approx(-10.0, abs=1e-6)
+
+
 def test_cli_oracle_agreement(capsys):
     code, out, _ = _run(
         ["solve", str(INSTANCE_DIR / "disk.model"), "--oracle",

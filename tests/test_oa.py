@@ -190,6 +190,9 @@ def _trace_instances():
     progs = [emit_conic(instances.disk_model())[0],
              emit_conic(instances.trimloss_model())[0]]
     progs += [instances.random_feasible_program(rng) for _ in range(4)]
+    # an infeasible-MILP exit and an assumption-failure exit
+    progs += [emit_conic(instances.empty_ball_model(3, "naive"))[0],
+              instances.duality_failure_program()]
     return progs
 
 

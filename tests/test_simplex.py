@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from miconic import simplex
+from miconic import instances, milp, oa, simplex
 from miconic.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpResult, solve_lp
 
 
@@ -405,3 +405,23 @@ def test_false_ray_through_a_nearly_singular_basis_is_not_unbounded():
     assert_allclose(A @ res.x, b, atol=1e-7)
     # the objective row is tight at the optimum
     assert res.obj == pytest.approx(b[8], abs=1e-8)
+
+
+def test_repeated_false_rays_fall_back_to_blands_rule(monkeypatch):
+    # the same root LP, cold and unscaled: its nearly singular bases yield
+    # false ray after false ray, each barring one column, and without a
+    # switch to Bland's rule it took 646 pivots and 288 false rays
+    rng = np.random.default_rng(2024)
+    programs = [instances.random_feasible_program(rng) for _ in range(32)]
+    pivots = []
+
+    def counting(prob, warm=None):
+        res = solve_lp(prob, warm=warm)
+        pivots.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(milp, "solve_lp", counting)
+    res = oa.oa_solve(programs[31])
+    assert pivots[0] <= 100
+    assert res.status == OPTIMAL
+    assert res.obj == pytest.approx(-0.70273, abs=1e-5)
