@@ -1,8 +1,8 @@
 """Lowering of verified models to mixed-integer conic standard form.
 
 Every atom application becomes its conic graph template over fresh cone
-columns, recursively, so the emitted program is the fully disaggregated
-extended formulation implied by the expression tree.  Affine
+columns, children before parents, so the emitted program is the fully
+disaggregated extended formulation implied by the expression DAG.  Affine
 subexpressions are inlined into rows, never given auxiliaries, and an
 atom of constant arguments inside its domain becomes its value.  The
 lowering relies on ``dcp_verify``: in a verified model every convex atom
@@ -21,14 +21,7 @@ import numpy as np
 
 from . import cones
 from .errors import DimensionMismatch, NotDcp, UnboundedInteger
-from .expr import (
-    CONSTANT,
-    AffineCombination,
-    AtomApplication,
-    Constant,
-    Variable,
-    _atom,
-)
+from .expr import CONSTANT, AffineCombination, Constant, _atom, postorder
 from .model import dcp_verify
 from .program import LinForm, ProgramBuilder, X_BLOCK, Z_BLOCK
 
@@ -71,7 +64,7 @@ class _Lowering:
         self.model = model
         self.builder = ProgramBuilder()
         self.cmap = CompilationMap()
-        self.var_form = {}
+        # id(node) -> LinForm; variables are seeded by declare_variables
         self.memo = {}
         self.mirror = {}
 
@@ -108,33 +101,28 @@ class _Lowering:
                 cmap.z_owner.append(("var", v.name))
                 form = b.col(wp) - b.col(wm)
                 cols = [(Z_BLOCK, wp), (Z_BLOCK, wm)]
-            self.var_form[id(v)] = form
+            self.memo[id(v)] = form
             cmap.var_forms[v.name] = form
             cmap.var_columns[v.name] = cols
 
     def lower(self, e):
-        key = id(e)
-        if key not in self.memo:
-            self.memo[key] = self._lower(e)
-        return self.memo[key]
+        for node in postorder(e, done=self.memo):
+            self.memo[id(node)] = self._lower(node)
+        return self.memo[id(e)]
 
     def _lower(self, e):
         if isinstance(e, Constant):
             return LinForm.constant(e.value)
-        if isinstance(e, Variable):
-            return self.var_form[id(e)]
         if isinstance(e, AffineCombination):
             total = LinForm.constant(e.offset)
             for c, child in zip(e.coeffs, e.children):
-                total = total + c * self.lower(child)
+                total = total + c * self.memo[id(child)]
             return total
-        if isinstance(e, AtomApplication):
-            return self._lower_atom(e)
-        raise TypeError(f"not an expression node: {e!r}")
+        return self._lower_atom(e)
 
     def _lower_atom(self, e):
         atom = _atom(e.name)
-        forms = [self.lower(arg) for arg in e.args]
+        forms = [self.memo[id(arg)] for arg in e.args]
         if e.curvature == CONSTANT and not any(f.terms for f in forms):
             try:
                 return LinForm.constant(

@@ -8,6 +8,11 @@ A small sign lattice (positive / negative / unknown), seeded from variable
 bounds, refines the monotonicity of even atoms like square and abs.  Each
 node computes its sign and curvature once, when it is built, from its
 children's, so the analysis costs one step per distinct node.
+
+Every node exposes its operands as ``children``, and every pass over a
+model (evaluating, listing variables, lowering, printing) iterates
+``postorder``, which visits each distinct node once with an explicit
+stack, so a pass takes one step per distinct node at any depth.
 """
 
 import numbers
@@ -63,6 +68,8 @@ def _add_curvature(a, b):
 
 class Expression:
     """Base node; all arithmetic produces affine combinations."""
+
+    children = ()
 
     def __add__(self, other):
         return _affine([1.0, 1.0], [self, _wrap(other)], 0.0)
@@ -164,7 +171,7 @@ class AffineCombination(Expression):
 class AtomApplication(Expression):
     def __init__(self, name, args, param=None):
         self.name = name
-        self.args = tuple(args)
+        self.args = self.children = tuple(args)
         self.param = param
         atom = _atom(name)
         arg_signs = [a.sign for a in self.args]
@@ -188,26 +195,23 @@ def _affine(coeffs, children, offset):
     # and merge repeated children so terms like x - x cancel
     merged = {}
     order = []
-
-    def push(c, child):
-        nonlocal offset
+    todo = list(zip(coeffs, children))[::-1]
+    while todo:
+        c, child = todo.pop()
         if c == 0.0:
-            return
+            continue
         if isinstance(child, Constant):
             offset += c * child.value
         elif isinstance(child, AffineCombination):
             offset += c * child.offset
-            for cc, kk in zip(child.coeffs, child.children):
-                push(c * cc, kk)
+            todo.extend((c * cc, kk) for cc, kk in
+                        zip(child.coeffs[::-1], child.children[::-1]))
         else:
             key = id(child)
             if key not in merged:
                 merged[key] = [0.0, child]
                 order.append(key)
             merged[key][0] += c
-
-    for c, child in zip(coeffs, children):
-        push(c, child)
     out_c, out_k = [], []
     for key in order:
         c, child = merged[key]
@@ -271,44 +275,50 @@ def curvature_of(expr):
     return expr.curvature
 
 
+def postorder(root, done=()):
+    """Each distinct node reachable from root once, children first.
+
+    Nodes come in the order a recursive walk finishes them, children left
+    to right.  Nodes are keyed by id, since ``==`` builds a constraint;
+    ids in ``done`` are neither returned nor expanded.
+    """
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        key = id(node)
+        if key in seen or key in done:
+            continue
+        seen.add(key)
+        stack.append((node, True))
+        stack.extend((child, False) for child in node.children[::-1])
+    return order
+
+
 def evaluate(expr, values):
     """Evaluate at a point: dict keyed by Variable, or sequence by index."""
-    if isinstance(expr, Constant):
-        return expr.value
-    if isinstance(expr, Variable):
-        if isinstance(values, dict):
-            return float(values[expr])
-        return float(values[expr.index])
-    if isinstance(expr, AffineCombination):
-        total = expr.offset
-        for c, child in zip(expr.coeffs, expr.children):
-            total += c * evaluate(child, values)
-        return total
-    if isinstance(expr, AtomApplication):
-        atom = _atom(expr.name)
-        return atom.evaluate(
-            [evaluate(a, values) for a in expr.args], expr.param
-        )
-    raise TypeError(f"not an expression node: {expr!r}")
+    value = {}
+    for node in postorder(expr):
+        if isinstance(node, Constant):
+            v = node.value
+        elif isinstance(node, Variable):
+            v = float(values[node] if isinstance(values, dict)
+                      else values[node.index])
+        elif isinstance(node, AffineCombination):
+            v = node.offset
+            for c, child in zip(node.coeffs, node.children):
+                v += c * value[id(child)]
+        else:
+            v = _atom(node.name).evaluate(
+                [value[id(a)] for a in node.args], node.param)
+        value[id(node)] = v
+    return value[id(expr)]
 
 
 def variables_in(expr):
     """All distinct Variable nodes reachable from the expression."""
-    found = []
-    seen_ids = set()
-
-    def walk(node):
-        if id(node) in seen_ids:
-            return
-        seen_ids.add(id(node))
-        if isinstance(node, Variable):
-            found.append(node)
-        elif isinstance(node, AffineCombination):
-            for child in node.children:
-                walk(child)
-        elif isinstance(node, AtomApplication):
-            for child in node.args:
-                walk(child)
-
-    walk(expr)
-    return found
+    return [node for node in postorder(expr) if isinstance(node, Variable)]

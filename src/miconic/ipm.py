@@ -444,7 +444,7 @@ def _equilibrate(A, b):
     return A * d[:, None], b * d, d
 
 
-def solve_continuous(prob, max_iters=_MAX_ITERS):
+def solve_continuous(prob):
     """Solve a continuous conic program with preprocessing and validation."""
     A0, b0, c, K = prob.A, prob.b, prob.c, prob.cones
     m, n = A0.shape
@@ -512,7 +512,7 @@ def solve_continuous(prob, max_iters=_MAX_ITERS):
         return ConicResult(INFEASIBLE, lam=embed_lam(lam_k),
                            beta=parts / scale, obj=np.inf)
 
-    res = _hsde_loop(Ak, bk, c, K, max_iters)
+    res = _hsde_loop(Ak, bk, c, K, _MAX_ITERS)
     if res.lam is not None:
         res.lam = embed_lam(res.lam)
     return res

@@ -5,12 +5,10 @@ from dataclasses import dataclass
 from .errors import UnboundedInteger
 from .expr import (
     AFFINE,
-    CONCAVE,
     CONSTANT,
     CONVEX,
     UNKNOWN,
     AffineCombination,
-    AtomApplication,
     Constant,
     Variable,
     _wrap,
@@ -85,21 +83,24 @@ class DcpReport:
 
 
 def _blame(expr, path):
-    """Path and reason for the shallowest node that breaks the rules."""
-    if isinstance(expr, AffineCombination):
+    """Path and reason for the shallowest node that breaks the rules.
+
+    Descends along the first child whose curvature is unknown until every
+    child of the node is known; that node's own rule is the one broken.
+    """
+    while True:
+        label = "term" if isinstance(expr, AffineCombination) else "arg"
         for i, child in enumerate(expr.children):
             if curvature_of(child) == UNKNOWN:
-                return _blame(child, f"{path}.term[{i}]")
+                expr, path = child, f"{path}.{label}[{i}]"
+                break
+        else:
+            break
+    if isinstance(expr, AffineCombination):
         return path, "mixes convex and concave terms"
-    if isinstance(expr, AtomApplication):
-        for i, child in enumerate(expr.args):
-            if curvature_of(child) == UNKNOWN:
-                return _blame(child, f"{path}.arg[{i}]")
-        return path, (
-            f"composition through atom {expr.name!r} is not covered by "
-            "the rules"
-        )
-    return path, "unverifiable expression"
+    return path, (
+        f"composition through atom {expr.name!r} is not covered by the rules"
+    )
 
 
 def dcp_verify(model):

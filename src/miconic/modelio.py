@@ -12,14 +12,26 @@ where EXPR is a name, a number, an arithmetic form ``(add e...)``,
 atom application ``(ATOM e...)`` resolved against the atom library.
 Numbers accept ``inf``/``-inf`` so one-sided variable bounds survive a
 round trip.  ``;`` starts a comment that runs to the end of the line.
+
+The reader keeps an explicit stack of open forms and the printer builds
+each distinct node's text once, children first, so documents of any
+nesting depth are read and written without recursion.
 """
+
+import re
 
 from . import expr as ex
 from .errors import ArityError, ModelSyntaxError, UnknownAtomError
 from .model import DcpModel
 
-_ARITH = ("add", "sub", "mul", "pow")
-_ITEMS = ("var", "min", "le", "eq")
+# argument counts (least, most) of the arithmetic forms
+_ARITY = {"add": (1, None), "sub": (2, 2), "mul": (1, 1), "pow": (1, 1)}
+_LEAD = {"mul": "coefficient", "pow": "exponent"}
+
+# a newline, a comment, blanks, or a token: a parenthesis or a word
+_LEXEME = re.compile(
+    r"(?P<newline>\n)|;[^\n]*|[ \t\r]+|(?P<token>[()]|[^()\n; \t\r]+)"
+)
 
 
 class _Token:
@@ -33,45 +45,13 @@ class _Token:
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
-    word, wline, wcol = [], 0, 0
-
-    def flush():
-        if word:
-            tokens.append(_Token("".join(word), wline, wcol))
-            del word[:]
-
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            flush()
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            flush()
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        if m.lastgroup == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            flush()
-            col += 1
-            i += 1
-            continue
-        if ch in "()":
-            flush()
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if not word:
-            wline, wcol = line, col
-        word.append(ch)
-        col += 1
-        i += 1
-    flush()
+            line_start = m.end()
+        elif m.lastgroup == "token":
+            tokens.append(_Token(m.group(), line, m.start() - line_start + 1))
     return tokens
 
 
@@ -172,65 +152,51 @@ class _Parser:
         return value
 
     def _parse_expr(self, names):
-        tok = self._next()
-        if tok.text == ")":
-            self._fail("unexpected ')'", tok)
-        if tok.text != "(":
-            value = _as_number(tok)
-            if value is not None:
-                return ex.Constant(value)
-            if tok.text not in names:
-                self._fail("undeclared variable %r" % tok.text, tok)
-            return names[tok.text]
-        head = self._next()
-        if head.text in "()":
-            self._fail("expected an operator or atom name", head)
-        if head.text == "add":
-            terms = self._parse_args(names, head, minimum=1)
-            out = terms[0]
-            for term in terms[1:]:
-                out = out + term
-            return out
-        if head.text == "sub":
-            args = self._parse_args(names, head, minimum=2, maximum=2)
-            return args[0] - args[1]
-        if head.text == "mul":
-            coeff_tok = self._next()
-            coeff = _as_number(coeff_tok)
-            if coeff is None:
-                self._fail("mul needs a leading numeric coefficient",
-                           coeff_tok)
-            args = self._parse_args(names, head, minimum=1, maximum=1)
-            return args[0] * coeff
-        if head.text == "pow":
-            param_tok = self._next()
-            param = _as_number(param_tok)
-            if param is None:
-                self._fail("pow needs a leading numeric exponent", param_tok)
-            args = self._parse_args(names, head, minimum=1, maximum=1)
-            try:
-                return ex.make_atom("pow_rational", args, param=param)
-            except (UnknownAtomError, ArityError) as err:
-                self._fail(str(err), head)
-        if head.text not in ex.ATOMS:
-            raise UnknownAtomError("unknown atom %r" % head.text, head.line,
-                                   head.col)
-        args = self._parse_args(names, head, minimum=0)
-        try:
-            return ex.make_atom(head.text, args)
-        except ArityError as err:
-            raise ArityError(str(err), head.line, head.col)
-
-    def _parse_args(self, names, head, minimum=0, maximum=None):
-        args = []
+        # open forms, innermost last: (head token, leading number, args)
+        stack = []
         while True:
-            tok = self._peek()
-            if tok is None:
-                self._fail("unclosed '(' for %r" % head.text)
+            if stack and self._peek() is None:
+                self._fail("unclosed '(' for %r" % stack[-1][0].text)
+            tok = self._next()
+            if tok.text == "(":
+                head = self._next()
+                if head.text in "()":
+                    self._fail("expected an operator or atom name", head)
+                lead = None
+                if head.text in _LEAD:
+                    lead_tok = self._next()
+                    lead = _as_number(lead_tok)
+                    if lead is None:
+                        self._fail("%s needs a leading numeric %s"
+                                   % (head.text, _LEAD[head.text]), lead_tok)
+                elif head.text not in _ARITY and head.text not in ex.ATOMS:
+                    raise UnknownAtomError("unknown atom %r" % head.text,
+                                           head.line, head.col)
+                stack.append((head, lead, []))
+                continue
             if tok.text == ")":
-                self._next()
-                break
-            args.append(self._parse_expr(names))
+                if not stack:
+                    self._fail("unexpected ')'", tok)
+                node = self._build(*stack.pop())
+            else:
+                value = _as_number(tok)
+                if value is not None:
+                    node = ex.Constant(value)
+                elif tok.text in names:
+                    node = names[tok.text]
+                else:
+                    self._fail("undeclared variable %r" % tok.text, tok)
+            if not stack:
+                return node
+            stack[-1][2].append(node)
+
+    def _build(self, head, lead, args):
+        if head.text not in _ARITY:
+            try:
+                return ex.make_atom(head.text, args)
+            except ArityError as err:
+                raise ArityError(str(err), head.line, head.col)
+        minimum, maximum = _ARITY[head.text]
         if len(args) < minimum or (maximum is not None
                                    and len(args) > maximum):
             raise ArityError(
@@ -241,7 +207,19 @@ class _Parser:
                    len(args)),
                 head.line, head.col,
             )
-        return args
+        if head.text == "add":
+            out = args[0]
+            for term in args[1:]:
+                out = out + term
+            return out
+        if head.text == "sub":
+            return args[0] - args[1]
+        if head.text == "mul":
+            return args[0] * lead
+        try:
+            return ex.make_atom("pow_rational", args, param=lead)
+        except (UnknownAtomError, ArityError) as err:
+            self._fail(str(err), head)
 
 
 def parse_model(text):
@@ -253,29 +231,31 @@ def _format_number(value):
     return "%.17g" % float(value)
 
 
-def _print_expr(node):
-    if isinstance(node, ex.Constant):
-        return _format_number(node.value)
-    if isinstance(node, ex.Variable):
-        return node.name
-    if isinstance(node, ex.AffineCombination):
-        parts = []
-        for coeff, child in zip(node.coeffs, node.children):
-            piece = _print_expr(child)
-            if coeff != 1.0:
-                piece = "(mul %s %s)" % (_format_number(coeff), piece)
-            parts.append(piece)
-        if node.offset != 0.0:
-            parts.append(_format_number(node.offset))
-        if len(parts) == 1:
-            return parts[0]
-        return "(add %s)" % " ".join(parts)
-    if isinstance(node, ex.AtomApplication):
-        args = " ".join(_print_expr(a) for a in node.args)
-        if node.name == "pow_rational":
-            return "(pow %s %s)" % (_format_number(node.param), args)
-        return "(%s %s)" % (node.name, args)
-    raise TypeError("cannot print %r" % (node,))
+def _print_expr(root):
+    text = {}
+    for node in ex.postorder(root):
+        if isinstance(node, ex.Constant):
+            out = _format_number(node.value)
+        elif isinstance(node, ex.Variable):
+            out = node.name
+        elif isinstance(node, ex.AffineCombination):
+            parts = []
+            for coeff, child in zip(node.coeffs, node.children):
+                piece = text[id(child)]
+                if coeff != 1.0:
+                    piece = "(mul %s %s)" % (_format_number(coeff), piece)
+                parts.append(piece)
+            if node.offset != 0.0:
+                parts.append(_format_number(node.offset))
+            out = parts[0] if len(parts) == 1 else "(add %s)" % " ".join(parts)
+        else:
+            args = " ".join(text[id(a)] for a in node.args)
+            if node.name == "pow_rational":
+                out = "(pow %s %s)" % (_format_number(node.param), args)
+            else:
+                out = "(%s %s)" % (node.name, args)
+        text[id(node)] = out
+    return text[id(root)]
 
 
 def print_model(model):

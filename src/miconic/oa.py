@@ -22,7 +22,6 @@ import numpy as np
 from . import cones
 from .errors import InvalidCut, NumericFailure, TooLarge
 from .ipm import (
-    ALMOST_OPTIMAL,
     INFEASIBLE,
     NUMERIC_FAILURE,
     OPTIMAL,
@@ -40,6 +39,9 @@ INITIAL_RELAXATION = "initial_relaxation"
 ASSUMPTION_FAILURE = "assumption_failure"
 ITERATION_LIMIT = "iteration_limit"
 TIME_LIMIT = "time_limit"
+
+# most integer assignments brute_force_solve will enumerate
+_GRID_LIMIT = 100_000
 
 
 @dataclass
@@ -439,7 +441,7 @@ def _iterate(program, state, record):
     return None
 
 
-def brute_force_solve(program, grid_limit=100_000):
+def brute_force_solve(program):
     """Enumerate every integer assignment and solve its fiber; ground truth.
 
     Returns an OaOutcome whose status is optimal/infeasible when every
@@ -460,10 +462,10 @@ def brute_force_solve(program, grid_limit=100_000):
     total = 1
     for r in ranges:
         total *= len(r)
-    if total > grid_limit:
+    if total > _GRID_LIMIT:
         raise TooLarge(
             "integer grid has %d points, above the limit of %d"
-            % (total, grid_limit)
+            % (total, _GRID_LIMIT)
         )
 
     best = None

@@ -13,7 +13,7 @@ affine forms (LinForm) reference columns in either block and are the
 currency between the compiler and the atom graph templates.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

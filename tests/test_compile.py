@@ -295,6 +295,18 @@ def test_idempotent_dimensions():
     ]
 
 
+def test_deep_model_compiles():
+    m = DcpModel()
+    e = m.variable("x0", lb=0.0)
+    for i in range(1, 600):
+        e = atoms.max(e, m.variable("x%d" % i, lb=0.0))
+    m.minimize(e)
+    program, cmap = emit_conic(m)
+    # a column per variable, and per max two slack columns and one row
+    assert len(cmap.atom_nodes()) == 599
+    assert program.A_z.shape == (599, 600 + 2 * 599)
+
+
 def test_emit_rejects_non_dcp_model():
     m = DcpModel()
     x = m.variable("x")

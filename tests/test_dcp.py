@@ -1,5 +1,7 @@
 """Curvature analysis checks: worked compositions plus sampled soundness."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from miconic.expr import (
     sign_of,
 )
 from miconic.model import DcpModel, dcp_verify
+from miconic.modelio import parse_model, print_model
 
 
 def test_affine_combination_is_affine():
@@ -314,6 +317,47 @@ def test_dcp_verify_blames_the_shallowest_offending_node():
     ]
 
 
+def _running_max(m, first, n):
+    """max(...max(max(first, x1), x2)..., x{n-1}) over new variables."""
+    e = first
+    for i in range(1, n):
+        e = atoms.max(e, m.variable("x%d" % i, lb=0.0))
+    return e
+
+
+def test_deep_model_verifies_and_evaluates():
+    m = DcpModel()
+    e = _running_max(m, m.variable("x0", lb=0.0), 2000)
+    m.minimize(e)
+    assert dcp_verify(m).ok
+    point = [(i * 7919 % 2000) / 2000.0 for i in range(2000)]
+    assert evaluate(e, point) == max(point)
+
+
+def test_dcp_verify_blames_a_node_two_thousand_levels_down():
+    m = DcpModel()
+    x = m.variable("x0", lb=0.0)
+    m.add(_running_max(m, atoms.square(x) - atoms.square(x + 1), 2000) <= 1)
+    assert dcp_verify(m).violations == [
+        "constraint[0]: expression is unknown where convex or affine is "
+        "required, at constraint[0].term[0]" + ".arg[0]" * 1999
+        + " (mixes convex and concave terms)"
+    ]
+
+
+def test_evaluate_visits_each_shared_node_once():
+    # e = abs(e) + e reaches the innermost node along 2**40 paths
+    m = DcpModel()
+    x = m.variable("x")
+    e = x
+    for _ in range(40):
+        e = atoms.abs(e) + e
+    start = time.perf_counter()
+    value = evaluate(e, [0.5])
+    assert time.perf_counter() - start < 0.01
+    assert value == 0.5 * 2.0 ** 40
+
+
 # The recursive rules each node's cached analysis must reproduce.
 
 
@@ -432,6 +476,28 @@ def _dags(draw):
     return m, pool
 
 
+def _reference_evaluate(expr, point):
+    if isinstance(expr, Constant):
+        return expr.value
+    if isinstance(expr, Variable):
+        return float(point[expr.index])
+    if isinstance(expr, AffineCombination):
+        total = expr.offset
+        for c, child in zip(expr.coeffs, expr.children):
+            total += c * _reference_evaluate(child, point)
+        return total
+    assert isinstance(expr, AtomApplication)
+    return _atom(expr.name).evaluate(
+        [_reference_evaluate(a, point) for a in expr.args], expr.param)
+
+
+def _value_or_error(f, expr, point):
+    try:
+        return f(expr, point)
+    except (ValueError, OverflowError) as err:
+        return type(err)
+
+
 # the constraint senses each curvature admits
 _SENSES = {CONSTANT: "<>=", AFFINE: "<>=", CONVEX: "<", CONCAVE: ">",
            UNKNOWN: ""}
@@ -455,9 +521,16 @@ def test_cached_analysis_matches_the_rules_and_verified_models_compile(
             continue
         sense = data.draw(st.sampled_from(senses))
         m.add(e <= 0 if sense == "<" else e >= 0 if sense == ">" else e == 0)
+    point = [float(np.clip(data.draw(_LEAF_VALUES), v.lb, v.ub))
+             for v in m.variables]
     for e in pool + [con.expr for con in m.constraints]:
         assert sign_of(e) == _reference_sign(e)
         assert curvature_of(e) == _reference_curvature(e)
+        got = _value_or_error(evaluate, e, point)
+        want = _value_or_error(_reference_evaluate, e, point)
+        assert got == want or (got != got and want != want)
+    text = print_model(m)
+    assert print_model(parse_model(text)) == text
     if dcp_verify(m).ok:
         emit_conic(m)
     else:

@@ -1,12 +1,15 @@
 """Model/instance format round-trips and command-line behavior."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miconic import cones, instances
 from miconic.cli import main
@@ -18,9 +21,10 @@ from miconic.errors import (
     ModelSyntaxError,
     UnknownAtomError,
 )
-from miconic.modelio import parse_model, print_model
+from miconic.modelio import _tokenize, parse_model, print_model
 
-INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+INSTANCE_DIR = ROOT / "instances"
 
 
 def _programs_equal(p, q):
@@ -97,6 +101,168 @@ def test_one_sided_bounds_round_trip():
     m2 = parse_model(text)
     assert m2.variables[0].lb == 0 and m2.variables[0].ub == float("inf")
     assert m2.variables[1].lb == -float("inf") and m2.variables[1].ub == 5
+
+
+# each malformed document with the diagnostic the reader gives for it:
+# exception class, message, line and column
+_MALFORMED = [
+    ('x',
+     ModelSyntaxError, "expected '(', found 'x'", 1, 1),
+    (')',
+     ModelSyntaxError, "expected '(', found ')'", 1, 1),
+    ('(',
+     ModelSyntaxError, 'unexpected end of input', 1, 2),
+    ('()',
+     ModelSyntaxError, 'expected an item keyword', 1, 2),
+    ('((var x))',
+     ModelSyntaxError, 'expected an item keyword', 1, 2),
+    ('(foo x)',
+     ModelSyntaxError,
+     "unknown item 'foo' (expected var, min, le or eq)", 1, 2),
+    ('(var x) (min x) (min x)',
+     ModelSyntaxError, 'duplicate objective', 1, 18),
+    ('(var x) (min x',
+     ModelSyntaxError, "unexpected end of input (expected ')')", 1, 15),
+    ('(var x) (min x y)',
+     ModelSyntaxError, "expected ')', found 'y'", 1, 16),
+    ('(var x) (le x)',
+     ModelSyntaxError, "unexpected ')'", 1, 14),
+    ('(var x) (le x 1',
+     ModelSyntaxError, "unexpected end of input (expected ')')", 1, 16),
+    ('(var x) (eq x (mul 2 x) 3)',
+     ModelSyntaxError, "expected ')', found '3'", 1, 25),
+    ('(var x) (min (add x)))',
+     ModelSyntaxError, "expected '(', found ')'", 1, 22),
+    ('(var)',
+     ModelSyntaxError, 'expected a variable name', 1, 5),
+    ('(var 3)',
+     ModelSyntaxError, 'expected a variable name', 1, 6),
+    ('(var x) (var x)',
+     ModelSyntaxError, "duplicate variable 'x'", 1, 14),
+    ('(var x int)',
+     ModelSyntaxError,
+     "integer variable 'x' needs finite lower and upper bounds", 1, 11),
+    ('(var x 2 1)',
+     ModelSyntaxError, "variable 'x' has lb > ub", 1, 11),
+    ('(var x a 1)',
+     ModelSyntaxError,
+     "expected a number for the lower bound, found 'a'", 1, 8),
+    ('(var x 0 b)',
+     ModelSyntaxError,
+     "expected a number for the upper bound, found 'b'", 1, 10),
+    ('(var x 0 1 2)',
+     ModelSyntaxError, "expected ')', found '2'", 1, 12),
+    ('(var x 0',
+     ModelSyntaxError, 'unexpected end of input', 1, 9),
+    ('(var x) (min (',
+     ModelSyntaxError, 'unexpected end of input', 1, 15),
+    ('(var x) (min (()',
+     ModelSyntaxError, 'expected an operator or atom name', 1, 15),
+    ('(var x) (min ())',
+     ModelSyntaxError, 'expected an operator or atom name', 1, 15),
+    ('(var x) (min (mul y x))',
+     ModelSyntaxError, 'mul needs a leading numeric coefficient', 1, 19),
+    ('(var x) (min (mul x))',
+     ModelSyntaxError, 'mul needs a leading numeric coefficient', 1, 19),
+    ('(var x) (min (mul',
+     ModelSyntaxError, 'unexpected end of input', 1, 18),
+    ('(var x) (min (pow x x))',
+     ModelSyntaxError, 'pow needs a leading numeric exponent', 1, 19),
+    ('(var x) (min (pow 0.5 x))',
+     ModelSyntaxError,
+     "atom 'pow_rational' needs a numeric parameter >= 1", 1, 15),
+    ('(var x) (min (pow 2 x x))',
+     ArityError, "'pow' takes exactly 1 argument(s), got 2", 1, 15),
+    ('(var x) (min (pow 2))',
+     ArityError, "'pow' takes exactly 1 argument(s), got 0", 1, 15),
+    ('(var x) (min (pow_rational x))',
+     ArityError, "atom 'pow_rational' needs a numeric parameter >= 1", 1, 15),
+    ('(var x) (min (add))',
+     ArityError, "'add' takes at least 1 argument(s), got 0", 1, 15),
+    ('(var x) (min (sub x))',
+     ArityError, "'sub' takes exactly 2 argument(s), got 1", 1, 15),
+    ('(var x) (min (sub x x x))',
+     ArityError, "'sub' takes exactly 2 argument(s), got 3", 1, 15),
+    ('(var x) (min (mul 2 x x))',
+     ArityError, "'mul' takes exactly 1 argument(s), got 2", 1, 15),
+    ('(var x) (min (abs x x))',
+     ArityError, "atom 'abs' does not accept 2 argument(s)", 1, 15),
+    ('(var x) (min (geo_mean x))',
+     ArityError, "atom 'geo_mean' does not accept 1 argument(s)", 1, 15),
+    ('(var x) (min (foo x))',
+     UnknownAtomError, "unknown atom 'foo'", 1, 15),
+    ('(var x) (min (foo',
+     UnknownAtomError, "unknown atom 'foo'", 1, 15),
+    ('(var x) (min y)',
+     ModelSyntaxError, "undeclared variable 'y'", 1, 14),
+    ('(var x) (min (max x nan))',
+     ModelSyntaxError, "undeclared variable 'nan'", 1, 21),
+    ('(var x) (min (add x',
+     ModelSyntaxError, "unclosed '(' for 'add'", 1, 20),
+    ('(var x) (min (abs (exp x)',
+     ModelSyntaxError, "unclosed '(' for 'abs'", 1, 26),
+    ('(var x)\n; a comment (\n(min (add x\n  (exp x) ; trailing',
+     ModelSyntaxError, "unclosed '(' for 'add'", 4, 10),
+    ('(var x)\r\n\t(min\t(foo x))',
+     UnknownAtomError, "unknown atom 'foo'", 2, 8),
+    ('(var x) (le (add x 1 (sub x 2) (mul 3 (pow 2 x)))\n'
+     '   (max x x (sub 1)))',
+     ArityError, "'sub' takes exactly 2 argument(s), got 1", 2, 14),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, line, col", _MALFORMED)
+def test_malformed_document_diagnostics(text, cls, message, line, col):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(text)
+    assert type(err.value) is cls
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == "line %d, col %d: %s" % (line, col, message)
+
+
+def _reference_tokens(text):
+    # character by character: ';' comments to the end of the line, only
+    # space, tab, CR and LF separate words, and every character is a column
+    tokens, word = [], None
+    line, col = 1, 1
+    in_comment = False
+    for ch in text + "\n":
+        if ch == "\n":
+            in_comment = False
+        if in_comment or ch in ";\n \t\r()":
+            if word is not None:
+                tokens.append(word)
+                word = None
+            if ch in "()" and not in_comment:
+                tokens.append((ch, line, col))
+            in_comment = in_comment or ch == ";"
+        elif word is None:
+            word = (ch, line, col)
+        else:
+            word = (word[0] + ch,) + word[1:]
+        line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    return tokens
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.text(alphabet="();\n \t\r\x0b\x0cax1.-\u00e9", max_size=60))
+def test_tokens_match_a_character_by_character_scan(text):
+    got = [(t.text, t.line, t.col) for t in _tokenize(text)]
+    assert got == _reference_tokens(text)
+
+
+def _running_max_document(n):
+    """min max(...max(max(x0, x1), x2)..., x{n-1}), nested n - 1 deep."""
+    return ("".join("(var x%d -1 1)\n" % i for i in range(n))
+            + "(min " + "(max " * (n - 1) + "x0"
+            + "".join(" x%d)" % i for i in range(1, n)) + ")\n")
+
+
+def test_deep_document_reads_and_prints_without_recursion():
+    m = parse_model(_running_max_document(2000))
+    text = print_model(m)
+    assert text.count("(max ") == 1999
+    assert print_model(parse_model(text)) == text
 
 
 @pytest.mark.parametrize("build", [
@@ -331,10 +497,24 @@ def test_cli_rejects_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_checks_and_compiles_a_deeply_nested_model(tmp_path, capsys):
+    path = tmp_path / "deep.model"
+    path.write_text(_running_max_document(600))
+    code, out, _ = _run(["check", str(path)], capsys)
+    assert code == 0 and json.loads(out)["ok"] is True
+    out_path = tmp_path / "deep.conic"
+    code, _, _ = _run(["compile", str(path), "-o", str(out_path)], capsys)
+    assert code == 0
+    # two bound columns per variable and one block of two per max
+    program = read_conic(out_path.read_text())
+    assert len(program.cones.factors) == 2 * 600 + 599
+
+
 def test_module_entry_point_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "miconic", "check",
          str(INSTANCE_DIR / "disk.model")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True

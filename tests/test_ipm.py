@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from miconic import cones, ipm
+from miconic import cones, instances, ipm
 from miconic.cones import ConeProduct
 from miconic.ipm import (
     ALMOST_OPTIMAL,
@@ -297,6 +297,34 @@ def test_no_rows_at_all():
     prob = ContinuousConicProblem(np.zeros((0, 3)), [], c_out, K)
     res = solve_continuous(prob)
     check_unbounded_certificate(prob, res)
+
+
+def test_all_zero_rows_are_dropped_before_the_iterations():
+    # every row is zero and consistent with b = 0, so what is left is
+    # min c.z over the cone: 0 when c is dual-interior, unbounded otherwise
+    K = ConeProduct([cones.soc(3)])
+    prob = ContinuousConicProblem(np.zeros((2, 3)), np.zeros(2),
+                                  [2.0, 0.5, 0.1], K)
+    res = solve_continuous(prob)
+    assert res.status == OPTIMAL and res.iterations == 0
+    assert_array_equal(res.z, np.zeros(3))
+    prob = ContinuousConicProblem(np.zeros((2, 3)), np.zeros(2),
+                                  [-1.0, 0.5, 0.1], K)
+    check_unbounded_certificate(prob, solve_continuous(prob))
+
+
+def test_iteration_limit_returns_the_best_almost_optimal_point(monkeypatch):
+    prob = instances.random_continuous_feasible(np.random.default_rng(1))
+    # 18 iterations reach optimal; 14 stop at a point only almost optimal
+    assert solve_continuous(prob).iterations == 18
+    monkeypatch.setattr(ipm, "_MAX_ITERS", 14)
+    res = solve_continuous(prob)
+    assert res.status == ALMOST_OPTIMAL
+    assert res.iterations == 14
+    assert res.diagnostic == "iteration limit of 14 reached"
+    K = prob.cones
+    assert ipm._validate_optimal(prob.A, prob.b, prob.c, K, K.dual(), res.z,
+                                 res.lam, ipm.EPS_ALMOST) is not None
 
 
 def test_empty_z_block():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from miconic import cones, instances, oa
+from miconic import cones, instances, ipm, oa
 from miconic.compile import emit_conic, recover_solution
 from miconic.errors import InvalidCut, TooLarge
 from miconic.ipm import (
@@ -137,8 +137,7 @@ def test_unattained_dual_fiber_reports_assumption_failure():
 def test_uncertified_fiber_failure_names_the_subproblem_exit(monkeypatch):
     # a one-iteration IPM certifies no fiber, so OA separates the MILP
     # point until no cut is left; iteration 6 leaves the MILP unchanged
-    monkeypatch.setattr(oa, "solve_continuous",
-                        lambda prob: solve_continuous(prob, max_iters=1))
+    monkeypatch.setattr(ipm, "_MAX_ITERS", 1)
     res = oa_solve(emit_conic(instances.disk_model())[0])
     assert res.status == ASSUMPTION_FAILURE
     assert res.iterations == 6
