@@ -18,7 +18,7 @@ for n in range(2, 6):
     program, _ = mc.emit_conic(model)
     res = mc.oa_solve(program)
     print("  %d  %-10s  %10d  %4d" % (n, res.status, res.iterations,
-                                      res.cut_count))
+                                      len(res.cuts)))
 
 # a polyhedral approximation of the aggregated ball needs a facet for
 # every corner of the cube, so the cut count grows like 2**n
@@ -31,7 +31,7 @@ for n in range(2, 9):
     program, _ = mc.emit_conic(model)
     res = mc.oa_solve(program)
     print("  %d  %-10s  %10d  %4d" % (n, res.status, res.iterations,
-                                      res.cut_count))
+                                      len(res.cuts)))
 
 # the extended version proves infeasibility in a handful of iterations
 # at every size: the per-coordinate cones expose one-dimensional shape

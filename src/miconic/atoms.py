@@ -225,9 +225,12 @@ def _graph_inv_pos(b, forms, param):
 
 def _graph_max(b, forms, param):
     slacks = b.cone_cols(cones.NONNEG, len(forms))
-    t = forms[0] + b.col(slacks[0])
-    for s, f in zip(slacks[1:], forms[1:]):
-        b.zero_row(t - f - b.col(s))
+    # anchor t at the first shortest argument, so nested maxes stay sparse
+    k = min(range(len(forms)), key=lambda i: len(forms[i].terms))
+    t = forms[k] + b.col(slacks[k])
+    for i, (s, f) in enumerate(zip(slacks, forms)):
+        if i != k:
+            b.zero_row(t - f - b.col(s))
     return t
 
 

@@ -118,7 +118,7 @@ def _cmd_solve(args):
         "lower_bound": _shifted(res.lower_bound, offset),
         "upper_bound": _shifted(res.upper_bound, offset),
         "iterations": res.iterations,
-        "cuts": res.cut_count,
+        "cuts": len(res.cuts),
         "wall_time_sec": None if args.no_timing else round(wall, 6),
         "diagnostic": res.diagnostic,
     }

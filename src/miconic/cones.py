@@ -636,9 +636,9 @@ def sample_interior(cone, rng, scale=1.0):
     return cone.family.sample(cone, rng, scale, True)
 
 
-def sample_product(cones, rng, interior=False, scale=1.0):
+def sample_product(cones, rng, interior=False):
     """A stacked sample across all factors of a ConeProduct."""
-    parts = [f.family.sample(f, rng, scale, interior) for f in cones.factors]
+    parts = [f.family.sample(f, rng, 1.0, interior) for f in cones.factors]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 

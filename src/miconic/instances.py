@@ -105,7 +105,7 @@ def duality_failure_program():
     )
 
 
-def _random_cones(rng, max_factors=3):
+def _random_cones(rng):
     choices = (
         lambda: cones.nonneg(int(rng.integers(1, 4))),
         lambda: cones.soc(int(rng.integers(2, 5))),
@@ -113,19 +113,19 @@ def _random_cones(rng, max_factors=3):
         lambda: cones.exp_cone(),
         lambda: cones.pow_cone(float(rng.uniform(0.2, 0.8))),
     )
-    k = int(rng.integers(1, max_factors + 1))
+    k = int(rng.integers(1, 4))
     return cones.ConeProduct(
         tuple(choices[int(rng.integers(len(choices)))]() for _ in range(k))
     )
 
 
-def _integer_box(rng, nx, bound_range):
+def _integer_box(rng, nx):
     L = rng.integers(-2, 2, size=nx).astype(float)
-    U = L + rng.integers(0, bound_range + 1, size=nx).astype(float)
+    U = L + rng.integers(0, 4, size=nx).astype(float)
     return L, U
 
 
-def random_feasible_program(rng, num_int=None, bound_range=3):
+def random_feasible_program(rng):
     """A random program that is feasible with strong duality throughout.
 
     b is chosen so one integer assignment admits a strictly interior z,
@@ -135,11 +135,11 @@ def random_feasible_program(rng, num_int=None, bound_range=3):
     """
     K = _random_cones(rng)
     nz = K.dim
-    nx = int(rng.integers(1, 4)) if num_int is None else num_int
+    nx = int(rng.integers(1, 4))
     m = int(rng.integers(1, 4))
     A_x = rng.normal(size=(m, nx))
     A_z = rng.normal(size=(m, nz))
-    L, U = _integer_box(rng, nx, bound_range)
+    L, U = _integer_box(rng, nx)
     x0 = np.array(
         [float(rng.integers(int(L[j]), int(U[j]) + 1)) for j in range(nx)]
     )
@@ -186,7 +186,7 @@ def random_continuous_infeasible(rng):
     return ContinuousConicProblem(A, b, c, K)
 
 
-def random_infeasible_program(rng, bound_range=3):
+def random_infeasible_program(rng):
     """A random program that is infeasible on every integer assignment.
 
     Built backwards from a Farkas certificate: a multiplier lam with
@@ -206,7 +206,7 @@ def random_infeasible_program(rng, bound_range=3):
     A_x = P - np.outer(lam, lam @ P)
     b_r = rng.normal(size=m)
     b = b_r - lam * float(lam @ b_r) + lam * float(rng.uniform(0.5, 2.0))
-    L, U = _integer_box(rng, nx, bound_range)
+    L, U = _integer_box(rng, nx)
     c = rng.normal(size=nz)
     return ConicProgram(
         c=c, A_x=A_x, A_z=A_z, b=b, L=L, U=U, cones=K

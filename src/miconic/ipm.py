@@ -89,9 +89,9 @@ def _no_steps():
 class ConicResult:
     """Solve outcome with its certificate vectors.
 
-    For optimal/almost_optimal: z, obj, lam (beta = c - A'lam in K*).
-    For infeasible: lam scaled so that either max|A'lam| = 1 or b.lam = 1,
-    with beta = -A'lam.  For unbounded: ray with max|ray| = 1.
+    For optimal/almost_optimal: z, obj, lam (c - A'lam in K*).  For
+    infeasible: lam with -A'lam in K* and b.lam > 0, scaled so that either
+    max|A'lam| = 1 or b.lam = 1.  For unbounded: ray with max|ray| = 1.
     iterations counts interior-point iterations run, and metrics counts
     their predictor and centering steps, the trial points of their line
     searches and the block Hessians built; all are 0 when preprocessing
@@ -103,7 +103,6 @@ class ConicResult:
     z: np.ndarray = None
     obj: float = None
     lam: np.ndarray = None
-    beta: np.ndarray = None
     ray: np.ndarray = None
     iterations: int = 0
     metrics: dict = field(default_factory=_no_steps)
@@ -130,7 +129,7 @@ def _validate_optimal(A, b, c, K, Kd, z, lam, tol):
     # residuals of size tol already move it by about that much
     if abs(pobj - dobj) > 0.1 * tol * (1.0 + abs(pobj) + abs(dobj)):
         return None
-    return z, lam, beta, pobj
+    return z, lam, pobj
 
 
 def _validate_infeasible(A, b, Kd, lam, tol):
@@ -146,14 +145,14 @@ def _validate_infeasible(A, b, Kd, lam, tol):
             return None
         if float(b @ lam_n) <= EPS_PAIRING:
             return None
-        return lam_n, beta
+        return lam_n
     if pairing <= 0.0:
         return None
     lam_n = lam / pairing
     beta = -(A.T @ lam_n)
     if float(np.max(np.abs(beta), initial=0.0)) > tol:
         return None
-    return lam_n, beta
+    return lam_n
 
 
 def _validate_unbounded(A, c, K, z, tol):
@@ -287,13 +286,12 @@ def _hsde_loop(A, b, c, K, max_iters):
             if cand is not None:
                 best_almost = cand
                 if _validate_optimal(A, b, c, K, Kd, zs, ls, EPS_OPT):
-                    zc, lc, bc, obj = cand
-                    return ConicResult(OPTIMAL, z=zc, obj=obj, lam=lc, beta=bc,
+                    zc, lc, obj = cand
+                    return ConicResult(OPTIMAL, z=zc, obj=obj, lam=lc,
                                        iterations=it, metrics=metrics)
-        cand = _validate_infeasible(A, b, Kd, lam, EPS_OPT)
-        if cand is not None:
-            lc, bc = cand
-            return ConicResult(INFEASIBLE, lam=lc, beta=bc, obj=np.inf,
+        lc = _validate_infeasible(A, b, Kd, lam, EPS_OPT)
+        if lc is not None:
+            return ConicResult(INFEASIBLE, lam=lc, obj=np.inf,
                                iterations=it, metrics=metrics)
         cand = _validate_unbounded(A, c, K, z, EPS_OPT)
         if cand is not None:
@@ -415,8 +413,8 @@ def _hsde_loop(A, b, c, K, max_iters):
             W = None
 
     if best_almost is not None:
-        zc, lc, bc, obj = best_almost
-        return ConicResult(ALMOST_OPTIMAL, z=zc, obj=obj, lam=lc, beta=bc,
+        zc, lc, obj = best_almost
+        return ConicResult(ALMOST_OPTIMAL, z=zc, obj=obj, lam=lc,
                            iterations=it, metrics=metrics, diagnostic=why)
     return ConicResult(NUMERIC_FAILURE, iterations=it, metrics=metrics,
                        diagnostic=why)
@@ -426,8 +424,7 @@ def _solve_unconstrained(c, K, Kd, m):
     """min c.z over z in K with no effective rows: 0 or unbounded below."""
     n = K.dim
     if cones.member_product(Kd, c, 0.0):
-        return ConicResult(OPTIMAL, z=np.zeros(n), obj=0.0,
-                           lam=np.zeros(m), beta=c.copy())
+        return ConicResult(OPTIMAL, z=np.zeros(n), obj=0.0, lam=np.zeros(m))
     ray = np.zeros(n)
     for f, sl in Kd.slices():
         beta = cones.separate(f, c[sl])
@@ -453,9 +450,9 @@ def solve_continuous(prob):
     if n == 0:
         if float(np.max(np.abs(b0), initial=0.0)) <= 1e-12:
             return ConicResult(OPTIMAL, z=np.zeros(0), obj=0.0,
-                               lam=np.zeros(m), beta=np.zeros(0))
+                               lam=np.zeros(m))
         lam = b0 / float(b0 @ b0)
-        return ConicResult(INFEASIBLE, lam=lam, beta=np.zeros(0), obj=np.inf)
+        return ConicResult(INFEASIBLE, lam=lam, obj=np.inf)
 
     if m == 0:
         return _solve_unconstrained(c, K, Kd, m)
@@ -477,10 +474,7 @@ def solve_continuous(prob):
             lam[dropped[worst]] = 1.0
             lam[kept] = -Wc[:, worst]
             lam /= float(b @ lam)
-            return ConicResult(
-                INFEASIBLE, lam=lam * d_scale,
-                beta=-(A.T @ lam), obj=np.inf,
-            )
+            return ConicResult(INFEASIBLE, lam=lam * d_scale, obj=np.inf)
     if rank == 0:
         # every row is numerically zero and consistent with b
         return _solve_unconstrained(c, K, Kd, m)
@@ -498,7 +492,7 @@ def solve_continuous(prob):
         if cones.member_product(K, z, 1e-9 * zs):
             lam_k = np.linalg.solve(Ak.T, c)
             return ConicResult(OPTIMAL, z=z, obj=float(c @ z),
-                               lam=embed_lam(lam_k), beta=np.zeros(n))
+                               lam=embed_lam(lam_k))
         parts = np.zeros(n)
         for f, sl in K.slices():
             beta = cones.separate(f, z[sl])
@@ -509,8 +503,7 @@ def solve_continuous(prob):
         scale = float(bk @ lam_k)
         # beta.z < 0 for the separating beta, so the pairing is positive
         lam_k /= scale
-        return ConicResult(INFEASIBLE, lam=embed_lam(lam_k),
-                           beta=parts / scale, obj=np.inf)
+        return ConicResult(INFEASIBLE, lam=embed_lam(lam_k), obj=np.inf)
 
     res = _hsde_loop(Ak, bk, c, K, _MAX_ITERS)
     if res.lam is not None:

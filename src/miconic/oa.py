@@ -2,14 +2,18 @@
 
 The driver alternates a MILP relaxation built from an accumulating pool of
 dual cuts with continuous conic subproblems on the integer assignments the
-MILP proposes.  A feasible subproblem contributes a tangent cut and a
-candidate incumbent, an infeasible one contributes a ray cut excluding its
-assignment, and when neither certificate is available the driver falls back
-to separation cuts.  The MILP depends only on the cut pool and the lower
-bound, and every solve is deterministic, so an iteration that adds no cut
-and leaves the lower bound unchanged is a fixed point: the next one would
-repeat it forever.  Instances whose fibers admit no dual certificates end
-there, and the driver reports an assumption failure rather than loop on.
+MILP proposes.  A feasible subproblem contributes its dual certificate
+and a candidate incumbent, an infeasible one contributes its ray, and when
+neither certificate is available the driver separates the MILP point from
+each cone factor.  Every cut takes one path, the initial tangents and the
+root relaxation's dual included: it is split by cone factor, and each
+nonzero block is checked (or repaired) against its own dual factor only
+and pooled as a cut of its own.  The MILP depends only on the cut pool
+and the lower bound, and every solve is deterministic, so an iteration
+that adds no cut and leaves the lower bound unchanged is a fixed point:
+the next one would repeat it forever.  Instances whose fibers admit no
+dual certificates end there, and the driver reports an assumption failure
+rather than loop on.
 """
 
 import itertools
@@ -70,7 +74,8 @@ class OaState:
     incumbent_x: np.ndarray = None
     incumbent_z: np.ndarray = None
     iterations: int = 0
-    _units: list = field(default_factory=list)
+    # the pool's unit vectors, keyed by (provenance, assignment)
+    _units: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -82,7 +87,6 @@ class OaOutcome:
     lower_bound: float = -np.inf
     upper_bound: float = np.inf
     iterations: int = 0
-    cut_count: int = 0
     cuts: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     diagnostic: str = None
@@ -100,15 +104,17 @@ def _dual_interior(f):
     return _interior_cache[f]
 
 
-def _repair_block(f, block):
-    """Nudge a block back onto the dual factor along an interior direction.
+def _onto_dual(f, block):
+    """The block if it lies in the dual factor, else a repaired copy or None.
 
     Numerically computed dual vectors land on either side of the cone
-    boundary; a doubling search finds a small shift restoring membership.
-    Returns the repaired block, or None when the block is genuinely far
-    from the cone (relative violation beyond the repair cap).
+    boundary; a doubling search along an interior direction finds a small
+    shift restoring membership.  None means the block is farther from the
+    cone than the repair cap.
     """
     d = cones.dual(f)
+    if cones.member(d, block, 1e-9):
+        return block
     g = _dual_interior(f) * float(np.max(np.abs(block)))
     delta = 1e-10
     while delta <= _REPAIR_CAP:
@@ -119,13 +125,50 @@ def _repair_block(f, block):
     return None
 
 
-def add_cut(state, cut):
-    """Validate, normalize and append a cut; vacuous or duplicate cuts drop.
+def _append(state, beta, provenance, assignment):
+    """Pool beta at max-abs 1 unless a like cut already points its way."""
+    beta = beta / float(np.max(np.abs(beta)))
+    unit = beta / float(np.linalg.norm(beta))
+    units = state._units.setdefault((provenance, assignment), [])
+    if any(float(unit @ u) > 1.0 - 1e-10 for u in units):
+        return
+    state.cuts.append(Cut(beta, provenance, assignment))
+    units.append(unit)
 
-    Each factor block must lie (essentially exactly) in the dual cone
-    after scaling to unit max-norm; blocks that miss by a small margin are
-    repaired toward the dual interior, and only cuts that stay outside the
-    repair cap raise InvalidCut.
+
+def _add_block(state, f, sl, block, provenance, assignment):
+    """Add one factor's block as a cut padded with zeros; drop it when it is
+    zero, not finite, or off the dual factor beyond repair."""
+    scale = float(np.max(np.abs(block)))
+    if not 0.0 < scale < np.inf:
+        return
+    block = _onto_dual(f, block / scale)
+    if block is not None:
+        beta = np.zeros(state.cones.dim)
+        beta[sl] = block
+        _append(state, beta, provenance, assignment)
+
+
+def _add_certificate(state, beta, provenance, assignment):
+    """Add a dual certificate as one cut per cone factor it touches; the
+    dual of a product is the product of the duals, so they imply it."""
+    scale = float(np.max(np.abs(beta), initial=0.0))
+    if not 0.0 < scale < np.inf:
+        return
+    for f, sl in state.cones.slices():
+        block = beta[sl]
+        if float(np.max(np.abs(block), initial=0.0)) > 1e-12 * scale:
+            _add_block(state, f, sl, block, provenance, assignment)
+
+
+def add_cut(state, cut):
+    """Validate, normalize and append a whole cut; vacuous or duplicate
+    cuts drop.
+
+    After scaling the cut to unit max-norm, each nonzero factor block must
+    lie (essentially exactly) in its dual factor; blocks that miss by a
+    small margin are repaired toward the dual interior, and only cuts that
+    stay outside the repair cap raise InvalidCut.
     """
     beta = np.asarray(cut.beta, dtype=float).ravel()
     if beta.shape != (state.cones.dim,):
@@ -141,59 +184,23 @@ def add_cut(state, cut):
         return state
     beta = beta / scale
     for f, sl in state.cones.slices():
-        block = beta[sl]
-        if cones.member(cones.dual(f), block, 1e-9):
+        if not np.any(beta[sl]):
             continue
-        repaired = _repair_block(f, block)
-        if repaired is None:
+        block = _onto_dual(f, beta[sl])
+        if block is None:
             raise InvalidCut("cut leaves the dual cone on a %s factor" % f.kind)
-        beta[sl] = repaired
-    beta = beta / float(np.max(np.abs(beta)))
-    unit = beta / float(np.linalg.norm(beta))
-    for old, u in zip(state.cuts, state._units):
-        if old.provenance != cut.provenance or old.assignment != cut.assignment:
-            continue
-        if float(unit @ u) > 1.0 - 1e-10:
-            return state
-    state.cuts.append(Cut(beta, cut.provenance, cut.assignment))
-    state._units.append(unit)
+        beta[sl] = block
+    _append(state, beta, cut.provenance, cut.assignment)
     return state
-
-
-def _add_split(state, beta, provenance, assignment):
-    """Add a cut factor-wise, each block padded with zeros.
-
-    Splitting is valid because the dual of a product is the product of the
-    duals, and per-factor cuts imply the aggregate.  If every block is
-    rejected the aggregate itself is tried once.
-    """
-    beta = np.asarray(beta, dtype=float).ravel()
-    scale = float(np.max(np.abs(beta), initial=0.0))
-    if scale <= 0.0 or not np.all(np.isfinite(beta)):
-        return
-    before = len(state.cuts)
-    for f, sl in state.cones.slices():
-        block = beta[sl]
-        if float(np.max(np.abs(block), initial=0.0)) <= 1e-12 * scale:
-            continue
-        padded = np.zeros_like(beta)
-        padded[sl] = block
-        try:
-            add_cut(state, Cut(padded, provenance, assignment))
-        except InvalidCut:
-            pass
-    if len(state.cuts) == before:
-        try:
-            add_cut(state, Cut(beta, provenance, assignment))
-        except InvalidCut:
-            pass
 
 
 def _milp_data(program, state):
     """The MILP relaxation: rows, cut rows with slack columns, boxes.
 
     A cut with a single nonzero coordinate is a sign restriction on one
-    column, so it is folded into the column bounds instead of adding a row.
+    column, so it is folded into the column bounds instead of adding a row;
+    a dual-cone member with one nonzero has it positive, so the fold is
+    always a lower bound of zero.
     Once a finite lower bound is known it is added as an objective row
     c.z >= bound (valid on every fiber), which keeps the relaxation
     bounded even though numerically repaired cuts are marginally weaker
@@ -201,16 +208,11 @@ def _milp_data(program, state):
     """
     m, nx, nz = program.num_rows, program.num_integer, program.num_conic
     z_lb = np.full(nz, -np.inf)
-    z_ub = np.full(nz, np.inf)
     rows = []
     for cut in state.cuts:
         nonzero = np.nonzero(cut.beta)[0]
         if nonzero.size == 1:
-            j = int(nonzero[0])
-            if cut.beta[j] > 0.0:
-                z_lb[j] = max(z_lb[j], 0.0)
-            else:
-                z_ub[j] = min(z_ub[j], 0.0)
+            z_lb[nonzero[0]] = 0.0
         else:
             rows.append(cut.beta)
     rhs = []
@@ -228,7 +230,7 @@ def _milp_data(program, state):
     b = np.concatenate([program.b, np.zeros(k - len(rhs)), np.array(rhs)])
     c = np.concatenate([np.zeros(nx), program.c, np.zeros(k)])
     lb = np.concatenate([program.L, z_lb, np.zeros(k)])
-    ub = np.concatenate([program.U, z_ub, np.full(k, np.inf)])
+    ub = np.concatenate([program.U, np.full(nz + k, np.inf)])
     return A, b, c, lb, ub, list(range(nx))
 
 
@@ -237,16 +239,7 @@ def _root_relaxation(program):
 
     Returns (status, objective, duals of original rows).
     """
-    m, nx = program.num_rows, program.num_integer
-    if nx == 0:
-        res = solve_continuous(
-            ContinuousConicProblem(
-                program.A_z, program.b, program.c, program.cones
-            )
-        )
-        lam = res.lam[:m] if res.lam is not None else None
-        return res.status, res.obj, lam
-    nz = program.num_conic
+    m, nx, nz = program.num_rows, program.num_integer, program.num_conic
     A = np.zeros((m + nx, 2 * nx + nz))
     A[:m, :nx] = program.A_x
     A[:m, 2 * nx :] = program.A_z
@@ -256,9 +249,8 @@ def _root_relaxation(program):
         [program.b - program.A_x @ program.L, program.U - program.L]
     )
     c = np.concatenate([np.zeros(2 * nx), program.c])
-    K = cones.ConeProduct(
-        (cones.nonneg(nx), cones.nonneg(nx)) + tuple(program.cones.factors)
-    )
+    pairs = (cones.nonneg(nx),) * 2 if nx else ()
+    K = cones.ConeProduct(pairs + tuple(program.cones.factors))
     res = solve_continuous(ContinuousConicProblem(A, b, c, K))
     lam = res.lam[:m] if res.lam is not None else None
     return res.status, res.obj, lam
@@ -311,7 +303,6 @@ def oa_solve(program, config=None):
         lower_bound=state.z_lower,
         upper_bound=state.z_upper,
         iterations=state.iterations,
-        cut_count=len(state.cuts),
         cuts=list(state.cuts),
         trace=trace,
         diagnostic=diagnostic,
@@ -323,12 +314,9 @@ def _initialize(program, state):
 
     Returns (status, diagnostic) when the root relaxation ends the run.
     """
-    K = program.cones
-    for f, sl in K.slices():
+    for f, sl in program.cones.slices():
         for local in cones.tangents(f):
-            beta = np.zeros(K.dim)
-            beta[sl] = local
-            add_cut(state, Cut(beta, INITIAL_RELAXATION))
+            _add_block(state, f, sl, local, INITIAL_RELAXATION, None)
     root_status, root_obj, root_lam = _root_relaxation(program)
     if root_status == INFEASIBLE:
         state.z_lower = np.inf
@@ -340,7 +328,7 @@ def _initialize(program, state):
         )
     if root_status == OPTIMAL:
         state.z_lower = float(root_obj)
-        _add_split(
+        _add_certificate(
             state,
             program.c - program.A_z.T @ root_lam,
             INITIAL_RELAXATION,
@@ -393,7 +381,7 @@ def _iterate(program, state, record):
     record["subproblem_status"] = sub.status
     if sub.status == OPTIMAL:
         record["subproblem_value"] = float(sub.obj)
-        _add_split(
+        _add_certificate(
             state,
             program.c - program.A_z.T @ sub.lam,
             SUBPROBLEM_DUAL,
@@ -404,7 +392,7 @@ def _iterate(program, state, record):
             state.incumbent_x = x_star
             state.incumbent_z = sub.z
     elif sub.status == INFEASIBLE:
-        _add_split(
+        _add_certificate(
             state, -(program.A_z.T @ sub.lam), INFEASIBILITY_RAY, assignment
         )
     elif sub.status == UNBOUNDED:
@@ -419,14 +407,8 @@ def _iterate(program, state, record):
         z_milp = mres.x[nx : nx + nz]
         for f, sl in program.cones.slices():
             g = cones.separate(f, z_milp[sl])
-            if g is None:
-                continue
-            padded = np.zeros(nz)
-            padded[sl] = g
-            try:
-                add_cut(state, Cut(padded, SEPARATION, assignment))
-            except InvalidCut:
-                pass
+            if g is not None:
+                _add_block(state, f, sl, g, SEPARATION, assignment)
 
     if _gap_closed(state):
         return OPTIMAL, None

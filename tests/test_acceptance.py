@@ -77,9 +77,9 @@ def test_criterion_02_aggregated_ball_exponential_cuts(ball_runs):
     for n in range(2, 6):
         res, secs = ball_runs[("naive", n)]
         assert res.status == INFEASIBLE, f"n={n}: {res.status}"
-        assert res.cut_count >= 2 ** n, f"n={n}: {res.cut_count} cuts"
+        assert len(res.cuts) >= 2 ** n, f"n={n}: {len(res.cuts)} cuts"
     assert ball_runs[("naive", 5)][1] < 60.0
-    counts = [ball_runs[("naive", n)][0].cut_count for n in range(2, 6)]
+    counts = [len(ball_runs[("naive", n)][0].cuts) for n in range(2, 6)]
     print(f"\n[criterion 2] PASS — cut counts {counts} vs "
           f"thresholds {[2 ** n for n in range(2, 6)]}, "
           f"n=5 in {ball_runs[('naive', 5)][1]:.2f}s")
@@ -89,7 +89,7 @@ def test_criterion_03_formulation_contrast(ball_runs):
     """Disaggregation stays <= 3 iterations while aggregate cuts double."""
     for n in range(2, 9):
         assert ball_runs[("extended", n)][0].iterations <= 3
-    counts = [ball_runs[("naive", n)][0].cut_count for n in range(2, 6)]
+    counts = [len(ball_runs[("naive", n)][0].cuts) for n in range(2, 6)]
     for n, count in zip(range(2, 6), counts):
         assert count >= 2 ** n
     for previous, current in zip(counts, counts[1:]):

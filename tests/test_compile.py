@@ -305,6 +305,9 @@ def test_deep_model_compiles():
     # a column per variable, and per max two slack columns and one row
     assert len(cmap.atom_nodes()) == 599
     assert program.A_z.shape == (599, 600 + 2 * 599)
+    # each level's row reads the new argument, two slacks and the inner
+    # max's anchor and slack, however deep the nesting
+    assert int(np.max(np.count_nonzero(program.A_z, axis=1))) <= 5
 
 
 def test_emit_rejects_non_dcp_model():

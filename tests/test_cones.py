@@ -193,6 +193,17 @@ def test_membership_tests_return_python_bools(cone):
 
 
 @pytest.mark.parametrize("cone", ALL_PRIMAL, ids=str)
+def test_a_one_coordinate_dual_member_is_positive(cone):
+    # OA folds a cut with one nonzero coordinate into a lower bound of 0 on
+    # that column; this holds because no -e_i lies in the dual of a factor
+    # a program can hold (the primal exp cone does hold -e_0, but it is the
+    # dual only of the expdual family, which has no barrier)
+    dual = cones.dual(cone)
+    for row in np.eye(cone.dim):
+        assert not cones.member(dual, -row, 1e-9)
+
+
+@pytest.mark.parametrize("cone", ALL_PRIMAL, ids=str)
 def test_initial_tangents_lie_in_the_dual_cone(cone):
     dual = cones.dual(cone)
     tangents = cones.tangents(cone)

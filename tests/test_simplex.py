@@ -425,3 +425,98 @@ def test_repeated_false_rays_fall_back_to_blands_rule(monkeypatch):
     assert pivots[0] <= 100
     assert res.status == OPTIMAL
     assert res.obj == pytest.approx(-0.70273, abs=1e-5)
+
+
+# ------------------------------------------- warm starts that hand over
+
+
+def _one_row_parent():
+    # min -2 x1 - x2 with x1 + x2 + x3 = 1.2: x1 rests at its upper bound
+    # 0.5, x2 = 0.7 is basic and x3 rests at 0
+    prob = LpProblem([[1.0, 1.0, 1.0]], [1.2], [-2.0, -1.0, 0.0],
+                     [0.0, 0.0, 0.0], [0.5, 1.0, np.inf])
+    first = solve_lp(prob)
+    assert first.status == OPTIMAL
+    assert first.basis.status[0] == simplex._AT_UPPER
+    return prob, first
+
+
+def _child(prob, ub):
+    return LpProblem(prob.A, prob.b, prob.c, prob.lb, ub)
+
+
+def _assert_handed_over(res, cold, warm_iterations):
+    assert res.status == cold.status
+    assert res.obj == cold.obj
+    assert not res.warm
+    assert res.iterations == warm_iterations + cold.iterations
+
+
+def _recording_dual_phase(monkeypatch, spent, fail=False):
+    real = simplex._dual_phase
+
+    def dual_phase(tab, c):
+        out = real(tab, c)
+        spent.append(tab.iterations)
+        if fail:
+            raise simplex.NumericFailure("injected")
+        return out
+
+    monkeypatch.setattr(simplex, "_dual_phase", dual_phase)
+
+
+def test_warm_start_from_a_bound_the_child_drops_solves_cold():
+    prob, first = _one_row_parent()
+    child = _child(prob, [np.inf, 1.0, np.inf])
+    res = solve_lp(child, warm=first.basis)
+    cold = solve_lp(child)
+    assert cold.status == OPTIMAL and cold.obj == pytest.approx(-2.4)
+    _assert_handed_over(res, cold, 0)
+
+
+def test_warm_farkas_vector_that_fails_its_check_solves_cold(monkeypatch):
+    prob, first = _one_row_parent()
+    # x1 + x2 + x3 <= 0.5 + 0.5 + 0.1 < 1.2
+    child = _child(prob, [0.5, 0.5, 0.1])
+    cold = solve_lp(child)
+    assert cold.status == INFEASIBLE
+    spent = []
+    _recording_dual_phase(monkeypatch, spent)
+    monkeypatch.setattr(simplex, "_farkas_holds", lambda *args: False)
+    res = solve_lp(child, warm=first.basis)
+    assert spent[0] > 0
+    _assert_handed_over(res, cold, spent[0])
+
+
+def test_numeric_failure_in_the_warm_solve_solves_cold(monkeypatch):
+    prob, first = _one_row_parent()
+    child = _child(prob, [0.5, 0.5, np.inf])
+    cold = solve_lp(child)
+    assert cold.status == OPTIMAL
+    spent = []
+    _recording_dual_phase(monkeypatch, spent, fail=True)
+    res = solve_lp(child, warm=first.basis)
+    assert spent[0] > 0
+    _assert_handed_over(res, cold, spent[0])
+
+
+def test_unbounded_warm_result_solves_cold(monkeypatch):
+    prob, first = _one_row_parent()
+    child = _child(prob, [0.5, 0.5, np.inf])
+    cold = solve_lp(child)
+    assert cold.status == OPTIMAL
+    real = simplex._phase
+    spent = []
+
+    def phase(tab, c, allow_unbounded):
+        # the warm solve's primal pass claims a ray; the cold one is real
+        st, res = real(tab, c, allow_unbounded)
+        if spent:
+            return st, res
+        spent.append(tab.iterations)
+        return UNBOUNDED, res
+
+    monkeypatch.setattr(simplex, "_phase", phase)
+    res = solve_lp(child, warm=first.basis)
+    assert spent[0] > 0
+    _assert_handed_over(res, cold, spent[0])
