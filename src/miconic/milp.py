@@ -6,12 +6,20 @@ lowest index, and splits on floor/ceil.  Integer variables must carry finite
 bounds, which keeps the tree finite even when a node relaxation is unbounded:
 such a node is branched on a feasible point until the integer part is fixed.
 
-Each open node keeps the final basis of its parent's LP (indices and rest
-statuses only) and its LP is re-optimized from there by the dual simplex;
-the root, and children of nodes without an optimal basis, are solved cold.
+Each open node keeps the final basis of its parent's LP, with that basis's
+inverse, and its LP is re-optimized from there by the dual simplex without
+a fresh factorization; the two children of a node share the parent's
+inverse and each copies it before pivoting.  Every node LP is posed on the
+one A array given to solve_milp, which the warm start requires.  The root,
+and children of nodes without an optimal basis, are solved cold.
+
+A deadline on the time.monotonic clock is checked before each node LP;
+once it has passed the search stops with status time_limit, whose lower
+bound is the least bound among the nodes not yet solved.
 """
 
 import heapq
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +32,25 @@ _INT_TOL = 1e-6
 _REL_GAP = 1e-8
 _NODE_LIMIT = 1_000_000
 
+TIME_LIMIT = "time_limit"
+
 
 @dataclass
 class MilpResult:
+    """Outcome of branch and bound.
+
+    status is optimal, infeasible, unbounded or time_limit.  nodes counts
+    the node LPs solved and pivots their simplex iterations, including the
+    feasibility re-solves of nodes whose relaxation is unbounded.
+    """
+
     status: str
     x: np.ndarray = None
     obj: float = None
     lower_bound: float = -np.inf
     nodes: int = 0
     ray: np.ndarray = None
+    pivots: int = 0
 
 
 def _most_fractional(x, int_idx):
@@ -45,8 +63,12 @@ def _most_fractional(x, int_idx):
     return best_j
 
 
-def solve_milp(A, b, c, lb, ub, int_idx):
-    """Globally solve min c.x s.t. A x = b, lb <= x <= ub, x_j integer on int_idx."""
+def solve_milp(A, b, c, lb, ub, int_idx, deadline=None):
+    """Globally solve min c.x s.t. A x = b, lb <= x <= ub, x_j integer on int_idx.
+
+    deadline, a time.monotonic() value, stops the search with status
+    time_limit before the first node LP that would start after it.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     c = np.asarray(c, dtype=float).ravel()
@@ -61,7 +83,7 @@ def solve_milp(A, b, c, lb, ub, int_idx):
     # open nodes: (parent bound, tie-breaker, lower, upper, parent basis)
     heap = [(-np.inf, 0, lb.copy(), ub.copy(), None)]
     counter = 1
-    nodes = 0
+    nodes = pivots = 0
 
     def snap(x):
         out = x.copy()
@@ -78,11 +100,16 @@ def solve_milp(A, b, c, lb, ub, int_idx):
             break
         if np.any(nlb > nub):
             continue
+        if deadline is not None and time.monotonic() > deadline:
+            # best-bound order: no open node has a bound below this one's
+            return MilpResult(TIME_LIMIT, lower_bound=bound, nodes=nodes,
+                              pivots=pivots)
         # nodes counts the node LPs solved
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise NumericFailure("branch and bound node limit exceeded")
         res = solve_lp(LpProblem(A, b, c, nlb, nub), warm=warm)
+        pivots += res.iterations
         if res.status == INFEASIBLE:
             continue
         if res.status == UNBOUNDED:
@@ -90,6 +117,7 @@ def solve_milp(A, b, c, lb, ub, int_idx):
             # part; any feasible point of this node extends to an unbounded
             # mixed solution once its integer part is fixed
             feas = solve_lp(LpProblem(A, b, np.zeros_like(c), nlb, nub))
+            pivots += feas.iterations
             if feas.status != OPTIMAL:
                 continue
             x = feas.x
@@ -98,7 +126,7 @@ def solve_milp(A, b, c, lb, ub, int_idx):
             if j < 0:
                 return MilpResult(
                     UNBOUNDED, x=snap(x), lower_bound=-np.inf,
-                    nodes=nodes, ray=res.ray,
+                    nodes=nodes, ray=res.ray, pivots=pivots,
                 )
         else:
             x = res.x
@@ -123,8 +151,9 @@ def solve_milp(A, b, c, lb, ub, int_idx):
     if best_x is None:
         if heap:
             raise NumericFailure("branch and bound stopped with open nodes")
-        return MilpResult(INFEASIBLE, nodes=nodes, lower_bound=np.inf)
+        return MilpResult(INFEASIBLE, nodes=nodes, lower_bound=np.inf,
+                          pivots=pivots)
     return MilpResult(
         OPTIMAL, x=best_x, obj=best_obj,
-        lower_bound=min(lower, best_obj), nodes=nodes,
+        lower_bound=min(lower, best_obj), nodes=nodes, pivots=pivots,
     )

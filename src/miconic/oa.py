@@ -33,7 +33,7 @@ from .ipm import (
     ContinuousConicProblem,
     solve_continuous,
 )
-from .milp import solve_milp
+from .milp import TIME_LIMIT, solve_milp
 
 SUBPROBLEM_DUAL = "subproblem_dual"
 INFEASIBILITY_RAY = "infeasibility_ray"
@@ -42,7 +42,6 @@ INITIAL_RELAXATION = "initial_relaxation"
 
 ASSUMPTION_FAILURE = "assumption_failure"
 ITERATION_LIMIT = "iteration_limit"
-TIME_LIMIT = "time_limit"
 
 # most integer assignments brute_force_solve will enumerate
 _GRID_LIMIT = 100_000
@@ -268,14 +267,12 @@ def oa_solve(program, config=None):
     """Globally solve a mixed-integer conic program by outer approximation."""
     cfg = config or OaConfig()
     t0 = time.monotonic()
+    deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
     state = OaState(cones=program.cones, tol=cfg.tol)
     trace = []
     end = _initialize(program, state)
     while end is None and state.iterations < cfg.max_iters:
-        if (
-            cfg.time_limit is not None
-            and time.monotonic() - t0 > cfg.time_limit
-        ):
+        if deadline is not None and time.monotonic() > deadline:
             end = TIME_LIMIT, None
             break
         state.iterations += 1
@@ -283,12 +280,14 @@ def oa_solve(program, config=None):
             "iteration": state.iterations,
             "milp_status": None,
             "milp_value": None,
+            "milp_nodes": None,
+            "milp_pivots": None,
             "assignment": None,
             "subproblem_status": None,
             "subproblem_value": None,
         }
         pool = len(state.cuts)
-        end = _iterate(program, state, record)
+        end = _iterate(program, state, record, deadline)
         record["new_cuts"] = len(state.cuts) - pool
         record["lower_bound"] = state.z_lower
         record["upper_bound"] = state.z_upper
@@ -338,21 +337,28 @@ def _initialize(program, state):
     return None
 
 
-def _iterate(program, state, record):
+def _iterate(program, state, record, deadline):
     """One OA iteration: the MILP, then the fiber of its assignment.
 
     Fills the record's MILP and subproblem fields and returns (status,
-    diagnostic) when the run ends in this iteration, else None.
+    diagnostic) when the run ends in this iteration, else None.  The MILP
+    stops at the deadline (a time.monotonic() value, or None for none);
+    its bound still raises the lower bound.
     """
     pool, lower = len(state.cuts), state.z_lower
     A, b, c, lb, ub, int_idx = _milp_data(program, state)
     try:
-        mres = solve_milp(A, b, c, lb, ub, int_idx)
+        mres = solve_milp(A, b, c, lb, ub, int_idx, deadline=deadline)
     except NumericFailure as err:
         return ASSUMPTION_FAILURE, (
             "MILP relaxation could not be solved: %s" % err
         )
     record["milp_status"] = mres.status
+    record["milp_nodes"] = mres.nodes
+    record["milp_pivots"] = mres.pivots
+    if mres.status == TIME_LIMIT:
+        state.z_lower = max(state.z_lower, float(mres.lower_bound))
+        return TIME_LIMIT, None
     if mres.status == INFEASIBLE:
         if state.incumbent_x is not None:
             return ASSUMPTION_FAILURE, (

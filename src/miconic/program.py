@@ -112,6 +112,10 @@ class ConicProgram:
         self.A_z = np.asarray(self.A_z, dtype=float).reshape(m, len(self.c))
         if self.cones.dim != len(self.c):
             raise ValueError("cone product does not cover the z block")
+        for f in self.cones.factors:
+            if f.kind not in cones.PRIMAL_KINDS:
+                # dual families have no barrier and no tangent cuts
+                raise ValueError("cone kind %r is not a primal kind" % f.kind)
         if len(self.U) != len(self.L):
             raise ValueError("integer bound vectors differ in length")
 

@@ -12,15 +12,19 @@ scaled to max|ray| = 1.  A false ray means a drifted inverse, which is
 refactored, or a basis so near singular that the column's reduced cost is
 rounding noise; that column is then kept out until the basis changes.
 
-An optimal result carries its final basis.  Passing that basis back with
-other bounds on the same rows re-optimizes by the bounded dual simplex
-method (Koberstein, *The dual simplex method*, 2005): tightening bounds
-keeps the basis dual feasible, so only primal infeasibilities remain to be
-driven out.  Branch and bound uses this to solve each child node from its
-parent's basis.  Whenever the warm start cannot finish (inconsistent or
-dual infeasible basis, singular refactor, iteration cap, unbounded result,
-or a certificate that fails its check) the solve falls back to the cold
-two-phase method.
+An optimal result carries its final basis together with that basis's
+inverse.  Passing the basis back with other bounds on the same A array
+re-optimizes by the bounded dual simplex method (Koberstein, *The dual
+simplex method*, 2005), starting from a copy of the carried inverse rather
+than a fresh factorization: tightening bounds keeps the basis dual
+feasible, so only primal infeasibilities remain to be driven out.  The
+inverse's age, the product-form updates since its last refactor, carries
+over too, so the refactor after 64 updates counts them along the whole
+chain of warm starts.  Branch and bound uses this to solve each child node
+from its parent's basis.  Whenever the warm start cannot finish (a basis
+from another A, inconsistent or dual infeasible basis, singular refactor,
+iteration cap, unbounded result, or a certificate that fails its check)
+the solve falls back to the cold two-phase method.
 """
 
 from dataclasses import dataclass, field
@@ -71,12 +75,19 @@ class LpBasis:
     The simplex works on [A, diag(signs)]: the original columns followed by
     one artificial column per row, pinned to zero after phase one.  basis
     lists the basic columns, status gives every column's rest (at lower,
-    at upper, free or basic).  It holds indices only, no factorization.
+    at upper, free or basic).  A is the problem's own array (a reference,
+    not a copy), Binv the inverse of the basis columns of [A, diag(signs)]
+    at exit, and age the product-form updates Binv has taken since it was
+    last refactored.  A warm start copies Binv before it pivots, since the
+    two children of a branch-and-bound node share their parent's basis.
     """
 
     basis: np.ndarray
     status: np.ndarray
     signs: np.ndarray
+    A: np.ndarray
+    Binv: np.ndarray
+    age: int
 
 
 @dataclass
@@ -317,7 +328,8 @@ def _optimal(prob, tab, c, x, warm):
         obj=float(prob.c @ x),
         y=tab.duals(c),
         iterations=tab.iterations,
-        basis=LpBasis(tab.basis.copy(), tab.status.copy(), tab.signs),
+        basis=LpBasis(tab.basis.copy(), tab.status.copy(), tab.signs,
+                      prob.A, tab.Binv, tab._since_refactor),
         warm=warm,
     )
 
@@ -451,13 +463,15 @@ def _farkas_holds(prob, y, margin):
 
 
 def _solve_warm(prob, warm):
-    """Dual simplex from the basis of an earlier optimal solve.
+    """Dual simplex from the basis and inverse of an earlier optimal solve.
 
     Returns (result, iterations); result is None when the warm start cannot
     finish and the caller should solve cold.
     """
     m, n = prob.A.shape
-    if warm.signs.shape != (m,) or warm.status.shape != (n + m,):
+    # the carried inverse is of warm.A's basis columns; any other array,
+    # even one of equal shape and values, is solved cold
+    if prob.A is not warm.A:
         return None, 0
     lb = np.concatenate([prob.lb, np.zeros(m)])
     ub = np.concatenate([prob.ub, np.zeros(m)])
@@ -478,10 +492,12 @@ def _solve_warm(prob, warm):
         status=status,
         enterable=ub - lb > 0.0,
         signs=warm.signs,
+        # pivots update Binv in place, and the sibling node shares it
+        Binv=warm.Binv.copy(),
+        _since_refactor=warm.age,
     )
     c = np.concatenate([prob.c, np.zeros(m)])
     try:
-        tab.refactor()
         d = c - tab.A.T @ tab.duals(c)
         wrong = np.where(status == _AT_LOWER, -d, d)
         wrong[status == _FREE] = np.abs(d[status == _FREE])
@@ -510,8 +526,11 @@ def solve_lp(prob, warm=None):
 
     Without warm, runs the two-phase primal simplex.  With warm set to the
     basis of an optimal result for the same A, b and c (bounds may differ),
-    re-optimizes from it by the dual simplex, falling back to the two-phase
-    method when that does not finish.
+    re-optimizes from it by the dual simplex, starting from the inverse the
+    basis carries, and falls back to the two-phase method when that does
+    not finish.  The warm basis must come from a problem built on the very
+    same A array (prob.A is warm.A); a basis from any other array, even an
+    equal one, is ignored and the problem is solved cold.
     """
     if prob.A.shape[0] == 0:
         return _solve_box(prob)

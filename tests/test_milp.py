@@ -1,13 +1,14 @@
 """Branch-and-bound checks against exhaustive integer enumeration."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import miconic.milp as milp
-from miconic import instances, oa
+from miconic import instances, oa, simplex
 from miconic.compile import emit_conic
 from miconic.errors import UnboundedInteger
 from miconic.milp import solve_milp
@@ -213,3 +214,146 @@ def test_extended_ball_tree_has_every_node_and_no_fallback(monkeypatch):
         assert [r.nodes for r in results] == [2 ** (n + 1) - 1]
         assert len(lps) == 2 ** (n + 1) - 1
         assert all(r.warm for r in lps[1:])
+
+
+# ---------------------------------- warm inverses along the ball trees
+
+
+def _ball_milp(n):
+    """The first OA MILP of the extended empty ball of dimension n."""
+    prog, _ = emit_conic(instances.empty_ball_model(n, "extended"))
+    state = oa.OaState(cones=prog.cones, tol=1e-5)
+    assert oa._initialize(prog, state) is None
+    return oa._milp_data(prog, state)
+
+
+def test_ball_trees_refactor_once_and_no_inverse_outlives_its_age_cap(
+    monkeypatch,
+):
+    # each child starts from its parent's inverse, so the cold root's
+    # factorization serves the whole tree (a fresh one per node LP would
+    # make 2^(n+1) - 1); the 64-update cap counts along each path
+    refactors, ages = [], []
+    real_refactor = simplex._Tableau.refactor
+    real_pivot = simplex._Tableau.pivot_basis
+
+    def refactor(tab):
+        refactors.append(1)
+        real_refactor(tab)
+
+    def pivot_basis(tab, leave, enter, w):
+        ages.append(tab._since_refactor)
+        real_pivot(tab, leave, enter, w)
+        ages.append(tab._since_refactor)
+
+    monkeypatch.setattr(simplex._Tableau, "refactor", refactor)
+    monkeypatch.setattr(simplex._Tableau, "pivot_basis", pivot_basis)
+    for n in range(2, 8):
+        refactors.clear()
+        res = solve_milp(*_ball_milp(n))
+        assert res.status == INFEASIBLE and res.nodes == 2 ** (n + 1) - 1
+        if n <= 6:
+            assert len(refactors) == 1
+    assert max(ages) == 64
+
+
+def _lp_recorder(monkeypatch):
+    seen = []
+
+    def recording(prob, warm=None):
+        res = solve_lp(prob, warm=warm)
+        seen.append((prob, warm, res))
+        return res
+
+    monkeypatch.setattr(milp, "solve_lp", recording)
+    return seen
+
+
+def _assert_matches_cold(prob, res):
+    cold = solve_lp(prob)
+    assert res.status == cold.status
+    if cold.status == OPTIMAL:
+        assert_allclose(res.obj, cold.obj, rtol=1e-7, atol=1e-7)
+        resid = float(np.max(np.abs(prob.A @ res.x - prob.b)))
+        assert resid <= 1e-8 * (1.0 + float(np.max(np.abs(prob.b))))
+    elif cold.status == INFEASIBLE:
+        # the sup of y.A x over the box; products that are zero up to
+        # rounding (max|y| = 1) carry no bound on the free columns
+        g = prob.A.T @ res.farkas
+        g[np.abs(g) <= 1e-12] = 0.0
+        top = np.where(g > 0, prob.ub, prob.lb)
+        sup = float(np.sum(g[g != 0.0] * top[g != 0.0]))
+        assert float(prob.b @ res.farkas) > sup
+
+
+def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch):
+    # the ball trees, then every MILP of the OA runs on the first ten
+    # programs of the oracle corpus
+    seen = _lp_recorder(monkeypatch)
+    for n in range(2, 7):
+        solve_milp(*_ball_milp(n))
+    # every node but the five roots starts warm
+    assert sum(res.warm for _, _, res in seen) == len(seen) - 5
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        oa.oa_solve(instances.random_feasible_program(rng))
+    for prob, given, res in seen:
+        if given is not None:
+            _assert_matches_cold(prob, res)
+
+
+# --------------------------------------------- deadlines and pivot counts
+
+
+def test_a_deadline_already_past_stops_before_a_second_node_lp(monkeypatch):
+    seen = _lp_recorder(monkeypatch)
+    res = solve_milp(*_ball_milp(6), deadline=time.monotonic() - 1.0)
+    assert res.status == milp.TIME_LIMIT
+    assert res.nodes == len(seen) <= 1
+    assert res.lower_bound == -np.inf
+
+
+def test_a_deadline_mid_search_leaves_a_valid_lower_bound(monkeypatch):
+    # a clock that ticks once per node LP stops the search after k of them
+    clock = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+    rng = np.random.default_rng(303)
+    stopped = 0
+    for _ in range(60):
+        A, b, c, lb, ub, int_idx = random_instance(rng)
+        want_status, want_obj = oracle_milp(A, b, c, lb, ub, int_idx)
+        full = solve_milp(A, b, c, lb, ub, int_idx)
+        if want_status != OPTIMAL or full.nodes < 4:
+            continue
+        k = full.nodes // 2
+        start = next(clock)
+        res = solve_milp(A, b, c, lb, ub, int_idx, deadline=start + k + 0.5)
+        assert res.status == milp.TIME_LIMIT and res.nodes == k
+        assert res.lower_bound <= want_obj + 1e-9
+        stopped += 1
+    assert stopped > 5
+
+
+def test_pivots_sum_the_node_lps_iterations(monkeypatch):
+    seen = _lp_recorder(monkeypatch)
+    results = []
+
+    def recording_milp(*args, **kwargs):
+        res = solve_milp(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(oa, "solve_milp", recording_milp)
+    prog, _ = emit_conic(instances.empty_ball_model(5, "extended"))
+    out = oa.oa_solve(prog)
+    (res,) = results
+    assert res.pivots == sum(r.iterations for _, _, r in seen) > res.nodes
+    assert out.trace[0]["milp_nodes"] == res.nodes == 63
+    assert out.trace[0]["milp_pivots"] == res.pivots
+    # an unbounded node adds the pivots of its feasibility re-solve
+    seen.clear()
+    A = np.array([[1.0, 1.0, 0.0]])
+    res = solve_milp(A, [0.5], [0.0, 0.0, 1.0], [0.0, -np.inf, -np.inf],
+                     [1.0, np.inf, np.inf], [0])
+    assert res.status == UNBOUNDED and len(seen) > res.nodes
+    assert res.pivots == sum(r.iterations for _, _, r in seen)

@@ -1,5 +1,8 @@
 """Behavioral tests for the outer-approximation driver and brute force."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -294,6 +297,37 @@ def test_time_limit_status():
     prog, _ = emit_conic(instances.empty_ball_model(3, "naive"))
     res = oa_solve(prog, OaConfig(time_limit=0.0))
     assert res.status == TIME_LIMIT
+
+
+def test_time_limit_reaches_inside_branch_and_bound(monkeypatch):
+    # a clock that advances 1 ms per reading: the extended ball's one MILP
+    # would take its full 511 nodes, but stops at the 50 ms limit
+    clock = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: 1e-3 * next(clock))
+    prog, _ = emit_conic(instances.empty_ball_model(8, "extended"))
+    res = oa_solve(prog, OaConfig(time_limit=0.05))
+    assert res.status == TIME_LIMIT and res.iterations == 1
+    (record,) = res.trace
+    assert record["milp_status"] == TIME_LIMIT
+    assert 0 < record["milp_nodes"] < 511
+    assert record["milp_pivots"] >= record["milp_nodes"]
+    assert res.lower_bound == record["lower_bound"] < np.inf
+
+
+@pytest.mark.parametrize("factor", [cones.Cone(cones.EXPDUAL, 3),
+                                    cones.Cone(cones.POWDUAL, 3, 0.3)])
+def test_program_rejects_a_dual_cone_kind(factor):
+    # dual families have no barrier and no tangents to seed cuts from
+    with pytest.raises(ValueError, match=factor.kind):
+        ConicProgram(
+            c=np.array([1.0, 0.0, 0.0]),
+            A_x=np.zeros((1, 0)),
+            A_z=np.array([[0.0, 1.0, 0.0]]),
+            b=np.array([1.0]),
+            L=np.zeros(0),
+            U=np.zeros(0),
+            cones=cones.ConeProduct((factor,)),
+        )
 
 
 def test_continuous_only_program():

@@ -520,3 +520,69 @@ def test_unbounded_warm_result_solves_cold(monkeypatch):
     res = solve_lp(child, warm=first.basis)
     assert spent[0] > 0
     _assert_handed_over(res, cold, spent[0])
+
+
+# ------------------------------------- the inverse a warm basis carries
+
+
+def _branched_children(rng):
+    """An optimal parent LP and its two children on a basic coordinate."""
+    m, n = 8, 14
+    A = rng.standard_normal((m, n))
+    b = A @ rng.uniform(-1.0, 1.0, size=n)
+    c = rng.standard_normal(n)
+    parent = LpProblem(A, b, c, np.full(n, -2.0), np.full(n, 2.0))
+    first = solve_lp(parent)
+    assert first.status == OPTIMAL
+    j = int(np.argmin(np.abs(first.x)))
+    left_ub, right_lb = parent.ub.copy(), parent.lb.copy()
+    left_ub[j] = first.x[j] - 0.25
+    right_lb[j] = first.x[j] + 0.25
+    left = LpProblem(A, b, c, parent.lb, left_ub)
+    right = LpProblem(A, b, c, right_lb, parent.ub)
+    return first, left, right
+
+
+def _same_result(r, s):
+    assert r.status == s.status and r.warm == s.warm
+    assert r.iterations == s.iterations
+    for name in ("x", "obj", "y", "farkas"):
+        assert np.array_equal(getattr(r, name), getattr(s, name))
+    if r.basis is not None:
+        assert np.array_equal(r.basis.basis, s.basis.basis)
+        assert np.array_equal(r.basis.Binv, s.basis.Binv)
+        assert r.basis.age == s.basis.age
+
+
+def test_children_solved_in_either_order_give_identical_results():
+    # both children start from the parent's inverse; each must pivot on a
+    # copy, or the second child would start from the first one's inverse
+    rng = np.random.default_rng(909)
+    pivoted = 0
+    for _ in range(20):
+        first, left, right = _branched_children(rng)
+        kept = first.basis.Binv.copy()
+        l1 = solve_lp(left, warm=first.basis)
+        r1 = solve_lp(right, warm=first.basis)
+        r2 = solve_lp(right, warm=first.basis)
+        l2 = solve_lp(left, warm=first.basis)
+        _same_result(l1, l2)
+        _same_result(r1, r2)
+        assert np.array_equal(first.basis.Binv, kept)
+        pivoted += min(l1.iterations, r1.iterations) > 0
+    assert pivoted > 10
+
+
+def test_warm_basis_from_another_array_of_equal_values_solves_cold():
+    # the carried inverse belongs to the parent's A; an equal copy of A
+    # must not be trusted with it
+    rng = np.random.default_rng(910)
+    for _ in range(10):
+        first, left, _ = _branched_children(rng)
+        same = solve_lp(left, warm=first.basis)
+        assert same.warm
+        copied = LpProblem(left.A.copy(), left.b, left.c, left.lb, left.ub)
+        res = solve_lp(copied, warm=first.basis)
+        cold = solve_lp(copied)
+        assert not res.warm
+        _same_result(res, cold)
