@@ -6,23 +6,28 @@ second-order cone RSOC(d) = {(x, y, w) : 2xy >= ||w||^2, x >= 0, y >= 0},
 the exponential cone EXP = cl{(x, y, z) : y > 0, y*exp(x/y) <= z}, and the
 power cone POW(a) = {(x, y, z) : |z| <= x^a * y^(1-a), x >= 0, y >= 0}.
 
-Each family is one object in a table keyed by kind.  It holds the
-family's dimension rule, barrier parameter and dual kind, and every
-operation on it: membership, the strict-interior test, separation, a
-canonical interior point, the barrier, two samplers, and the tangent cuts
-that start an outer approximation.  A Cone looks its family up once, when
-it is made, and the module functions below dispatch through it.
+Each family is one object in a table keyed by kind, holding its dimension
+rule, barrier parameter and dual kind, and every operation on it:
+membership, the strict-interior test, separation, a canonical interior
+point, the barrier, two samplers, and the tangent cuts that start an outer
+approximation.  A Cone looks its family up once, when it is made, and the
+module functions below dispatch through it.
+
+Membership, the interior test, the barrier and the samplers take one point
+or a stack along the last axis.  A ConeProduct groups its factors by (kind,
+dim, alpha), the orthant's coordinates as NONNEG(1) rows of one group, so
+a solver makes one call per group instead of one per factor.
 
 NONNEG, SOC and RSOC are self-dual.  The duals of EXP and POW are linear
-images of them: p is in EXPDUAL iff (-v, -u, e*w) is in EXP, and p is in
-POWDUAL(a) iff (u/a, v/(1-a), w) is in POW(a), for p = (u, v, w).  Both
-maps are symmetric, so they also carry separating vectors between the
-pairs.  The dual families support membership and separation, so
-certificates can be validated, but no barrier.  Their samplers keep draws
-of their own, because generated instances are seeded through them.
+images of them: p = (u, v, w) is in EXPDUAL iff (-v, -u, e*w) is in EXP,
+and in POWDUAL(a) iff (u/a, v/(1-a), w) is in POW(a).  The symmetric maps
+also carry separating vectors between the pairs.  The dual families have
+membership and separation, to validate certificates, but no barrier, and
+samplers of their own, since generated instances are seeded through them.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 import math
 
 import numpy as np
@@ -62,24 +67,27 @@ class Cone:
         return self.dim if self.family.nu is None else self.family.nu
 
 
-def nonneg(dim):
-    return Cone(NONNEG, dim)
+nonneg = partial(Cone, NONNEG)
+soc = partial(Cone, SOC)
+rsoc = partial(Cone, RSOC)
+exp_cone = partial(Cone, EXP, 3)
+pow_cone = partial(Cone, POW, 3)
 
 
-def soc(dim):
-    return Cone(SOC, dim)
+@dataclass(frozen=True)
+class ConeGroup:
+    """The k factors of one shape in a product, as a stack of k rows:
+    index picks them out of a product vector (a slice when they form one
+    range), and blocks indexes their diagonal blocks of a matrix."""
 
+    cone: Cone
+    k: int
+    index: object
+    blocks: tuple
 
-def rsoc(dim):
-    return Cone(RSOC, dim)
-
-
-def exp_cone():
-    return Cone(EXP, 3)
-
-
-def pow_cone(alpha):
-    return Cone(POW, 3, alpha)
+    def stack(self, z):
+        """The group's (k, dim) rows of a product vector."""
+        return z[self.index].reshape(self.k, self.cone.dim)
 
 
 @dataclass(frozen=True)
@@ -87,9 +95,23 @@ class ConeProduct:
     """An ordered product of cone factors covering a z-block."""
 
     factors: tuple
+    groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        coords = {}
+        for f, sl in self.slices():
+            shape = Cone(NONNEG, 1) if f.kind == NONNEG else f
+            coords.setdefault(shape, []).extend(range(sl.start, sl.stop))
+        groups = []
+        for cone, at in coords.items():
+            rows = np.array(at).reshape(-1, cone.dim)
+            index = (slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1
+                     else rows.ravel())
+            blocks = ((index, index) if len(rows) == 1
+                      else (rows[:, :, None], rows[:, None, :]))
+            groups.append(ConeGroup(cone, len(rows), index, blocks))
+        object.__setattr__(self, "groups", tuple(groups))
 
     @property
     def dim(self):
@@ -107,43 +129,91 @@ class ConeProduct:
         return sum(f.nu for f in self.factors)
 
     def dual(self):
-        """The dual product: the dual of each factor, in order."""
+        """The dual of each factor, in order; the groups line up with ours."""
         return ConeProduct(tuple(dual(f) for f in self.factors))
 
 
 def _pow_surface(a, b, alpha):
     # a^alpha * b^(1-alpha) with negative inputs clamped to zero.
-    a = max(a, 0.0)
-    b = max(b, 0.0)
-    if a == 0.0 or b == 0.0:
+    if a <= 0.0 or b <= 0.0:
         return 0.0
     return math.exp(alpha * math.log(a) + (1.0 - alpha) * math.log(b))
 
 
-_RSOC_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# The samplers take math's exp and pow surface on every entry of a stack:
+# numpy's exp differs in the last bit, and instances are seeded through them.
+_exp = np.vectorize(math.exp, otypes=[float])
+_pow_surfaces = np.vectorize(_pow_surface, otypes=[float], excluded={2})
 
 
 def _rsoc_rotate(p):
     # Orthogonal involution mapping RSOC onto SOC and back.
-    q = p.copy()
-    q[0] = (p[0] + p[1]) * _RSOC_INV_SQRT2
-    q[1] = (p[0] - p[1]) * _RSOC_INV_SQRT2
+    q, c = p.copy(), 1.0 / math.sqrt(2.0)
+    q[..., 0] = (p[..., 0] + p[..., 1]) * c
+    q[..., 1] = (p[..., 0] - p[..., 1]) * c
     return q
+
+
+def _dot(x):
+    # x.x over the last axis, rounded as the dot product of one vector
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _neg_log(s, ds, d2s):
+    # value, gradient and Hessian of -log s from those of s; float_power
+    # squares as s**2 on a number does, whose bits the iterates depend on
+    s = s[..., None]
+    hess = ds[..., :, None] * ds[..., None, :]
+    hess /= np.float_power(s, 2)[..., None]
+    hess -= d2s / s[..., None]
+    return -np.log(s[..., 0]), -ds / s, hess
+
+
+def _rowwise(fn, p, *args):
+    # fn(*point, *args) for each point of a stack, as an array over it
+    flat = p.reshape(-1, p.shape[-1])
+    out = np.array([fn(*row, *args) for row in flat.tolist()])
+    return out.reshape(p.shape[:-1] + out.shape[1:])
+
+
+def _log_row(f, df, d2f, g, h):
+    # gradient and Hessian of -log f + l, l separable with gradient g and
+    # Hessian diagonal h, in one flat list
+    f2 = f**2
+    return [-di / f + gi for di, gi in zip(df, g)] + [
+        df[i] * df[j] / f2 - d2f[i][j] / f + (h[i] if i == j else 0.0)
+        for i in range(3) for j in range(3)]
+
+
+@lru_cache(maxsize=None)
+def _quadratic_hessian(kind, dim):
+    # 2Q for SOC's or RSOC's s = z'Qz; z 2Q is s's gradient, exactly
+    h = -2.0 * np.eye(dim)
+    h[:2, :2] = [[2.0, 0.0], [0.0, -2.0]] if kind == SOC else [[0, 2], [2, 0]]
+    h.flags.writeable = False  # shared by every call
+    return h
+
+
+def _quadratic_barrier(cone, z, s):
+    # -log s for SOC's or RSOC's s; s > 0 and z_0 > 0 put z inside
+    if not (s.min() > 0.0 and z[..., 0].min() > 0.0):
+        raise NotInterior("%s barrier domain violated" % cone.kind)
+    d2s = _quadratic_hessian(cone.kind, cone.dim)
+    return _neg_log(s, z @ d2s, d2s)
 
 
 class _Family:
     """A cone family: its rules and operations on a factor of that family.
 
-    Points reach the operations already checked against the factor's
-    dimension.  separate is only asked about points outside the cone and
-    returns an outer normal of any length.  sample draws a boundary-reaching
-    point, or a strictly interior one.  A family without a barrier has no
-    interior_point, barrier or tangents.  nu is the barrier parameter, None
-    for one per coordinate.
-    """
+    Points arrive checked against the factor's dimension, one or a stack
+    along the last axis; separate gets one point outside the cone and
+    returns an outer normal of any length.  sample draws boundary-reaching
+    or strictly interior points.  interior holds a canonical interior
+    point's leading entries and the value of the rest.  A family without a
+    barrier has none, nor barrier or tangents.  nu is the barrier
+    parameter, None for one per coordinate."""
 
-    kind = None
-    dual_kind = None
+    kind = dual_kind = None
     nu = 3
     fixed_dim = None
     min_dim = 1
@@ -157,43 +227,36 @@ class _Family:
         if dim < self.min_dim:
             raise DimensionMismatch(
                 "%s cone needs dim >= %d" % (self.kind, self.min_dim))
-        if self.has_alpha:
-            if alpha is None or not 0.0 < alpha < 1.0:
-                raise ValueError("%s cone needs alpha in (0, 1)" % self.kind)
-        elif alpha is not None:
+        if self.has_alpha and (alpha is None or not 0.0 < alpha < 1.0):
+            raise ValueError("%s cone needs alpha in (0, 1)" % self.kind)
+        if not self.has_alpha and alpha is not None:
             raise ValueError("%s cone takes no alpha" % self.kind)
 
 
 class _Nonneg(_Family):
     kind = dual_kind = NONNEG
     nu = None
+    interior = ((), 1.0)
 
     def member(self, cone, p, tol):
-        return np.min(p) >= -tol
+        return p.min(axis=-1) >= -tol
 
     def strict_member(self, cone, p):
-        return np.min(p) > 0.0
+        return p.min(axis=-1) > 0.0
 
     def separate(self, cone, p):
-        beta = np.zeros_like(p)
-        beta[int(np.argmin(p))] = 1.0
-        return beta
-
-    def interior_point(self, cone):
-        return np.ones(cone.dim)
+        return (np.arange(cone.dim) == np.argmin(p)).astype(float)
 
     def barrier(self, cone, z):
-        if np.min(z) <= 0.0:
+        if not z.min() > 0.0:
             raise NotInterior("orthant barrier needs strictly positive point")
-        val = -float(np.sum(np.log(z)))
-        grad = -1.0 / z
-        hess = np.diag(1.0 / z**2)
-        return val, grad, hess
+        hess = (1.0 / z**2)[..., None] * np.eye(cone.dim)
+        return -np.log(z).sum(axis=-1), -1.0 / z, hess
 
-    def sample(self, cone, rng, scale, interior):
+    def sample(self, cone, rng, scale, interior, shape):
         if interior:
-            return rng.uniform(0.2, 2.0, size=cone.dim) * scale
-        return np.abs(rng.standard_normal(cone.dim)) * scale
+            return rng.uniform(0.2, 2.0, size=shape + (cone.dim,)) * scale
+        return np.abs(rng.standard_normal(shape + (cone.dim,))) * scale
 
     def tangents(self, cone):
         return list(np.eye(cone.dim))
@@ -203,120 +266,97 @@ class _Soc(_Family):
     kind = dual_kind = SOC
     nu = 2
     min_dim = 2
+    interior = ((1.0,), 0.0)
 
     def member(self, cone, p, tol):
-        t, x = p[0], p[1:]
-        return t >= -tol and float(np.linalg.norm(x)) <= t + tol
+        t = p[..., 0]
+        return (t >= -tol) & (np.sqrt(_dot(p[..., 1:])) <= t + tol)
 
     def strict_member(self, cone, p):
-        return p[0] > float(np.linalg.norm(p[1:]))
+        return p[..., 0] > np.sqrt(_dot(p[..., 1:]))
 
     def separate(self, cone, p):
-        x = p[1:]
-        nx = float(np.linalg.norm(x))
-        beta = np.zeros_like(p)
-        beta[0] = 1.0
-        if nx > 0.0:
-            beta[1:] = -x / nx
-        return beta
-
-    def interior_point(self, cone):
-        return np.eye(cone.dim)[0]
+        nx = float(np.linalg.norm(p[1:]))
+        return np.r_[1.0, -p[1:] / nx if nx > 0.0 else np.zeros(cone.dim - 1)]
 
     def barrier(self, cone, z):
-        t, x = z[0], z[1:]
-        s = t * t - float(x @ x)
-        if s <= 0.0 or t <= 0.0:
-            raise NotInterior("soc barrier domain violated")
-        ds = np.concatenate(([2.0 * t], -2.0 * x))
-        d2s = np.diag(np.concatenate(([2.0], -2.0 * np.ones(len(x)))))
-        val = -math.log(s)
-        grad = -ds / s
-        hess = np.outer(ds, ds) / s**2 - d2s / s
-        return val, grad, hess
+        t = z[..., 0]
+        return _quadratic_barrier(cone, z, t * t - _dot(z[..., 1:]))
 
-    def sample(self, cone, rng, scale, interior):
-        x = rng.standard_normal(cone.dim - 1) * scale
+    def sample(self, cone, rng, scale, interior, shape):
+        x = rng.standard_normal(shape + (cone.dim - 1,)) * scale
         if interior:
-            t = np.linalg.norm(x) + rng.uniform(0.2, 1.5) * scale
+            t = np.sqrt(_dot(x)) + rng.uniform(0.2, 1.5, size=shape) * scale
         else:
-            t = np.linalg.norm(x) * rng.uniform(1.0, 2.0)
-        return np.concatenate(([t], x))
+            t = np.sqrt(_dot(x)) * rng.uniform(1.0, 2.0, size=shape)
+        return np.concatenate((t[..., None], x), axis=-1)
 
     def tangents(self, cone):
-        out = [self.interior_point(cone)]
-        for i in range(1, cone.dim):
-            for s in (1.0, -1.0):
-                v = np.zeros(cone.dim)
-                v[0], v[i] = 1.0, s
-                out.append(v)
-        return out
+        e = np.eye(cone.dim)
+        return [e[0]] + [e[0] + s * e[i] for i in range(1, cone.dim)
+                         for s in (1.0, -1.0)]
 
 
 class _Rsoc(_Family):
     # Separation and sampling go through the rotation onto SOC; membership
-    # and the barrier keep formulas of their own, whose rounding the
-    # solver's results depend on.
+    # and the barrier keep their own formulas, whose rounding results rely on.
     kind = dual_kind = RSOC
     nu = 2
     min_dim = 3
+    interior = ((1.0, 1.0), 0.0)
 
     def member(self, cone, p, tol):
-        x, y, w = p[0], p[1], p[2:]
-        return (
-            x >= -tol
-            and y >= -tol
-            and float(w @ w) <= 2.0 * max(x, 0.0) * max(y, 0.0) + tol
-        )
+        x, y, ww = p[..., 0], p[..., 1], _dot(p[..., 2:])
+        return (x >= -tol) & (y >= -tol) & (
+            ww <= 2.0 * np.maximum(x, 0.0) * np.maximum(y, 0.0) + tol)
 
     def strict_member(self, cone, p):
-        x, y, w = p[0], p[1], p[2:]
-        return x > 0.0 and y > 0.0 and float(w @ w) < 2.0 * x * y
+        # x > 0 and w'w < 2xy, which leaves y > 0
+        x = p[..., 0]
+        return (x > 0.0) & (_dot(p[..., 2:]) < 2.0 * x * p[..., 1])
 
     def separate(self, cone, p):
         return _rsoc_rotate(_SOC.separate(cone, _rsoc_rotate(p)))
 
-    def interior_point(self, cone):
-        p = np.zeros(cone.dim)
-        p[:2] = 1.0
-        return p
-
     def barrier(self, cone, z):
-        x, y, w = z[0], z[1], z[2:]
-        s = 2.0 * x * y - float(w @ w)
-        if s <= 0.0 or x <= 0.0 or y <= 0.0:
-            raise NotInterior("rsoc barrier domain violated")
-        ds = np.concatenate(([2.0 * y, 2.0 * x], -2.0 * w))
-        d2s = np.zeros((cone.dim, cone.dim))
-        d2s[0, 1] = d2s[1, 0] = 2.0
-        for i in range(2, cone.dim):
-            d2s[i, i] = -2.0
-        val = -math.log(s)
-        grad = -ds / s
-        hess = np.outer(ds, ds) / s**2 - d2s / s
-        return val, grad, hess
+        s = 2.0 * z[..., 0] * z[..., 1] - _dot(z[..., 2:])
+        return _quadratic_barrier(cone, z, s)
 
-    def sample(self, cone, rng, scale, interior):
-        return _rsoc_rotate(_SOC.sample(cone, rng, scale, interior))
+    def sample(self, cone, rng, scale, interior, shape):
+        return _rsoc_rotate(_SOC.sample(cone, rng, scale, interior, shape))
 
     def tangents(self, cone):
-        out = list(np.eye(cone.dim)[:2])
-        for i in range(2, cone.dim):
-            for a, b in ((1.0, 0.5), (0.5, 1.0)):
-                for s in (1.0, -1.0):
-                    v = np.zeros(cone.dim)
-                    v[0], v[1], v[i] = a, b, s
-                    out.append(v)
-        return out
+        e = np.eye(cone.dim)
+        return list(e[:2]) + [
+            a * e[0] + b * e[1] + s * e[i] for i in range(2, cone.dim)
+            for a, b in ((1.0, 0.5), (0.5, 1.0)) for s in (1.0, -1.0)]
 
 
-class _Exp(_Family):
-    kind = EXP
-    dual_kind = EXPDUAL
+class _ThreeCoordinate(_Family):
+    """A family of three-coordinate factors, each test and the barrier a
+    closed form in one point's coordinates: they run point by point in
+    scalar math, since a group of these factors holds few points, and one
+    numpy operation costs more than a point's whole closed form."""
+
     fixed_dim = 3
 
     def member(self, cone, p, tol):
-        x, y, z = p
+        return _rowwise(self.point_member, p, cone, tol)
+
+    def strict_member(self, cone, p):
+        return _rowwise(self.point_strict_member, p, cone)
+
+    def barrier(self, cone, z):
+        out = _rowwise(self.point_barrier, z, cone)
+        return out[..., 0], out[..., 1:4], out[..., 4:].reshape(z.shape + (3,))
+
+
+class _Exp(_ThreeCoordinate):
+    kind = EXP
+    dual_kind = EXPDUAL
+    interior = ((-1.0, 1.0, 1.0), 0.0)
+
+    def point_member(self, x, y, z, cone, tol):
         if y > 0.0:
             # y * exp(x/y) <= z + tol, in log form where exp would overflow
             r = x / y
@@ -329,8 +369,7 @@ class _Exp(_Family):
         # the closure's face y = 0
         return abs(y) <= tol and x <= tol and z >= -tol
 
-    def strict_member(self, cone, p):
-        x, y, z = p
+    def point_strict_member(self, x, y, z, cone):
         return y > 0.0 and z > 0.0 and math.log(y) + x / y < math.log(z)
 
     def separate(self, cone, p):
@@ -349,72 +388,53 @@ class _Exp(_Family):
             v = max(1.0, math.log((abs(z) + 1.0) / x) + 5.0)
             return np.array([-1.0, v, math.exp(-v - 1.0) if v < 744.0 else 0.0])
         # Remaining violations have y < 0 or z < 0; cut on the worse one.
-        if z < y:
-            return np.array([0.0, 0.0, 1.0])
-        return np.array([0.0, 1.0, 0.0])
+        return np.array([0.0, 0.0, 1.0] if z < y else [0.0, 1.0, 0.0])
 
-    def interior_point(self, cone):
-        return np.array([-1.0, 1.0, 1.0])
-
-    def barrier(self, cone, z):
-        x, y, zz = z
-        if y <= 0.0 or zz <= 0.0:
+    def point_barrier(self, x, y, z, cone):
+        # -log psi - log y - log z with psi = y log(z/y) - x
+        if y <= 0.0 or z <= 0.0:
             raise NotInterior("exp barrier domain violated")
-        psi = y * math.log(zz / y) - x
+        lzy = math.log(z / y)
+        psi = y * lzy - x
         if psi <= 0.0:
             raise NotInterior("exp barrier domain violated")
-        dpsi = np.array([-1.0, math.log(zz / y) - 1.0, y / zz])
-        d2psi = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [0.0, -1.0 / y, 1.0 / zz],
-                [0.0, 1.0 / zz, -y / zz**2],
-            ]
-        )
-        val = -math.log(psi) - math.log(y) - math.log(zz)
-        grad = -dpsi / psi + np.array([0.0, -1.0 / y, -1.0 / zz])
-        hess = (
-            np.outer(dpsi, dpsi) / psi**2
-            - d2psi / psi
-            + np.diag([0.0, 1.0 / y**2, 1.0 / zz**2])
-        )
-        return val, grad, hess
+        d2psi = ((0.0, 0.0, 0.0), (0.0, -1.0 / y, 1.0 / z),
+                 (0.0, 1.0 / z, -y / z**2))
+        return [-math.log(psi) - math.log(y) - math.log(z)] + _log_row(
+            psi, (-1.0, lzy - 1.0, y / z), d2psi, (0.0, -1.0 / y, -1.0 / z),
+            (0.0, 1.0 / y**2, 1.0 / z**2))
 
-    def sample(self, cone, rng, scale, interior):
+    def sample(self, cone, rng, scale, interior, shape):
         y_low, z_range = (0.2, (1.2, 3.0)) if interior else (0.05, (1.0, 2.0))
-        x = rng.uniform(-2.0, 2.0) * scale
-        y = rng.uniform(y_low, 2.0) * scale
-        z = y * math.exp(min(x / y, 30.0)) * rng.uniform(*z_range)
-        return np.array([x, y, z])
+        x = rng.uniform(-2.0, 2.0, size=shape) * scale
+        y = rng.uniform(y_low, 2.0, size=shape) * scale
+        z = y * _exp(np.minimum(x / y, 30.0)) * rng.uniform(
+            *z_range, size=shape)
+        return np.stack((x, y, z), axis=-1)
 
     def tangents(self, cone):
-        out = [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
-        for x0 in (-1.0, 0.0, 1.0):
-            g = math.exp(x0)
-            out.append(np.array([-g, -g * (1.0 - x0), 1.0]))
-        return out
+        return [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])] + [
+            np.array([-math.exp(x0), -math.exp(x0) * (1.0 - x0), 1.0])
+            for x0 in (-1.0, 0.0, 1.0)]
 
 
-class _Pow(_Family):
+class _Pow(_ThreeCoordinate):
     kind = POW
     dual_kind = POWDUAL
-    fixed_dim = 3
     has_alpha = True
+    interior = ((1.0, 1.0, 0.0), 0.0)
 
-    def member(self, cone, p, tol):
-        x, y, z = p
+    def point_member(self, x, y, z, cone, tol):
         if x < -tol or y < -tol:
             return False
         return abs(z) <= _pow_surface(x, y, cone.alpha) + tol
 
-    def strict_member(self, cone, p):
-        x, y, z = p
+    def point_strict_member(self, x, y, z, cone):
         if x <= 0.0 or y <= 0.0:
             return False
-        if z == 0.0:
-            return True
         a = cone.alpha
-        return math.log(abs(z)) < a * math.log(x) + (1.0 - a) * math.log(y)
+        return z == 0.0 or (
+            math.log(abs(z)) < a * math.log(x) + (1.0 - a) * math.log(y))
 
     def separate(self, cone, p):
         alpha = cone.alpha
@@ -423,9 +443,7 @@ class _Pow(_Family):
         viol_sign = -min(x, y, 0.0)
         viol_surf = abs(z) - _pow_surface(xc, yc, alpha)
         if viol_sign >= viol_surf:
-            beta = np.zeros(3)
-            beta[0 if x <= y else 1] = 1.0
-            return beta
+            return np.eye(3)[0 if x <= y else 1]
         # |z| exceeds the surface: support the graph at (xc+d, yc+d), nudged
         # off zero coordinates but kept below |z| so the cut still separates.
         d = 0.0 if min(xc, yc) > 0.0 else abs(z) * 1e-9 + 1e-300
@@ -435,57 +453,43 @@ class _Pow(_Family):
                 break
             d *= 1e-6
             if d < 1e-300:
-                d = 0.0
                 xs, ys = max(xc, 1e-300), max(yc, 1e-300)
                 break
         b1 = alpha * math.exp((1.0 - alpha) * (math.log(ys) - math.log(xs)))
         b2 = (1.0 - alpha) * math.exp(alpha * (math.log(xs) - math.log(ys)))
         return np.array([b1, b2, -math.copysign(1.0, z)])
 
-    def interior_point(self, cone):
-        return np.array([1.0, 1.0, 0.0])
-
-    def barrier(self, cone, z):
+    def point_barrier(self, x, y, z, cone):
+        # -log phi - (1-a) log x - a log y with phi = x^2a y^(2-2a) - z^2
         a = cone.alpha
-        x, y, zz = z
         if x <= 0.0 or y <= 0.0:
             raise NotInterior("pow barrier domain violated")
         xa = math.exp(2.0 * a * math.log(x) + 2.0 * (1.0 - a) * math.log(y))
-        phi = xa - zz * zz
+        phi = xa - z * z
         if phi <= 0.0:
             raise NotInterior("pow barrier domain violated")
-        dphi = np.array([2.0 * a * xa / x, 2.0 * (1.0 - a) * xa / y, -2.0 * zz])
-        d2phi = np.array(
-            [
-                [2.0 * a * (2.0 * a - 1.0) * xa / x**2,
-                 4.0 * a * (1.0 - a) * xa / (x * y), 0.0],
-                [4.0 * a * (1.0 - a) * xa / (x * y),
-                 2.0 * (1.0 - a) * (1.0 - 2.0 * a) * xa / y**2, 0.0],
-                [0.0, 0.0, -2.0],
-            ]
-        )
+        c = 4.0 * a * (1.0 - a) * xa / (x * y)
+        d2phi = ((2.0 * a * (2.0 * a - 1.0) * xa / x**2, c, 0.0),
+                 (c, 2.0 * (1.0 - a) * (1.0 - 2.0 * a) * xa / y**2, 0.0),
+                 (0.0, 0.0, -2.0))
         val = -math.log(phi) - (1.0 - a) * math.log(x) - a * math.log(y)
-        grad = -dphi / phi + np.array([-(1.0 - a) / x, -a / y, 0.0])
-        hess = (
-            np.outer(dphi, dphi) / phi**2
-            - d2phi / phi
-            + np.diag([(1.0 - a) / x**2, a / y**2, 0.0])
-        )
-        return val, grad, hess
+        return [val] + _log_row(
+            phi, (2.0 * a * xa / x, 2.0 * (1.0 - a) * xa / y, -2.0 * z), d2phi,
+            (-(1.0 - a) / x, -a / y, 0.0), ((1.0 - a) / x**2, a / y**2, 0.0))
 
-    def sample(self, cone, rng, scale, interior):
+    def sample(self, cone, rng, scale, interior, shape, surface=(1.0, 1.0)):
+        # z below the surface at (x, y), or POWDUAL's w at (u/a, v/(1-a))
         low, z_max = (0.3, 0.8) if interior else (0.0, 1.0)
-        x = rng.uniform(low, 2.0) * scale
-        y = rng.uniform(low, 2.0) * scale
-        z = _pow_surface(x, y, cone.alpha) * rng.uniform(-z_max, z_max)
-        return np.array([x, y, z])
+        x = rng.uniform(low, 2.0, size=shape) * scale
+        y = rng.uniform(low, 2.0, size=shape) * scale
+        z = _pow_surfaces(x / surface[0], y / surface[1], cone.alpha) * (
+            rng.uniform(-z_max, z_max, size=shape))
+        return np.stack((x, y, z), axis=-1)
 
     def tangents(self, cone):
         a = cone.alpha
-        out = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        for s in (1.0, -1.0):
-            out.append(np.array([a, 1.0 - a, s]))
-        return out
+        return [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                np.array([a, 1.0 - a, 1.0]), np.array([a, 1.0 - a, -1.0])]
 
 
 class _LinearImage(_Family):
@@ -493,14 +497,11 @@ class _LinearImage(_Family):
 
     If beta separates M p from the primal cone, M beta separates p from
     this one: (M beta).p = beta.(M p), and M beta pairs nonnegatively with
-    every member.  Operations call the primal family's methods, not the
-    module functions, so each test of a dual point is one call.
+    every member.  Operations call the primal family's methods directly.
     """
 
     def __init__(self, primal):
-        self.primal = primal
-        self.dual_kind = primal.kind
-        self.nu = primal.nu
+        self.primal, self.dual_kind, self.nu = primal, primal.kind, primal.nu
         self.fixed_dim, self.has_alpha = primal.fixed_dim, primal.has_alpha
 
     def member(self, cone, p, tol):
@@ -515,75 +516,68 @@ class _LinearImage(_Family):
 
 class _ExpDual(_LinearImage):
     kind = EXPDUAL
+    coefficients = np.array([-1.0, -1.0, math.e])
 
     def map(self, cone, p):
-        return np.array([-p[1], -p[0], math.e * p[2]])
+        return p[..., [1, 0, 2]] * self.coefficients
 
-    def sample(self, cone, rng, scale, interior):
+    def sample(self, cone, rng, scale, interior, shape):
         u_low, w_range = (0.2, (1.2, 3.0)) if interior else (0.05, (1.0, 2.0))
-        u = -rng.uniform(u_low, 2.0) * scale
-        v = rng.uniform(-2.0, 2.0) * scale
-        w = (-u) * math.exp(min(v / u, 30.0)) / math.e * rng.uniform(*w_range)
-        return np.array([u, v, w])
+        u = -rng.uniform(u_low, 2.0, size=shape) * scale
+        v = rng.uniform(-2.0, 2.0, size=shape) * scale
+        w = (-u) * _exp(np.minimum(v / u, 30.0)) / math.e * rng.uniform(
+            *w_range, size=shape)
+        return np.stack((u, v, w), axis=-1)
 
 
 class _PowDual(_LinearImage):
     kind = POWDUAL
 
     def map(self, cone, p):
-        a = cone.alpha
-        return np.array([p[0] / a, p[1] / (1.0 - a), p[2]])
+        return p / np.array([cone.alpha, 1.0 - cone.alpha, 1.0])
 
-    def sample(self, cone, rng, scale, interior):
-        a = cone.alpha
-        low, w_max = (0.3, 0.8) if interior else (0.0, 1.0)
-        u = rng.uniform(low, 2.0) * scale
-        v = rng.uniform(low, 2.0) * scale
-        w = _pow_surface(u / a, v / (1.0 - a), a) * rng.uniform(-w_max, w_max)
-        return np.array([u, v, w])
+    def sample(self, cone, rng, scale, interior, shape):
+        surface = (cone.alpha, 1.0 - cone.alpha)
+        return self.primal.sample(cone, rng, scale, interior, shape, surface)
 
 
-_SOC = _Soc()
-_EXP = _Exp()
-_POW = _Pow()
-_FAMILIES = {
-    f.kind: f
-    for f in (_Nonneg(), _SOC, _Rsoc(), _EXP, _ExpDual(_EXP), _POW,
-              _PowDual(_POW))
-}
+_SOC, _EXP, _POW = _Soc(), _Exp(), _Pow()
+_FAMILIES = {f.kind: f for f in (_Nonneg(), _SOC, _Rsoc(), _EXP, _POW,
+                                 _ExpDual(_EXP), _PowDual(_POW))}
 
 
 def dual(cone):
     """The dual cone description.  Self-dual families return themselves."""
-    if cone.family.dual_kind == cone.kind:
-        return cone
-    return Cone(cone.family.dual_kind, cone.dim, cone.alpha)
+    kind = cone.family.dual_kind
+    return cone if kind == cone.kind else Cone(kind, cone.dim, cone.alpha)
 
 
 def _check_dim(cone, p):
     p = np.asarray(p, dtype=float)
-    if p.shape != (cone.dim,):
+    if p.ndim == 0 or p.shape[-1] != cone.dim:
         raise DimensionMismatch(
-            "point of shape %s for cone of dim %d" % (p.shape, cone.dim)
-        )
+            "point of shape %s for cone of dim %d" % (p.shape, cone.dim))
     return p
 
 
 def member(cone, p, tol=0.0):
-    """Membership test with additive tolerance on the defining inequalities.
+    """Membership with additive tolerance on the defining inequalities.
 
-    A dual family applies the tolerance to its primal family's
-    inequalities at the mapped point.
+    A bool for one point, an array for a stack along the last axis.  Dual
+    families apply tol to the primal inequalities at the mapped point.
     """
-    return bool(cone.family.member(cone, _check_dim(cone, p), tol))
+    p = _check_dim(cone, p)
+    inside = cone.family.member(cone, p, tol)
+    return bool(inside) if p.ndim == 1 else inside
 
 
 def strict_member(cone, p):
-    """Exact strict-interior test, the domain of the cone's barrier.
+    """Exact strict-interior test, the barrier's domain; as member does.
 
-    Evaluated in log form where the defining inequality could overflow.
-    """
-    return bool(cone.family.strict_member(cone, _check_dim(cone, p)))
+    Evaluated in log form where the defining inequality could overflow."""
+    p = _check_dim(cone, p)
+    inside = cone.family.strict_member(cone, p)
+    return bool(inside) if p.ndim == 1 else inside
 
 
 def separate(cone, p):
@@ -598,22 +592,20 @@ def separate(cone, p):
         return None
     beta = cone.family.separate(cone, p)
     n = float(np.linalg.norm(beta))
-    if n == 0.0:
-        return None
-    return beta / n
+    return None if n == 0.0 else beta / n
 
 
 def interior_point(cone):
     """A canonical strictly interior point, used to start the conic solver."""
-    return cone.family.interior_point(cone)
+    head, rest = cone.family.interior
+    return np.r_[head, np.full(cone.dim - len(head), rest)]
 
 
 def barrier_value_grad_hess(cone, z):
     """Standard log-homogeneous self-concordant barrier at interior point z.
 
-    Returns (value, gradient, hessian).  Raises NotInterior when z is not
-    strictly inside the cone.
-    """
+    (value, gradient, hessian), stacked as z is; raises NotInterior unless
+    every point is strictly inside the cone."""
     return cone.family.barrier(cone, _check_dim(cone, z))
 
 
@@ -626,25 +618,32 @@ def tangents(cone):
     return cone.family.tangents(cone)
 
 
-def sample_point(cone, rng, scale=1.0):
-    """A random point of the cone (boundary reachable)."""
-    return cone.family.sample(cone, rng, scale, False)
+def sample_point(cone, rng, scale=1.0, interior=False):
+    """A random point of the cone: boundary-reaching, or strictly interior."""
+    return cone.family.sample(cone, rng, scale, interior, ())
 
 
-def sample_interior(cone, rng, scale=1.0):
-    """A random strictly interior point of the cone."""
-    return cone.family.sample(cone, rng, scale, True)
+sample_interior = partial(sample_point, interior=True)
 
 
-def sample_product(cones, rng, interior=False):
-    """A stacked sample across all factors of a ConeProduct."""
-    parts = [f.family.sample(f, rng, 1.0, interior) for f in cones.factors]
-    return np.concatenate(parts) if parts else np.zeros(0)
+def sample_product(cones, rng, interior=False, size=None):
+    """A random point of a ConeProduct, or an (N, dim) stack for size=N.
+
+    One point draws factor by factor, as seeded instances were made; a stack
+    draws a group's N points in one call."""
+    if size is None:
+        return np.concatenate([np.zeros(0)] + [
+            f.family.sample(f, rng, 1.0, interior, ()) for f in cones.factors])
+    out = np.empty((size, cones.dim))
+    for g in cones.groups:
+        rows = g.cone.family.sample(g.cone, rng, 1.0, interior, (size, g.k))
+        out[:, g.index] = rows.reshape(size, -1)
+    return out
 
 
 def member_product(cones, z, tol=0.0):
-    """Factor-wise membership of a full z-block."""
+    """Factor-wise membership of a full z-block, one test per group."""
     z = np.asarray(z, dtype=float)
     if z.shape != (cones.dim,):
         raise DimensionMismatch("z of shape %s for product dim %d" % (z.shape, cones.dim))
-    return all(member(f, z[s], tol) for f, s in cones.slices())
+    return all(member(g.cone, g.stack(z), tol).all() for g in cones.groups)

@@ -17,7 +17,9 @@ iteration factors, so it is carried forward instead of built again.
 The problems are small, so the linear algebra is dense.  The block-diagonal
 barrier Hessian of a point is one matrix with one Cholesky factor, as is
 the Schur complement of the reduced Newton system; each factorization and
-each solve is one direct LAPACK call.
+each solve is one direct LAPACK call.  Barriers and interior tests are
+evaluated a cone group at a time (see cones.ConeProduct), one call for all
+factors of one shape.
 
 Every iteration the scaled points are offered to independent validators,
 so a returned certificate never relies on solver internals:
@@ -109,18 +111,16 @@ class ConicResult:
     diagnostic: str = None
 
 
+# The validators run their cone-membership tests last: each check is a
+# necessary condition, so the order leaves the verdict as it is, and the
+# residual and pairing tests, which fail on most iterates, cost less.
+
+
 def _validate_optimal(A, b, c, K, Kd, z, lam, tol):
-    if not np.all(np.isfinite(z)) or not np.all(np.isfinite(lam)):
+    if not np.isfinite(z).all() or not np.isfinite(lam).all():
         return None
-    zs = 1.0 + float(np.max(np.abs(z), initial=0.0))
-    if not cones.member_product(K, z, tol * zs):
-        return None
-    pres = float(np.max(np.abs(A @ z - b), initial=0.0))
-    if pres > tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
-        return None
-    beta = c - A.T @ lam
-    bs = 1.0 + float(np.max(np.abs(beta), initial=0.0))
-    if not cones.member_product(Kd, beta, tol * bs):
+    pres = float(np.abs(A @ z - b).max(initial=0.0))
+    if pres > tol * (1.0 + float(np.abs(b).max(initial=0.0))):
         return None
     pobj = float(c @ z)
     dobj = float(b @ lam)
@@ -129,50 +129,56 @@ def _validate_optimal(A, b, c, K, Kd, z, lam, tol):
     # residuals of size tol already move it by about that much
     if abs(pobj - dobj) > 0.1 * tol * (1.0 + abs(pobj) + abs(dobj)):
         return None
+    zs = 1.0 + float(np.abs(z).max(initial=0.0))
+    if not cones.member_product(K, z, tol * zs):
+        return None
+    beta = c - A.T @ lam
+    bs = 1.0 + float(np.abs(beta).max(initial=0.0))
+    if not cones.member_product(Kd, beta, tol * bs):
+        return None
     return z, lam, pobj
 
 
 def _validate_infeasible(A, b, Kd, lam, tol):
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         return None
     g = -(A.T @ lam)
-    s = float(np.max(np.abs(g), initial=0.0))
+    s = float(np.abs(g).max(initial=0.0))
     pairing = float(b @ lam)
-    if s > 1e-12 * max(1.0, float(np.max(np.abs(lam), initial=0.0))):
+    if s > 1e-12 * max(1.0, float(np.abs(lam).max(initial=0.0))):
         lam_n = lam / s
-        beta = g / s
-        if not cones.member_product(Kd, beta, tol * 2.0):
-            return None
         if float(b @ lam_n) <= EPS_PAIRING:
+            return None
+        if not cones.member_product(Kd, g / s, tol * 2.0):
             return None
         return lam_n
     if pairing <= 0.0:
         return None
     lam_n = lam / pairing
     beta = -(A.T @ lam_n)
-    if float(np.max(np.abs(beta), initial=0.0)) > tol:
+    if float(np.abs(beta).max(initial=0.0)) > tol:
         return None
     return lam_n
 
 
 def _validate_unbounded(A, c, K, z, tol):
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         return None
-    s = float(np.max(np.abs(z), initial=0.0))
+    s = float(np.abs(z).max(initial=0.0))
     if s <= 0.0:
         return None
     ray = z / s
-    # rays come from strictly interior iterates, so membership must hold
-    # essentially exactly after rescaling
-    if not cones.member_product(K, ray, 1e-14):
-        return None
-    arow = float(np.max(np.abs(A @ ray), initial=0.0))
-    if arow > tol * (1.0 + float(np.max(np.abs(A), initial=0.0))):
+    arow = float(np.abs(A @ ray).max(initial=0.0))
+    if arow > tol * (1.0 + float(np.abs(A).max(initial=0.0))):
         return None
     # an interior point hugging a flat face of K can fake a descent rate of
     # order sqrt(kernel residual); demand the pairing clear that scale
-    floor = 30.0 * np.sqrt(arow) * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+    floor = 30.0 * np.sqrt(arow) * (1.0 + float(np.abs(c).max(initial=0.0)))
     if float(c @ ray) > -max(EPS_PAIRING, floor):
+        return None
+    # rays come from strictly interior iterates, so membership must hold
+    # essentially exactly after rescaling
+    if not cones.member_product(K, ray, 1e-14):
         return None
     return ray
 
@@ -187,26 +193,32 @@ _potrs = scipy.linalg.lapack.dpotrs
 class _BlockHessian:
     """Scaled barrier Hessian H = mu * F''(z), dense, with lower factor L.
 
-    H has one diagonal block per cone factor, each from one barrier call,
-    which also leaves the barrier gradient at z in grad.  A block whose own
-    Cholesky factorization fails gets a small jitter on its diagonal and H
-    is factored again; every other block is kept as evaluated.
+    H has one diagonal block per cone factor (per coordinate on the
+    orthant), written a cone group at a time from one barrier call per
+    group, which also leaves the barrier gradient at z in grad.  A block
+    whose own Cholesky factorization fails gets a small jitter on its
+    diagonal and H is factored again; every other block is kept as
+    evaluated.
     """
 
     def __init__(self, K, z, mu):
         self.grad = np.empty_like(z)
         self.H = np.zeros((len(z), len(z)))
-        for f, sl in K.slices():
-            _, g, h = cones.barrier_value_grad_hess(f, z[sl])
-            self.grad[sl] = g
-            self.H[sl, sl] = mu * h
+        for g in K.groups:
+            _, grad, hess = cones.barrier_value_grad_hess(g.cone, g.stack(z))
+            self.grad[g.index] = grad.ravel()
+            self.H[g.blocks] = mu * hess
         self.L, info = _potrf(self.H, lower=1)
         if info != 0:
-            for _, sl in K.slices():
-                block = self.H[sl, sl]
-                if _potrf(block, lower=1)[1] != 0:
-                    d = block.shape[0]
-                    block += 1e-13 * max(1.0, np.trace(block) / d) * np.eye(d)
+            # the rare repair path factors each block of each group alone
+            for g in K.groups:
+                d = g.cone.dim
+                blocks = self.H[g.blocks].reshape(g.k, d, d)
+                bad = np.array([_potrf(h, lower=1)[1] != 0 for h in blocks])
+                traces = np.trace(blocks[bad], axis1=1, axis2=2)
+                scale = np.maximum(1.0, traces / d)[:, None, None]
+                blocks[bad] += 1e-13 * scale * np.eye(d)
+                self.H[g.blocks] = blocks
             self.L, info = _potrf(self.H, lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError("Hessian not positive definite")
@@ -217,19 +229,23 @@ class _BlockHessian:
 
 def _barrier_grad(K, z):
     g = np.empty_like(z)
-    for f, sl in K.slices():
-        g[sl] = cones.barrier_value_grad_hess(f, z[sl])[1]
+    for grp in K.groups:
+        g[grp.index] = cones.barrier_value_grad_hess(
+            grp.cone, grp.stack(z))[1].ravel()
     return g
 
 
 def _interior(K, Kd, z, beta, tau, kappa):
     if tau <= 0.0 or kappa <= 0.0:
         return False
-    for f, sl in K.slices():
-        if not cones.strict_member(f, z[sl]):
-            return False
-    for f, sl in Kd.slices():
-        if not cones.strict_member(f, beta[sl]):
+    for g, gd in zip(K.groups, Kd.groups):
+        if g.cone.family is gd.cone.family:
+            # a self-dual group tests its primal and dual rows in one call
+            rows = np.concatenate((g.stack(z), gd.stack(beta)))
+            if not cones.strict_member(g.cone, rows).all():
+                return False
+        elif not (cones.strict_member(g.cone, g.stack(z)).all()
+                  and cones.strict_member(gd.cone, gd.stack(beta)).all()):
             return False
     return True
 
@@ -326,7 +342,7 @@ def _hsde_loop(A, b, c, K, max_iters):
         S = W.solve(A.T)
         G = A @ S
         Gf, info = _potrf(G + 1e-13 * max(1.0, np.trace(G) / m) * np.eye(m))
-        if info != 0 or not np.all(np.isfinite(Gf)):
+        if info != 0 or not np.isfinite(Gf).all():
             why = "Schur complement not factored"
             break
         v = _potrs(Gf, b + A @ Winv_c)[0]
@@ -403,9 +419,9 @@ def _hsde_loop(A, b, c, K, max_iters):
             # the accepted trial point is the new point, bit for bit
             prox2, W = trial
 
-        big = max(tau, kappa, float(np.max(np.abs(z), initial=0.0)),
-                  float(np.max(np.abs(beta), initial=0.0)),
-                  float(np.max(np.abs(lam), initial=0.0)))
+        big = max(tau, kappa, float(np.abs(z).max(initial=0.0)),
+                  float(np.abs(beta).max(initial=0.0)),
+                  float(np.abs(lam).max(initial=0.0)))
         if big > 1e10:
             s = 1.0 / big
             z, lam, beta = z * s, lam * s, beta * s
@@ -448,7 +464,7 @@ def solve_continuous(prob):
     Kd = K.dual()
 
     if n == 0:
-        if float(np.max(np.abs(b0), initial=0.0)) <= 1e-12:
+        if float(np.abs(b0).max(initial=0.0)) <= 1e-12:
             return ConicResult(OPTIMAL, z=np.zeros(0), obj=0.0,
                                lam=np.zeros(m))
         lam = b0 / float(b0 @ b0)
@@ -488,7 +504,7 @@ def solve_continuous(prob):
     if rank == n:
         # the rows determine z outright: certify by direct linear algebra
         z = np.linalg.solve(Ak, bk)
-        zs = 1.0 + float(np.max(np.abs(z)))
+        zs = 1.0 + float(np.abs(z).max())
         if cones.member_product(K, z, 1e-9 * zs):
             lam_k = np.linalg.solve(Ak.T, c)
             return ConicResult(OPTIMAL, z=z, obj=float(c @ z),

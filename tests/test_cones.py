@@ -396,3 +396,138 @@ def test_dimension_checks():
         cones.member(cones.soc(3), [1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         cones.barrier_value_grad_hess(cones.nonneg(2), [1.0, 2.0, 3.0])
+
+
+def _rows_of_every_kind(cone, rng):
+    """Interior, boundary-reaching, on-boundary and just-outside points."""
+    rows = [cones.sample_interior(cone, rng) for _ in range(6)]
+    rows += [cones.sample_point(cone, rng) for _ in range(6)]
+    for push in (-15, -12, -9):
+        rows.append(_near_boundary(cone, rng, push))
+    rows.append(np.zeros(cone.dim))
+    rows += _outside_points(cone, rng, 6)
+    # a boundary point moved just outside along an outer normal
+    edge = _near_boundary(cone, rng, -300)
+    beta = cones.separate(cone, edge - 1e-6 * cones.sample_interior(cone, rng))
+    if beta is not None:
+        rows.append(edge - 1e-12 * beta)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("cone", ALL_FAMILIES, ids=str)
+def test_stacked_operations_equal_per_point_calls(cone):
+    rng = np.random.default_rng(47)
+    rows = _rows_of_every_kind(cone, rng)
+    for tol in (0.0, 1e-9, 1e-6):
+        want = [cones.member(cone, p, tol) for p in rows]
+        assert cones.member(cone, rows, tol).tolist() == want
+        # leading axes beyond one stack are kept
+        grid = rows[:12].reshape(3, 4, cone.dim)
+        assert cones.member(cone, grid, tol).tolist() == (
+            np.array(want[:12]).reshape(3, 4).tolist())
+    want = [cones.strict_member(cone, p) for p in rows]
+    assert cones.strict_member(cone, rows).tolist() == want
+    assert any(want) and not all(want)
+    if cone not in ALL_PRIMAL:
+        return
+    inside = rows[np.array(want)]
+    val, grad, hess = cones.barrier_value_grad_hess(cone, inside)
+    assert val.shape == (len(inside),)
+    assert grad.shape == inside.shape
+    assert hess.shape == inside.shape + (cone.dim,)
+    for p, v, g, h in zip(inside, val, grad, hess):
+        v1, g1, h1 = cones.barrier_value_grad_hess(cone, p)
+        assert_allclose(v, v1, rtol=1e-12)
+        assert_allclose(g, g1, rtol=1e-12)
+        assert_allclose(h, h1, rtol=1e-12)
+    # one point outside the domain spoils the whole stack
+    with pytest.raises(NotInterior):
+        cones.barrier_value_grad_hess(cone, rows)
+
+
+def _random_product(rng, size):
+    pool = ALL_FAMILIES + [cones.nonneg(2), cones.nonneg(3), cones.soc(4)]
+    return ConeProduct([pool[i] for i in rng.choice(len(pool), size=size)])
+
+
+def _assert_groups_partition(K):
+    z = np.arange(K.dim, dtype=float)
+    seen = []
+    owner = {}
+    for f, sl in K.slices():
+        for i in range(sl.start, sl.stop):
+            owner[i] = (f, sl)
+    for g in K.groups:
+        rows = g.stack(z).astype(int)
+        assert rows.shape == (g.k, g.cone.dim)
+        seen.extend(rows.ravel().tolist())
+        if isinstance(g.index, slice):
+            assert rows.ravel().tolist() == list(range(g.index.start,
+                                                       g.index.stop))
+        for row in rows:
+            f, sl = owner[row[0]]
+            if g.cone == cones.nonneg(1):
+                assert f.kind == cones.NONNEG
+            else:
+                # a row is one whole factor of the group's shape
+                assert f == g.cone
+                assert row.tolist() == list(range(sl.start, sl.stop))
+        H = np.zeros((K.dim, K.dim))
+        H[g.blocks] = 1.0
+        assert H.sum() == g.k * g.cone.dim**2
+        for row in rows:
+            assert H[np.ix_(row, row)].all()
+    # every coordinate in exactly one group, and one group per shape
+    assert sorted(seen) == list(range(K.dim))
+    assert len({g.cone for g in K.groups}) == len(K.groups)
+
+
+def test_groups_partition_the_coordinates_once():
+    rng = np.random.default_rng(53)
+    for size in (0, 1, 2, 5, 12, 30):
+        for _ in range(10):
+            _assert_groups_partition(_random_product(rng, size))
+    from miconic import instances
+    from miconic.compile import emit_conic
+    for n in range(2, 9):
+        prog, _ = emit_conic(instances.empty_ball_model(n, "extended"))
+        K = prog.cones
+        _assert_groups_partition(K)
+        # the alternating orthant and rsoc factors make two groups
+        assert {g.cone for g in K.groups} == {cones.nonneg(1), cones.rsoc(3)}
+
+
+def test_sampled_stacks_lie_in_the_product():
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        K = _random_product(rng, 6)
+        for interior in (False, True):
+            pts = cones.sample_product(K, rng, interior=interior, size=50)
+            assert pts.shape == (50, K.dim)
+            test = cones.strict_member if interior else cones.member
+            for f, sl in K.slices():
+                assert all(test(f, pts[:, sl]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 8),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    data=st.data(),
+)
+def test_member_product_ignores_the_factor_order(seed, size, tol, data):
+    rng = np.random.default_rng(seed)
+    K = _random_product(rng, size)
+    blocks = [
+        cones.sample_point(f, rng) if rng.random() < 0.7
+        else _outside_points(f, rng, 1)[0]
+        for f in K.factors
+    ]
+    order = data.draw(st.permutations(range(size)))
+    shuffled = ConeProduct([K.factors[i] for i in order])
+    z = np.concatenate(blocks)
+    zp = np.concatenate([blocks[i] for i in order])
+    want = all(cones.member(f, p, tol) for f, p in zip(K.factors, blocks))
+    assert cones.member_product(K, z, tol) == want
+    assert cones.member_product(shuffled, zp, tol) == want

@@ -360,39 +360,52 @@ def test_block_hessian_solve_matches_checked_triangular_solves():
 
 
 def test_jitter_repairs_only_the_block_that_needs_it(monkeypatch):
-    K = ConeProduct([cones.soc(3), cones.nonneg(3), cones.exp_cone()])
+    K = ConeProduct([cones.soc(3), cones.nonneg(3), cones.exp_cone(),
+                     cones.soc(3)])
     rng = np.random.default_rng(913)
     z = cones.sample_product(K, rng, interior=True)
     beta = sample_dual_interior(K, rng)
     mu = 0.7
     plain = _BlockHessian(K, z, mu)
     real = cones.barrier_value_grad_hess
-    bad = slice(3, 6)  # the orthant
+    # the first of the two second-order factors, which share one group and
+    # one index array, and the exponential factor, a group of its own
+    for kind, rows, bad in ((cones.SOC, (2, 3), slice(0, 3)),
+                            (cones.EXP, (1, 3), slice(6, 9))):
+        stacks = []
 
-    def orthant_hessian_is(h_bad):
-        def barrier(f, zf):
-            val, g, h = real(f, zf)
-            return (val, g, h_bad) if f.kind == cones.NONNEG else (val, g, h)
-        monkeypatch.setattr(cones, "barrier_value_grad_hess", barrier)
+        def first_hessian_is(h_bad):
+            # the group's barrier call returns every block of the group;
+            # only its first is made bad
+            def barrier(f, zf):
+                val, g, h = real(f, zf)
+                stacks.append((f.kind, zf.shape))
+                if f.kind == kind:
+                    h = h.copy()
+                    h[0] = h_bad
+                return val, g, h
+            monkeypatch.setattr(cones, "barrier_value_grad_hess", barrier)
 
-    # positive semidefinite of rank one: its own Cholesky fails, and the
-    # jitter alone makes it definite
-    orthant_hessian_is(np.ones((3, 3)))
-    W = _BlockHessian(K, z, mu)
-    want = plain.H.copy()
-    want[bad, bad] = mu * np.ones((3, 3)) + 1e-13 * max(1.0, mu) * np.eye(3)
-    assert_array_equal(W.H, want)
-    assert_array_equal(W.grad, plain.grad)
-    others = np.ones((K.dim, K.dim), dtype=bool)
-    others[bad, bad] = False
-    assert_array_equal(W.L[others], plain.L[others])
-    assert_allclose(W.L @ W.L.T, W.H, rtol=0, atol=1e-12)
+        # positive semidefinite of rank one: its own Cholesky fails, and
+        # the jitter alone makes it definite
+        first_hessian_is(np.ones((3, 3)))
+        W = _BlockHessian(K, z, mu)
+        assert (kind, rows) in stacks
+        want = plain.H.copy()
+        want[bad, bad] = (mu * np.ones((3, 3))
+                          + 1e-13 * max(1.0, mu) * np.eye(3))
+        assert_array_equal(W.H, want)
+        assert_array_equal(W.grad, plain.grad)
+        others = np.ones((K.dim, K.dim), dtype=bool)
+        others[bad, bad] = False
+        assert_array_equal(W.L[others], plain.L[others])
+        assert_allclose(W.L @ W.L.T, W.H, rtol=0, atol=1e-12)
 
-    # indefinite: the jitter cannot repair it
-    orthant_hessian_is(np.diag([1.0, -1.0, 1.0]))
-    with pytest.raises(np.linalg.LinAlgError):
-        _BlockHessian(K, z, mu)
-    assert _proximity(K, z, beta, 1.0, 1.0, K.nu) is None
+        # indefinite: the jitter cannot repair it
+        first_hessian_is(np.diag([1.0, -1.0, 1.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            _BlockHessian(K, z, mu)
+        assert _proximity(K, z, beta, 1.0, 1.0, K.nu) is None
 
 
 def random_feasible_problems(seed, count):
@@ -451,9 +464,9 @@ def test_accepted_trial_hessian_is_not_built_again(monkeypatch):
         # none at the top of later iterations
         builds = res.metrics["hessian_builds"]
         assert builds == 1 + sum(interior)
-        # one barrier call per factor for the starting gradient and one
-        # per factor for each Hessian, and no other
-        assert len(calls) == len(prob.cones.factors) * (1 + builds)
+        # one barrier call per cone group for the starting gradient and
+        # one per group for each Hessian, and no other
+        assert len(calls) == len(prob.cones.groups) * (1 + builds)
 
 
 @pytest.mark.parametrize("factor", [

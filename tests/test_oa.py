@@ -281,8 +281,7 @@ def test_all_pool_cuts_are_valid_on_sampled_cone_points():
         if not res.cuts:
             continue
         betas = np.array([c.beta for c in res.cuts])
-        pts = np.array([cones.sample_product(prog.cones, rng)
-                        for _ in range(2000)])
+        pts = cones.sample_product(prog.cones, rng, size=2000)
         assert float(np.min(betas @ pts.T)) >= -1e-7
 
 
