@@ -357,11 +357,12 @@ class _Exp(_ThreeCoordinate):
     interior = ((-1.0, 1.0, 1.0), 0.0)
 
     def point_member(self, x, y, z, cone, tol):
-        if y > 0.0:
-            # y * exp(x/y) <= z + tol, in log form where exp would overflow
+        # y * exp(x/y) <= z + tol, in log form where exp would overflow;
+        # the left side is positive even where it underflows to 0
+        if y > 0.0 and z + tol > 0.0:
             r = x / y
             if r > 500.0:
-                inside = z + tol > 0.0 and math.log(y) + r <= math.log(z + tol)
+                inside = math.log(y) + r <= math.log(z + tol)
             else:
                 inside = y * math.exp(r) <= z + tol
             if inside:

@@ -4,14 +4,16 @@ Nodes are explored best-bound first; branching picks the integer variable
 whose relaxation value is nearest the middle of two integers, ties broken by
 lowest index, and splits on floor/ceil.  Integer variables must carry finite
 bounds, which keeps the tree finite even when a node relaxation is unbounded:
-such a node is branched on a feasible point until the integer part is fixed.
+such a node is branched on the feasible point its unbounded LP result
+carries until the integer part is fixed.
 
-Each open node keeps the final basis of its parent's LP, with that basis's
-inverse, and its LP is re-optimized from there by the dual simplex without
-a fresh factorization; the two children of a node share the parent's
-inverse and each copies it before pivoting.  Every node LP is posed on the
-one A array given to solve_milp, which the warm start requires.  The root,
-and children of nodes without an optimal basis, are solved cold.
+A node LP's final simplex tableau, inverse included, is its children's warm
+start: each open node keeps its parent's tableau, and its LP is
+re-optimized from there by the dual simplex without a fresh factorization.
+The two children of a node share the parent's tableau and each copies the
+parts it pivots on.  Every node LP is posed on the one A array given to
+solve_milp, which the warm start requires.  The root, and children of nodes
+without an optimal LP, are solved cold.
 
 A deadline on the time.monotonic clock is checked before each node LP;
 once it has passed the search stops with status time_limit, whose lower
@@ -40,8 +42,7 @@ class MilpResult:
     """Outcome of branch and bound.
 
     status is optimal, infeasible, unbounded or time_limit.  nodes counts
-    the node LPs solved and pivots their simplex iterations, including the
-    feasibility re-solves of nodes whose relaxation is unbounded.
+    the node LPs solved, one per node, and pivots their simplex iterations.
     """
 
     status: str
@@ -80,7 +81,7 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None):
             raise UnboundedInteger("integer variable %d needs finite bounds" % j)
 
     best_x, best_obj = None, np.inf
-    # open nodes: (parent bound, tie-breaker, lower, upper, parent basis)
+    # open nodes: (parent bound, tie-breaker, lower, upper, parent tableau)
     heap = [(-np.inf, 0, lb.copy(), ub.copy(), None)]
     counter = 1
     nodes = pivots = 0
@@ -114,13 +115,9 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None):
             continue
         if res.status == UNBOUNDED:
             # integer bounds are finite, so the ray lives in the continuous
-            # part; any feasible point of this node extends to an unbounded
+            # part; the result's feasible point extends to an unbounded
             # mixed solution once its integer part is fixed
-            feas = solve_lp(LpProblem(A, b, np.zeros_like(c), nlb, nub))
-            pivots += feas.iterations
-            if feas.status != OPTIMAL:
-                continue
-            x = feas.x
+            x = res.x
             node_bound = -np.inf
             j = _most_fractional(x, int_idx)
             if j < 0:

@@ -12,19 +12,22 @@ scaled to max|ray| = 1.  A false ray means a drifted inverse, which is
 refactored, or a basis so near singular that the column's reduced cost is
 rounding noise; that column is then kept out until the basis changes.
 
-An optimal result carries its final basis together with that basis's
-inverse.  Passing the basis back with other bounds on the same A array
-re-optimizes by the bounded dual simplex method (Koberstein, *The dual
-simplex method*, 2005), starting from a copy of the carried inverse rather
-than a fresh factorization: tightening bounds keeps the basis dual
-feasible, so only primal infeasibilities remain to be driven out.  The
-inverse's age, the product-form updates since its last refactor, carries
-over too, so the refactor after 64 updates counts them along the whole
-chain of warm starts.  Branch and bound uses this to solve each child node
-from its parent's basis.  Whenever the warm start cannot finish (a basis
-from another A, inconsistent or dual infeasible basis, singular refactor,
-iteration cap, unbounded result, or a certificate that fails its check)
-the solve falls back to the cold two-phase method.
+An optimal result carries its final tableau: the extended array [A, I']
+the solve pivoted on (I' the signed artificial columns), the basis, every
+column's rest and the basis inverse.  Passing it back with other bounds on
+the same A array re-optimizes by the bounded dual simplex method
+(Koberstein, *The dual simplex method*, 2005), starting from a copy of the
+carried inverse rather than a fresh factorization: tightening bounds keeps
+the basis dual feasible, so only primal infeasibilities remain to be driven
+out.  The extended array is never written, so every warm descendant of one
+cold solve shares it.  The inverse's age, the product-form updates since
+its last refactor, carries over too, so the refactor after 64 updates
+counts them along the whole chain of warm starts.  Branch and bound uses
+this to solve each child node from its parent's final tableau.  Whenever
+the warm start cannot finish (a tableau from another A, inconsistent or
+dual infeasible basis, singular refactor, iteration cap, unbounded result,
+or a certificate that fails its check) the solve falls back to the cold
+two-phase method.
 """
 
 from dataclasses import dataclass, field
@@ -68,39 +71,19 @@ class LpProblem:
             raise ValueError("crossing bounds")
 
 
-@dataclass(frozen=True, eq=False)
-class LpBasis:
-    """Final basis of an optimal solve, reusable as a warm start.
-
-    The simplex works on [A, diag(signs)]: the original columns followed by
-    one artificial column per row, pinned to zero after phase one.  basis
-    lists the basic columns, status gives every column's rest (at lower,
-    at upper, free or basic).  A is the problem's own array (a reference,
-    not a copy), Binv the inverse of the basis columns of [A, diag(signs)]
-    at exit, and age the product-form updates Binv has taken since it was
-    last refactored.  A warm start copies Binv before it pivots, since the
-    two children of a branch-and-bound node share their parent's basis.
-    """
-
-    basis: np.ndarray
-    status: np.ndarray
-    signs: np.ndarray
-    A: np.ndarray
-    Binv: np.ndarray
-    age: int
-
-
 @dataclass
 class LpResult:
     """Outcome of a simplex solve.
 
     status is one of optimal / infeasible / unbounded.  For optimal results
-    x, obj, the equality-row duals y and the final basis are set.  For
+    x, obj, the equality-row duals y and basis, the solve's final tableau
+    and the warm start of a re-solve with other bounds, are set.  For
     infeasible results farkas holds y with y.b > sup{y.A x : l <= x <= u}.
-    For unbounded results ray is a recession direction with A ray = 0 and
-    c.ray < 0.  iterations counts simplex iterations of both methods when a
-    warm start fell back to a cold solve; warm tells whether the result came
-    from the warm start.
+    For unbounded results x is a point that meets the rows and bounds and
+    ray a recession direction with A ray = 0 and c.ray < 0.  iterations
+    counts simplex iterations of both methods when a warm start fell back
+    to a cold solve; warm tells whether the result came from the warm
+    start.
     """
 
     status: str
@@ -110,12 +93,21 @@ class LpResult:
     farkas: np.ndarray = None
     ray: np.ndarray = None
     iterations: int = 0
-    basis: LpBasis = None
+    basis: "_Tableau" = None
     warm: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class _Tableau:
+    """Simplex state on [A, I'], I' one signed artificial column per row.
+
+    source is the problem's own A (a reference), the array a warm start
+    must be posed on.  basis lists the basic columns, status gives every
+    column's rest (at lower, at upper, free or basic), Binv is the inverse
+    of the basis columns and age the product-form updates it has taken
+    since it was last refactored.
+    """
+
     A: np.ndarray
     b: np.ndarray
     lb: np.ndarray
@@ -125,21 +117,21 @@ class _Tableau:
     degenerate_pivots: int = 0
     iterations: int = 0
     enterable: np.ndarray = field(default=None)
-    signs: np.ndarray = None
     Binv: np.ndarray = None
-    _since_refactor: int = 0
+    age: int = 0
+    source: np.ndarray = None
 
     def refactor(self):
         try:
             self.Binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError:
             raise NumericFailure("singular simplex basis")
-        self._since_refactor = 0
+        self.age = 0
 
     def pivot_basis(self, leave, enter, w):
         """Replace basis[leave] by enter, updating Binv in product form."""
         wl = w[leave]
-        if abs(wl) < 1e-13 or self._since_refactor >= 64:
+        if abs(wl) < 1e-13 or self.age >= 64:
             self.basis[leave] = enter
             self.refactor()
             return
@@ -147,7 +139,7 @@ class _Tableau:
         self.Binv -= np.outer(w, row)
         self.Binv[leave] = row
         self.basis[leave] = enter
-        self._since_refactor += 1
+        self.age += 1
 
     def nonbasic_values(self):
         v = np.zeros(self.A.shape[1])
@@ -266,7 +258,7 @@ def _phase(tab, c, allow_unbounded):
             # a false ray: Binv has drifted, or the basis is so near
             # singular that the column's reduced cost is rounding noise
             false_rays += 1
-            if tab._since_refactor:
+            if tab.age:
                 tab.refactor()
             else:
                 tab.enterable[e] = False
@@ -305,33 +297,20 @@ def _ray_holds(A, c, ray):
 
 def _solve_box(prob):
     """A problem without rows: push each variable to its favorable bound."""
-    n = prob.A.shape[1]
-    x = np.zeros(n)
-    for j in range(n):
-        if prob.c[j] > 0:
-            x[j] = prob.lb[j]
-        elif prob.c[j] < 0:
-            x[j] = prob.ub[j]
-        else:
-            x[j] = np.clip(0.0, prob.lb[j], prob.ub[j])
-        if not np.isfinite(x[j]):
-            ray = np.zeros(n)
-            ray[j] = -np.sign(prob.c[j])
-            return LpResult(UNBOUNDED, ray=ray)
+    rest = np.clip(0.0, prob.lb, prob.ub)
+    x = np.where(prob.c > 0, prob.lb, np.where(prob.c < 0, prob.ub, rest))
+    far = np.flatnonzero(~np.isfinite(x))
+    if len(far):
+        ray = np.zeros(len(x))
+        ray[far[0]] = -np.sign(prob.c[far[0]])
+        return LpResult(UNBOUNDED, x=rest, ray=ray)
     return LpResult(OPTIMAL, x=x, obj=float(prob.c @ x), y=np.zeros(0))
 
 
 def _optimal(prob, tab, c, x, warm):
-    return LpResult(
-        OPTIMAL,
-        x=x,
-        obj=float(prob.c @ x),
-        y=tab.duals(c),
-        iterations=tab.iterations,
-        basis=LpBasis(tab.basis.copy(), tab.status.copy(), tab.signs,
-                      prob.A, tab.Binv, tab._since_refactor),
-        warm=warm,
-    )
+    # nothing touches tab once the solve returns: it is the warm start
+    return LpResult(OPTIMAL, x=x, obj=float(prob.c @ x), y=tab.duals(c),
+                    iterations=tab.iterations, basis=tab, warm=warm)
 
 
 def _solve_cold(prob):
@@ -357,18 +336,17 @@ def _solve_cold(prob):
     rho = prob.b - prob.A @ v0
     signs = np.where(rho >= 0, 1.0, -1.0)
 
-    A = np.hstack([prob.A, np.diag(signs)])
     lb = np.concatenate([prob.lb, np.zeros(m)])
     ub = np.concatenate([prob.ub, np.full(m, np.inf)])
     tab = _Tableau(
-        A=A,
+        A=np.hstack([prob.A, np.diag(signs)]),
         b=prob.b.copy(),
         lb=lb,
         ub=ub,
         basis=np.arange(n, n + m),
         status=status,
         enterable=np.ones(n + m, dtype=bool),
-        signs=signs,
+        source=prob.A,
     )
     tab.refactor()
 
@@ -388,7 +366,9 @@ def _solve_cold(prob):
     c2 = np.concatenate([prob.c, np.zeros(m)])
     st, res = _phase(tab, c2, allow_unbounded=True)
     if st == UNBOUNDED:
-        return LpResult(UNBOUNDED, ray=res[:n], iterations=tab.iterations)
+        # the basic point at which the ray was found
+        return LpResult(UNBOUNDED, x=tab.values()[:n], ray=res[:n],
+                        iterations=tab.iterations)
     return _optimal(prob, tab, c2, res[:n], warm=False)
 
 
@@ -463,7 +443,7 @@ def _farkas_holds(prob, y, margin):
 
 
 def _solve_warm(prob, warm):
-    """Dual simplex from the basis and inverse of an earlier optimal solve.
+    """Dual simplex from the final tableau of an earlier optimal solve.
 
     Returns (result, iterations); result is None when the warm start cannot
     finish and the caller should solve cold.
@@ -471,7 +451,7 @@ def _solve_warm(prob, warm):
     m, n = prob.A.shape
     # the carried inverse is of warm.A's basis columns; any other array,
     # even one of equal shape and values, is solved cold
-    if prob.A is not warm.A:
+    if prob.A is not warm.source:
         return None, 0
     lb = np.concatenate([prob.lb, np.zeros(m)])
     ub = np.concatenate([prob.ub, np.zeros(m)])
@@ -484,17 +464,18 @@ def _solve_warm(prob, warm):
     ):
         return None, 0
     tab = _Tableau(
-        A=np.hstack([prob.A, np.diag(warm.signs)]),
+        # never written, so shared by every warm descendant of one cold solve
+        A=warm.A,
         b=prob.b.copy(),
         lb=lb,
         ub=ub,
+        # pivots update these in place, and the sibling node shares them
         basis=warm.basis.copy(),
         status=status,
         enterable=ub - lb > 0.0,
-        signs=warm.signs,
-        # pivots update Binv in place, and the sibling node shares it
         Binv=warm.Binv.copy(),
-        _since_refactor=warm.age,
+        age=warm.age,
+        source=warm.source,
     )
     c = np.concatenate([prob.c, np.zeros(m)])
     try:
@@ -525,12 +506,13 @@ def solve_lp(prob, warm=None):
     """Solve a bounded-variable LP by the simplex method.
 
     Without warm, runs the two-phase primal simplex.  With warm set to the
-    basis of an optimal result for the same A, b and c (bounds may differ),
-    re-optimizes from it by the dual simplex, starting from the inverse the
-    basis carries, and falls back to the two-phase method when that does
-    not finish.  The warm basis must come from a problem built on the very
-    same A array (prob.A is warm.A); a basis from any other array, even an
-    equal one, is ignored and the problem is solved cold.
+    basis (the final tableau) of an optimal result for the same A, b and c
+    (bounds may differ), re-optimizes from it by the dual simplex, starting
+    from the inverse the tableau carries, and falls back to the two-phase
+    method when that does not finish.  The warm tableau must come from a
+    problem built on the very same A array (prob.A is warm.source); one from
+    any other array, even an equal one, is ignored and the problem is
+    solved cold.
     """
     if prob.A.shape[0] == 0:
         return _solve_box(prob)

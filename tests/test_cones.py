@@ -84,6 +84,14 @@ def test_membership_exp_dual():
     assert not cones.member(c, [1e-3, 1.0, 1.0])
 
 
+def test_membership_exp_where_the_exponential_underflows():
+    # y * exp(x/y) underflows to 0 at x/y = -1000, yet is positive, so the
+    # point is outside once z <= 0; the dual maps [-1, 1000, 0] there too
+    assert not cones.member(cones.exp_cone(), [-1000.0, 1.0, 0.0])
+    assert not cones.member(Cone(cones.EXPDUAL, 3), [-1.0, 1000.0, 0.0])
+    assert cones.member(cones.exp_cone(), [-1000.0, 1.0, 1e-300])
+
+
 def test_membership_pow():
     c = cones.pow_cone(0.5)
     assert cones.member(c, [1.0, 1.0, 1.0])

@@ -242,9 +242,9 @@ def test_ball_trees_refactor_once_and_no_inverse_outlives_its_age_cap(
         real_refactor(tab)
 
     def pivot_basis(tab, leave, enter, w):
-        ages.append(tab._since_refactor)
+        ages.append(tab.age)
         real_pivot(tab, leave, enter, w)
-        ages.append(tab._since_refactor)
+        ages.append(tab.age)
 
     monkeypatch.setattr(simplex._Tableau, "refactor", refactor)
     monkeypatch.setattr(simplex._Tableau, "pivot_basis", pivot_basis)
@@ -255,6 +255,39 @@ def test_ball_trees_refactor_once_and_no_inverse_outlives_its_age_cap(
         if n <= 6:
             assert len(refactors) == 1
     assert max(ages) == 64
+
+
+def test_warm_starts_share_the_extended_array_of_their_cold_solve(
+    monkeypatch,
+):
+    # the third warm node LP fails and falls back cold: its result gets a
+    # new [A | artificials] array, which its own descendants then share
+    seen = _lp_recorder(monkeypatch)
+    real_dual_phase = simplex._dual_phase
+    calls = itertools.count()
+
+    def dual_phase(tab, c):
+        if next(calls) == 2:
+            raise simplex.NumericFailure("injected")
+        return real_dual_phase(tab, c)
+
+    monkeypatch.setattr(simplex, "_dual_phase", dual_phase)
+    A, *rest = _ball_milp(5)
+    assert solve_milp(A, *rest).nodes == len(seen) == 63
+    root = seen[0][2].basis
+    fallback = [res for _, warm, res in seen
+                if warm is not None and not res.warm]
+    assert len(fallback) == 1 and fallback[0].basis is not None
+    assert fallback[0].basis.A is not root.A
+    shared = 0
+    for _, warm, res in seen:
+        if res.basis is None:
+            continue
+        assert res.basis.source is A
+        if res.warm:
+            assert res.basis.A is warm.A
+            shared += res.basis.A is fallback[0].basis.A
+    assert shared > 0
 
 
 def _lp_recorder(monkeypatch):
@@ -350,10 +383,10 @@ def test_pivots_sum_the_node_lps_iterations(monkeypatch):
     assert res.pivots == sum(r.iterations for _, _, r in seen) > res.nodes
     assert out.trace[0]["milp_nodes"] == res.nodes == 63
     assert out.trace[0]["milp_pivots"] == res.pivots
-    # an unbounded node adds the pivots of its feasibility re-solve
+    # an unbounded node is branched on its own LP's point: one LP per node
     seen.clear()
     A = np.array([[1.0, 1.0, 0.0]])
     res = solve_milp(A, [0.5], [0.0, 0.0, 1.0], [0.0, -np.inf, -np.inf],
                      [1.0, np.inf, np.inf], [0])
-    assert res.status == UNBOUNDED and len(seen) > res.nodes
+    assert res.status == UNBOUNDED and len(seen) == res.nodes
     assert res.pivots == sum(r.iterations for _, _, r in seen)

@@ -327,7 +327,7 @@ def test_false_ray_from_a_drifted_inverse_is_refactored_away():
     tab = _tableau([[1.0, -1.0]], [0.0], [-np.inf, 0.0], [2.0, np.inf],
                    basis=[0], status=[simplex._BASIC, simplex._AT_LOWER])
     tab.Binv = -tab.Binv
-    tab._since_refactor = 5
+    tab.age = 5
     st, x = simplex._phase(tab, np.array([0.0, -1.0]), allow_unbounded=True)
     assert st == OPTIMAL
     assert_allclose(x, [2.0, 2.0])
@@ -520,6 +520,45 @@ def test_unbounded_warm_result_solves_cold(monkeypatch):
     res = solve_lp(child, warm=first.basis)
     assert spent[0] > 0
     _assert_handed_over(res, cold, spent[0])
+
+
+def _assert_feasible_point(prob, res):
+    assert res.status == UNBOUNDED
+    x = res.x
+    assert np.all(prob.lb <= x) and np.all(x <= prob.ub)
+    resid = float(np.max(np.abs(prob.A @ x - prob.b), initial=0.0))
+    assert resid <= 1e-8 * (1.0 + float(np.max(np.abs(prob.b), initial=0.0)))
+
+
+def test_every_unbounded_result_carries_a_feasible_point():
+    # cold solves: the inputs of the two unbounded tests above
+    for prob in (
+        LpProblem([[1.0, -1.0]], [0.0], [-1.0, 0.0], [0.0, 0.0],
+                  [np.inf, np.inf]),
+        LpProblem([[1.0, 1.0, 0.0]], [2.0], [0.0, 0.0, 1.0],
+                  [0.0, 0.0, -np.inf], [5.0, 5.0, np.inf]),
+    ):
+        _assert_feasible_point(prob, solve_lp(prob))
+    # a problem without rows
+    box = LpProblem(np.zeros((0, 3)), [], [1.0, -1.0, 0.0],
+                    [-1.0, 2.0, -4.0], [2.0, np.inf, -3.0])
+    res = solve_lp(box)
+    _assert_feasible_point(box, res)
+    assert_allclose(res.x, [0.0, 2.0, -3.0])
+    # a warm start whose primal pass finds a ray hands over to the cold
+    # solve: x4, fixed at 0 in the parent, has reduced cost -5e-8, inside
+    # the warm start's dual tolerance, and raises x2 without limit
+    A = np.array([[1.0, 1.0, 1.0, -1.0]])
+    c = np.array([-2.0, -1.0, 0.0, 1.0 - 5e-8])
+    lb = np.zeros(4)
+    parent = LpProblem(A, [1.2], c, lb, [0.5, np.inf, np.inf, 0.0])
+    first = solve_lp(parent)
+    assert first.status == OPTIMAL
+    child = LpProblem(A, [1.2], c, lb, [0.5, np.inf, np.inf, np.inf])
+    res = solve_lp(child, warm=first.basis)
+    cold = solve_lp(child)
+    assert not res.warm and res.iterations > cold.iterations
+    _assert_feasible_point(child, res)
 
 
 # ------------------------------------- the inverse a warm basis carries
