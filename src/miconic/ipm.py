@@ -271,10 +271,9 @@ def _proximity(K, z, beta, tau, kappa, nu):
     return val, W
 
 
-def _hsde_loop(A, b, c, K, max_iters):
+def _hsde_loop(A, b, c, K, Kd, max_iters):
     """Run the embedding on a preprocessed full-row-rank system."""
     m, n = A.shape
-    Kd = K.dual()
     nu = K.nu
 
     z = np.concatenate([cones.interior_point(f) for f in K.factors])
@@ -521,7 +520,7 @@ def solve_continuous(prob):
         lam_k /= scale
         return ConicResult(INFEASIBLE, lam=embed_lam(lam_k), obj=np.inf)
 
-    res = _hsde_loop(Ak, bk, c, K, _MAX_ITERS)
+    res = _hsde_loop(Ak, bk, c, K, Kd, _MAX_ITERS)
     if res.lam is not None:
         res.lam = embed_lam(res.lam)
     return res

@@ -113,28 +113,22 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None):
         pivots += res.iterations
         if res.status == INFEASIBLE:
             continue
-        if res.status == UNBOUNDED:
-            # integer bounds are finite, so the ray lives in the continuous
-            # part; the result's feasible point extends to an unbounded
-            # mixed solution once its integer part is fixed
-            x = res.x
-            node_bound = -np.inf
-            j = _most_fractional(x, int_idx)
-            if j < 0:
+        x = res.x
+        node_bound = res.obj if res.status == OPTIMAL else -np.inf
+        if node_bound >= best_obj - _REL_GAP * (1.0 + abs(best_obj)):
+            continue
+        j = _most_fractional(x, int_idx)
+        if j < 0:
+            if res.status == UNBOUNDED:
+                # integer bounds are finite, so the ray lives in the
+                # continuous part; the feasible point extends to an
+                # unbounded mixed solution, its integer part fixed
                 return MilpResult(
                     UNBOUNDED, x=snap(x), lower_bound=-np.inf,
                     nodes=nodes, ray=res.ray, pivots=pivots,
                 )
-        else:
-            x = res.x
-            node_bound = res.obj
-            if node_bound >= best_obj - _REL_GAP * (1.0 + abs(best_obj)):
-                continue
-            j = _most_fractional(x, int_idx)
-            if j < 0:
-                if node_bound < best_obj:
-                    best_obj, best_x = node_bound, snap(x)
-                continue
+            best_obj, best_x = node_bound, snap(x)
+            continue
         lo = np.floor(x[j])
         left_ub = nub.copy()
         left_ub[j] = lo

@@ -14,20 +14,20 @@ rounding noise; that column is then kept out until the basis changes.
 
 An optimal result carries its final tableau: the extended array [A, I']
 the solve pivoted on (I' the signed artificial columns), the basis, every
-column's rest and the basis inverse.  Passing it back with other bounds on
-the same A array re-optimizes by the bounded dual simplex method
+column's rest and the basis inverse.  Passing it back with another problem
+on the same A array re-optimizes by the bounded dual simplex method
 (Koberstein, *The dual simplex method*, 2005), starting from a copy of the
-carried inverse rather than a fresh factorization: tightening bounds keeps
-the basis dual feasible, so only primal infeasibilities remain to be driven
-out.  The extended array is never written, so every warm descendant of one
-cold solve shares it.  The inverse's age, the product-form updates since
-its last refactor, carries over too, so the refactor after 64 updates
-counts them along the whole chain of warm starts.  Branch and bound uses
-this to solve each child node from its parent's final tableau.  Whenever
-the warm start cannot finish (a tableau from another A, inconsistent or
-dual infeasible basis, singular refactor, iteration cap, unbounded result,
-or a certificate that fails its check) the solve falls back to the cold
-two-phase method.
+carried inverse rather than a fresh factorization.  Tightening bounds keeps
+the basis dual feasible; the final primal pass, which ends every solve,
+mends whatever dual infeasibility a start has.  The extended array is never
+written, so every warm descendant of one cold solve shares it.  The
+inverse's age, the product-form updates since its last refactor, carries
+over too, so the refactor after 64 updates counts them along the whole
+chain of warm starts.  Branch and bound uses this to solve each child node
+from its parent's final tableau.  Whenever the warm start cannot finish (a
+tableau from another A, a rest on a bound the problem lacks, singular
+refactor, iteration cap, or a certificate that fails its check) the solve
+falls back to the cold two-phase method.
 """
 
 from dataclasses import dataclass, field
@@ -77,13 +77,13 @@ class LpResult:
 
     status is one of optimal / infeasible / unbounded.  For optimal results
     x, obj, the equality-row duals y and basis, the solve's final tableau
-    and the warm start of a re-solve with other bounds, are set.  For
+    and the warm start of a re-solve on the same A, are set.  For
     infeasible results farkas holds y with y.b > sup{y.A x : l <= x <= u}.
     For unbounded results x is a point that meets the rows and bounds and
     ray a recession direction with A ray = 0 and c.ray < 0.  iterations
     counts simplex iterations of both methods when a warm start fell back
-    to a cold solve; warm tells whether the result came from the warm
-    start.
+    to a cold solve; warm tells whether the result, of any status, came
+    from the warm start.
     """
 
     status: str
@@ -164,7 +164,6 @@ _COST_TOL = 1e-9
 _MAX_ITER = 50000
 _FEAS_TOL = 1e-9
 _DUAL_PIVOT_TOL = 1e-9
-_WARM_DUAL_TOL = 1e-7
 
 
 def _choose_entering(tab, d, bland):
@@ -307,7 +306,20 @@ def _solve_box(prob):
     return LpResult(OPTIMAL, x=x, obj=float(prob.c @ x), y=np.zeros(0))
 
 
-def _optimal(prob, tab, c, x, warm):
+def _finish(prob, tab, c, warm):
+    """Price a primal feasible tableau with c to an optimum or a ray.
+
+    Both solves end here, so this is the one place that decides dual
+    feasibility.  It mends what a warm start lacks: Harris residue, a basis
+    from another c, or a column that looser bounds freed.
+    """
+    n = prob.A.shape[1]
+    st, res = _phase(tab, c, allow_unbounded=True)
+    if st == UNBOUNDED:
+        # the basic point at which the ray was found
+        return LpResult(UNBOUNDED, x=tab.values()[:n], ray=res[:n],
+                        iterations=tab.iterations, warm=warm)
+    x = res[:n]
     # nothing touches tab once the solve returns: it is the warm start
     return LpResult(OPTIMAL, x=x, obj=float(prob.c @ x), y=tab.duals(c),
                     iterations=tab.iterations, basis=tab, warm=warm)
@@ -364,12 +376,7 @@ def _solve_cold(prob):
     tab.ub[n:] = 0.0
     tab.enterable[n:] = False
     c2 = np.concatenate([prob.c, np.zeros(m)])
-    st, res = _phase(tab, c2, allow_unbounded=True)
-    if st == UNBOUNDED:
-        # the basic point at which the ray was found
-        return LpResult(UNBOUNDED, x=tab.values()[:n], ray=res[:n],
-                        iterations=tab.iterations)
-    return _optimal(prob, tab, c2, res[:n], warm=False)
+    return _finish(prob, tab, c2, warm=False)
 
 
 def _infeasible_floor(prob):
@@ -378,14 +385,15 @@ def _infeasible_floor(prob):
 
 
 def _dual_phase(tab, c):
-    """Bounded dual simplex from a dual feasible basis.
+    """Bounded dual simplex toward a primal feasible basis.
 
     Each iteration takes the basic variable furthest outside its bounds out
     of the basis, onto the bound it violates, and brings in the nonbasic
     column that keeps every reduced cost of the right sign (Harris' ratio
-    test, largest pivot among near ties).  Returns (OPTIMAL, x) once every
-    basic value is within its bounds, or (INFEASIBLE, y) when the violating
-    row can no longer move toward its bound: then y is a Farkas vector.
+    test, largest pivot among near ties).  Returns None once every basic
+    value is within its bounds, or a Farkas vector when the violating row
+    can no longer move toward its bound.  The start need not be dual
+    feasible: _finish checks the first exit and _farkas_holds the second.
     """
     m, n = tab.A.shape
     cap = tab.iterations + 10 * (m + n)
@@ -399,7 +407,7 @@ def _dual_phase(tab, c):
         if not np.isfinite(viol[r]):
             raise NumericFailure("non-finite basic value in dual simplex")
         if viol[r] <= _FEAS_TOL * (1.0 + abs(xB[r])):
-            return OPTIMAL, x
+            return None
         tab.iterations += 1
         if tab.iterations > cap:
             raise NumericFailure("dual simplex iteration limit")
@@ -414,7 +422,7 @@ def _dual_phase(tab, c):
         free = (st == _FREE) & (np.abs(alpha) > _DUAL_PIVOT_TOL)
         cand = np.nonzero(tab.enterable & (at_lower | at_upper | free))[0]
         if len(cand) == 0:
-            return INFEASIBLE, -s * rho
+            return -s * rho
         slack = np.where(st[cand] == _AT_LOWER, d[cand], -d[cand])
         slack[st[cand] == _FREE] = np.abs(d[cand][st[cand] == _FREE])
         np.maximum(slack, 0.0, out=slack)
@@ -448,7 +456,7 @@ def _solve_warm(prob, warm):
     Returns (result, iterations); result is None when the warm start cannot
     finish and the caller should solve cold.
     """
-    m, n = prob.A.shape
+    m = prob.A.shape[0]
     # the carried inverse is of warm.A's basis columns; any other array,
     # even one of equal shape and values, is solved cold
     if prob.A is not warm.source:
@@ -479,40 +487,29 @@ def _solve_warm(prob, warm):
     )
     c = np.concatenate([prob.c, np.zeros(m)])
     try:
-        d = c - tab.A.T @ tab.duals(c)
-        wrong = np.where(status == _AT_LOWER, -d, d)
-        wrong[status == _FREE] = np.abs(d[status == _FREE])
-        wrong[(status == _BASIC) | ~tab.enterable] = 0.0
-        if np.max(wrong) > _WARM_DUAL_TOL * (1.0 + float(np.max(np.abs(c)))):
-            return None, 0
-        st, res = _dual_phase(tab, c)
-        if st == INFEASIBLE:
-            y = res / float(np.max(np.abs(res)))
-            if not _farkas_holds(prob, y, _infeasible_floor(prob)):
-                return None, tab.iterations
-            return LpResult(INFEASIBLE, farkas=y, iterations=tab.iterations,
-                            warm=True), tab.iterations
-        # primal pricing confirms optimality and mends any dual residue
-        # that the Harris ratio test left behind
-        st, res = _phase(tab, c, allow_unbounded=True)
+        y = _dual_phase(tab, c)
+        if y is None:
+            return _finish(prob, tab, c, warm=True), tab.iterations
     except NumericFailure:
         return None, tab.iterations
-    if st == UNBOUNDED:
+    y = y / float(np.max(np.abs(y)))
+    if not _farkas_holds(prob, y, _infeasible_floor(prob)):
         return None, tab.iterations
-    return _optimal(prob, tab, c, res[:n], warm=True), tab.iterations
+    return LpResult(INFEASIBLE, farkas=y, iterations=tab.iterations,
+                    warm=True), tab.iterations
 
 
 def solve_lp(prob, warm=None):
     """Solve a bounded-variable LP by the simplex method.
 
     Without warm, runs the two-phase primal simplex.  With warm set to the
-    basis (the final tableau) of an optimal result for the same A, b and c
-    (bounds may differ), re-optimizes from it by the dual simplex, starting
-    from the inverse the tableau carries, and falls back to the two-phase
-    method when that does not finish.  The warm tableau must come from a
-    problem built on the very same A array (prob.A is warm.source); one from
-    any other array, even an equal one, is ignored and the problem is
-    solved cold.
+    basis (the final tableau) of an optimal result for the same A (b, c and
+    the bounds may all differ), re-optimizes from it by the dual simplex,
+    starting from the inverse the tableau carries, then prices with c by
+    the primal simplex, and falls back to the two-phase method when that
+    does not finish.  The warm tableau must come from a problem built on
+    the very same A array (prob.A is warm.source); one from any other
+    array, even an equal one, is ignored and the problem is solved cold.
     """
     if prob.A.shape[0] == 0:
         return _solve_box(prob)

@@ -247,6 +247,31 @@ def test_warm_start_after_one_tightened_bound_matches_cold():
     assert n_warm_infeasible > 10
 
 
+def test_warm_start_with_perturbed_costs_and_a_tightened_bound_matches_cold():
+    rng = np.random.default_rng(4242)
+    n_warm = n_infeasible = 0
+    for _ in range(300):
+        parent = random_instance(rng)
+        first = solve_lp(parent)
+        if first.status != OPTIMAL:
+            continue
+        c = parent.c + rng.standard_normal(len(parent.c))
+        child = tightened(
+            LpProblem(parent.A, parent.b, c, parent.lb, parent.ub), rng)
+        res = solve_lp(child, warm=first.basis)
+        cold = solve_lp(child)
+        assert res.warm and res.status == cold.status
+        if res.status == OPTIMAL:
+            check_optimal(child, res)
+            assert_allclose(res.obj, cold.obj, rtol=1e-7, atol=1e-7)
+        else:
+            check_farkas(child, res.farkas)
+            n_infeasible += 1
+        n_warm += 1
+    assert n_warm > 200
+    assert n_infeasible > 10
+
+
 def test_warm_start_needs_far_fewer_pivots_than_cold():
     rng = np.random.default_rng(606)
     warm_pivots = cold_pivots = 0
@@ -276,26 +301,28 @@ def test_warm_start_needs_far_fewer_pivots_than_cold():
     assert warm_pivots < cold_pivots / 2
 
 
-def test_warm_start_falls_back_to_cold_solve():
+def test_warm_start_with_flipped_costs_finishes_warm():
     rng = np.random.default_rng(707)
-    fallbacks = 0
+    solves = warm_iterations = cold_iterations = 0
     for _ in range(100):
         prob = random_instance(rng)
         first = solve_lp(prob)
         if first.status != OPTIMAL:
             continue
-        # the basis is optimal for c; for -c it is dual infeasible unless
-        # the problem is degenerate, so the warm start must hand over
+        # the basis is optimal for c, so for -c it is dual infeasible unless
+        # the problem is degenerate; the final primal pass mends that
         flipped = LpProblem(prob.A, prob.b, -prob.c, prob.lb, prob.ub)
         res = solve_lp(flipped, warm=first.basis)
         cold = solve_lp(flipped)
+        assert res.warm
         assert res.status == cold.status == OPTIMAL
         assert_allclose(res.obj, cold.obj, rtol=1e-7, atol=1e-7)
         check_optimal(flipped, res)
-        if not res.warm:
-            fallbacks += 1
-            assert res.iterations == cold.iterations
-    assert fallbacks > 10
+        solves += 1
+        warm_iterations += res.iterations
+        cold_iterations += cold.iterations
+    assert solves == 85
+    assert warm_iterations < cold_iterations
 
 
 def test_warm_start_with_a_basis_of_other_shape_solves_cold():
@@ -500,28 +527,6 @@ def test_numeric_failure_in_the_warm_solve_solves_cold(monkeypatch):
     _assert_handed_over(res, cold, spent[0])
 
 
-def test_unbounded_warm_result_solves_cold(monkeypatch):
-    prob, first = _one_row_parent()
-    child = _child(prob, [0.5, 0.5, np.inf])
-    cold = solve_lp(child)
-    assert cold.status == OPTIMAL
-    real = simplex._phase
-    spent = []
-
-    def phase(tab, c, allow_unbounded):
-        # the warm solve's primal pass claims a ray; the cold one is real
-        st, res = real(tab, c, allow_unbounded)
-        if spent:
-            return st, res
-        spent.append(tab.iterations)
-        return UNBOUNDED, res
-
-    monkeypatch.setattr(simplex, "_phase", phase)
-    res = solve_lp(child, warm=first.basis)
-    assert spent[0] > 0
-    _assert_handed_over(res, cold, spent[0])
-
-
 def _assert_feasible_point(prob, res):
     assert res.status == UNBOUNDED
     x = res.x
@@ -545,9 +550,8 @@ def test_every_unbounded_result_carries_a_feasible_point():
     res = solve_lp(box)
     _assert_feasible_point(box, res)
     assert_allclose(res.x, [0.0, 2.0, -3.0])
-    # a warm start whose primal pass finds a ray hands over to the cold
-    # solve: x4, fixed at 0 in the parent, has reduced cost -5e-8, inside
-    # the warm start's dual tolerance, and raises x2 without limit
+    # a warm start whose primal pass finds a ray returns it: x4, fixed at 0
+    # in the parent, has reduced cost -5e-8 and raises x2 without limit
     A = np.array([[1.0, 1.0, 1.0, -1.0]])
     c = np.array([-2.0, -1.0, 0.0, 1.0 - 5e-8])
     lb = np.zeros(4)
@@ -557,7 +561,10 @@ def test_every_unbounded_result_carries_a_feasible_point():
     child = LpProblem(A, [1.2], c, lb, [0.5, np.inf, np.inf, np.inf])
     res = solve_lp(child, warm=first.basis)
     cold = solve_lp(child)
-    assert not res.warm and res.iterations > cold.iterations
+    assert res.warm and res.status == cold.status == UNBOUNDED
+    r = res.ray / float(np.max(np.abs(res.ray)))
+    assert float(np.max(np.abs(A @ r))) <= 1e-12
+    assert float(c @ r) < 0.0
     _assert_feasible_point(child, res)
 
 
