@@ -340,7 +340,9 @@ def _hsde_loop(A, b, c, K, Kd, max_iters):
         Winv_c = W.solve(c)
         S = W.solve(A.T)
         G = A @ S
-        Gf, info = _potrf(G + 1e-13 * max(1.0, np.trace(G) / m) * np.eye(m))
+        # a fresh array, so the jitter goes onto its diagonal in place
+        G.flat[:: m + 1] += 1e-13 * max(1.0, np.trace(G) / m)
+        Gf, info = _potrf(G)
         if info != 0 or not np.isfinite(Gf).all():
             why = "Schur complement not factored"
             break

@@ -12,8 +12,12 @@ start: each open node keeps its parent's tableau, and its LP is
 re-optimized from there by the dual simplex without a fresh factorization.
 The two children of a node share the parent's tableau and each copies the
 parts it pivots on.  Every node LP is posed on the one A array given to
-solve_milp, which the warm start requires.  The root, and children of nodes
-without an optimal LP, are solved cold.
+solve_milp, which the warm start requires.  The root starts from the
+tableau passed as warm, when there is one: the root tableau of an earlier
+MILP whose array this MILP's array borders with new rows and their
+slacks.  Without one the root is solved cold.  The root's final tableau
+comes back with the result.  Children of nodes without an optimal LP are
+solved cold.
 
 A deadline on the time.monotonic clock is checked before each node LP;
 once it has passed the search stops with status time_limit, whose lower
@@ -43,6 +47,9 @@ class MilpResult:
 
     status is optimal, infeasible, unbounded or time_limit.  nodes counts
     the node LPs solved, one per node, and pivots their simplex iterations.
+    root is the root LP's final tableau when that LP is optimal, the warm
+    start of a later MILP that borders this one, and root_pivots the root
+    LP's simplex iterations.
     """
 
     status: str
@@ -52,6 +59,8 @@ class MilpResult:
     nodes: int = 0
     ray: np.ndarray = None
     pivots: int = 0
+    root: object = None
+    root_pivots: int = 0
 
 
 def _most_fractional(x, int_idx):
@@ -64,11 +73,14 @@ def _most_fractional(x, int_idx):
     return best_j
 
 
-def solve_milp(A, b, c, lb, ub, int_idx, deadline=None):
+def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
     """Globally solve min c.x s.t. A x = b, lb <= x <= ub, x_j integer on int_idx.
 
     deadline, a time.monotonic() value, stops the search with status
-    time_limit before the first node LP that would start after it.
+    time_limit before the first node LP that would start after it.  warm,
+    the root tableau (MilpResult.root) of an earlier MILP, is the root
+    LP's warm start; solve_lp uses it when A is that MILP's array or
+    borders it with new rows and their slacks, and solves cold otherwise.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
@@ -82,9 +94,14 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None):
 
     best_x, best_obj = None, np.inf
     # open nodes: (parent bound, tie-breaker, lower, upper, parent tableau)
-    heap = [(-np.inf, 0, lb.copy(), ub.copy(), None)]
+    heap = [(-np.inf, 0, lb.copy(), ub.copy(), warm)]
     counter = 1
-    nodes = pivots = 0
+    nodes = pivots = root_pivots = 0
+    root = None
+
+    def result(status, **fields):
+        return MilpResult(status, nodes=nodes, pivots=pivots, root=root,
+                          root_pivots=root_pivots, **fields)
 
     def snap(x):
         out = x.copy()
@@ -103,14 +120,15 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None):
             continue
         if deadline is not None and time.monotonic() > deadline:
             # best-bound order: no open node has a bound below this one's
-            return MilpResult(TIME_LIMIT, lower_bound=bound, nodes=nodes,
-                              pivots=pivots)
+            return result(TIME_LIMIT, lower_bound=bound)
         # nodes counts the node LPs solved
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise NumericFailure("branch and bound node limit exceeded")
         res = solve_lp(LpProblem(A, b, c, nlb, nub), warm=warm)
         pivots += res.iterations
+        if nodes == 1:
+            root, root_pivots = res.basis, res.iterations
         if res.status == INFEASIBLE:
             continue
         x = res.x
@@ -123,10 +141,8 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None):
                 # integer bounds are finite, so the ray lives in the
                 # continuous part; the feasible point extends to an
                 # unbounded mixed solution, its integer part fixed
-                return MilpResult(
-                    UNBOUNDED, x=snap(x), lower_bound=-np.inf,
-                    nodes=nodes, ray=res.ray, pivots=pivots,
-                )
+                return result(UNBOUNDED, x=snap(x), lower_bound=-np.inf,
+                              ray=res.ray)
             best_obj, best_x = node_bound, snap(x)
             continue
         lo = np.floor(x[j])
@@ -142,9 +158,6 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None):
     if best_x is None:
         if heap:
             raise NumericFailure("branch and bound stopped with open nodes")
-        return MilpResult(INFEASIBLE, nodes=nodes, lower_bound=np.inf,
-                          pivots=pivots)
-    return MilpResult(
-        OPTIMAL, x=best_x, obj=best_obj,
-        lower_bound=min(lower, best_obj), nodes=nodes, pivots=pivots,
-    )
+        return result(INFEASIBLE, lower_bound=np.inf)
+    return result(OPTIMAL, x=best_x, obj=best_obj,
+                  lower_bound=min(lower, best_obj))

@@ -14,6 +14,10 @@ that adds no cut and leaves the lower bound unchanged is a fixed point:
 the next one would repeat it forever.  Instances whose fibers admit no
 dual certificates end there, and the driver reports an assumption failure
 rather than loop on.
+
+Each MILP is the previous one plus the new cut rows, so its array borders
+the previous MILP's: MILP k+1's root LP re-optimizes from MILP k's root
+tableau by the dual simplex instead of solving cold.
 """
 
 import itertools
@@ -75,6 +79,8 @@ class OaState:
     iterations: int = 0
     # the pool's unit vectors, keyed by (provenance, assignment)
     _units: dict = field(default_factory=dict)
+    # the last MILP's root tableau, the next MILP's root warm start
+    root: object = None
 
 
 @dataclass
@@ -204,20 +210,25 @@ def _milp_data(program, state):
     c.z >= bound (valid on every fiber), which keeps the relaxation
     bounded even though numerically repaired cuts are marginally weaker
     than the exact dual inequalities.
+    Rows come in this order: the program's rows, the objective row, then
+    the pool's cut rows in pool order, each with its slack column in the
+    same order.  The pool only grows and the objective row, once there,
+    stays, so each MILP's array is the leading block of the next one's,
+    which borders it with the new cut rows and their slacks; the next
+    MILP's root LP then starts from this one's root basis.
     """
     m, nx, nz = program.num_rows, program.num_integer, program.num_conic
     z_lb = np.full(nz, -np.inf)
-    rows = []
+    rows, rhs = [], []
+    if np.isfinite(state.z_lower):
+        rows.append(program.c)
+        rhs.append(state.z_lower - 1e-6 * (1.0 + abs(state.z_lower)))
     for cut in state.cuts:
         nonzero = np.nonzero(cut.beta)[0]
         if nonzero.size == 1:
             z_lb[nonzero[0]] = 0.0
         else:
             rows.append(cut.beta)
-    rhs = []
-    if np.isfinite(state.z_lower):
-        rows.append(program.c.copy())
-        rhs.append(state.z_lower - 1e-6 * (1.0 + abs(state.z_lower)))
     k = len(rows)
     n = nx + nz + k
     A = np.zeros((m + k, n))
@@ -226,7 +237,7 @@ def _milp_data(program, state):
     for i, beta in enumerate(rows):
         A[m + i, nx : nx + nz] = beta
         A[m + i, nx + nz + i] = -1.0
-    b = np.concatenate([program.b, np.zeros(k - len(rhs)), np.array(rhs)])
+    b = np.concatenate([program.b, np.array(rhs), np.zeros(k - len(rhs))])
     c = np.concatenate([np.zeros(nx), program.c, np.zeros(k)])
     lb = np.concatenate([program.L, z_lb, np.zeros(k)])
     ub = np.concatenate([program.U, np.full(nz + k, np.inf)])
@@ -282,6 +293,7 @@ def oa_solve(program, config=None):
             "milp_value": None,
             "milp_nodes": None,
             "milp_pivots": None,
+            "milp_root_pivots": None,
             "assignment": None,
             "subproblem_status": None,
             "subproblem_value": None,
@@ -348,7 +360,8 @@ def _iterate(program, state, record, deadline):
     pool, lower = len(state.cuts), state.z_lower
     A, b, c, lb, ub, int_idx = _milp_data(program, state)
     try:
-        mres = solve_milp(A, b, c, lb, ub, int_idx, deadline=deadline)
+        mres = solve_milp(A, b, c, lb, ub, int_idx, deadline=deadline,
+                          warm=state.root)
     except NumericFailure as err:
         return ASSUMPTION_FAILURE, (
             "MILP relaxation could not be solved: %s" % err
@@ -356,6 +369,8 @@ def _iterate(program, state, record, deadline):
     record["milp_status"] = mres.status
     record["milp_nodes"] = mres.nodes
     record["milp_pivots"] = mres.pivots
+    record["milp_root_pivots"] = mres.root_pivots
+    state.root = mres.root
     if mres.status == TIME_LIMIT:
         state.z_lower = max(state.z_lower, float(mres.lower_bound))
         return TIME_LIMIT, None

@@ -15,19 +15,30 @@ rounding noise; that column is then kept out until the basis changes.
 An optimal result carries its final tableau: the extended array [A, I']
 the solve pivoted on (I' the signed artificial columns), the basis, every
 column's rest and the basis inverse.  Passing it back with another problem
-on the same A array re-optimizes by the bounded dual simplex method
-(Koberstein, *The dual simplex method*, 2005), starting from a copy of the
-carried inverse rather than a fresh factorization.  Tightening bounds keeps
-the basis dual feasible; the final primal pass, which ends every solve,
-mends whatever dual infeasibility a start has.  The extended array is never
-written, so every warm descendant of one cold solve shares it.  The
-inverse's age, the product-form updates since its last refactor, carries
-over too, so the refactor after 64 updates counts them along the whole
-chain of warm starts.  Branch and bound uses this to solve each child node
-from its parent's final tableau.  Whenever the warm start cannot finish (a
-tableau from another A, a rest on a bound the problem lacks, singular
-refactor, iteration cap, or a certificate that fails its check) the solve
-falls back to the cold two-phase method.
+re-optimizes by the bounded dual simplex method (Koberstein, *The dual
+simplex method*, 2005) when the problem is posed on one of two arrays:
+
+* the same A array.  The solve starts from a copy of the carried inverse
+  rather than a fresh factorization.  The extended array is never
+  written, so every warm descendant of one solve shares it, and the
+  inverse's age, the product-form updates since its last refactor,
+  carries over too, so the refactor after 64 updates counts them along
+  the whole chain of warm starts.  Branch and bound solves each child
+  node this way from its parent's final tableau.
+* an array that borders A: A is its leading block, and each new row has
+  its own slack column, zero above the new rows.  The old columns keep
+  their rests, the new slacks enter the basis, the new artificials rest
+  at zero, and the basis inverse is factored afresh.  Outer approximation
+  solves each MILP's root this way from the previous MILP's root, whose
+  array the new cut rows border.
+
+Tightening bounds keeps the basis dual feasible, and so do new rows with
+basic slacks; the final primal pass, which ends every solve, mends
+whatever dual infeasibility a start has.  Whenever the warm start cannot
+finish (a tableau from any other array, an equal copy of A included, a
+rest on a bound the problem lacks, singular refactor, iteration cap, or a
+certificate that fails its check) the solve falls back to the cold
+two-phase method.
 """
 
 from dataclasses import dataclass, field
@@ -77,7 +88,8 @@ class LpResult:
 
     status is one of optimal / infeasible / unbounded.  For optimal results
     x, obj, the equality-row duals y and basis, the solve's final tableau
-    and the warm start of a re-solve on the same A, are set.  For
+    and the warm start of a re-solve on the same A or on one that borders
+    it, are set.  For
     infeasible results farkas holds y with y.b > sup{y.A x : l <= x <= u}.
     For unbounded results x is a point that meets the rows and bounds and
     ray a recession direction with A ray = 0 and c.ray < 0.  iterations
@@ -450,6 +462,46 @@ def _farkas_holds(prob, y, margin):
     return np.isfinite(sup) and float(prob.b @ y) > sup + margin
 
 
+def _borders(A, old):
+    """A is old bordered by new rows, each with its own slack column.
+
+    The leading block of A equals old, the appended columns are zero above
+    the new rows, and below them each holds one nonzero, in the row of its
+    own index: the i-th new column is the slack of the i-th new row.
+    """
+    m0, n0 = old.shape
+    m, n = A.shape
+    k = m - m0
+    if k <= 0 or n - n0 != k:
+        return False
+    slacks = A[m0:, n0:]
+    return (np.array_equal(A[:m0, :n0], old)
+            and not np.any(A[:m0, n0:])
+            and np.count_nonzero(slacks) == k
+            and np.all(np.diagonal(slacks) != 0.0))
+
+
+def _bordered_start(A, warm):
+    """The extended array, basis and rests of warm's final tableau carried
+    to the array A that borders its source.
+
+    Old structural columns keep their index and rest, old artificial
+    columns their rest and sign; the new slacks are basic and the new
+    artificials rest at zero.  The caller factors the basis afresh.
+    """
+    m0, n0 = warm.source.shape
+    m, n = A.shape
+    # where each column of warm.A sits in the bordered extended array
+    old = np.concatenate([np.arange(n0), np.arange(n, n + m0)])
+    signs = np.ones(m)
+    signs[:m0] = np.diagonal(warm.A[:, n0:])
+    status = np.full(n + m, _AT_LOWER)
+    status[old] = warm.status
+    status[n0:n] = _BASIC
+    basis = np.concatenate([old[warm.basis], np.arange(n0, n)])
+    return np.hstack([A, np.diag(signs)]), basis, status
+
+
 def _solve_warm(prob, warm):
     """Dual simplex from the final tableau of an earlier optimal solve.
 
@@ -457,13 +509,17 @@ def _solve_warm(prob, warm):
     finish and the caller should solve cold.
     """
     m = prob.A.shape[0]
-    # the carried inverse is of warm.A's basis columns; any other array,
-    # even one of equal shape and values, is solved cold
-    if prob.A is not warm.source:
+    # the carried inverse is of warm.A's basis columns, so it serves only
+    # the very same array; a bordered array factors the kept basis afresh;
+    # any other array, even one of equal shape and values, is solved cold
+    if prob.A is warm.source:
+        A, basis, status = warm.A, warm.basis.copy(), warm.status.copy()
+    elif _borders(prob.A, warm.source):
+        A, basis, status = _bordered_start(prob.A, warm)
+    else:
         return None, 0
     lb = np.concatenate([prob.lb, np.zeros(m)])
     ub = np.concatenate([prob.ub, np.zeros(m)])
-    status = warm.status.copy()
     # every nonbasic column must still rest on a bound it has
     if (
         np.any((status == _AT_LOWER) & ~np.isfinite(lb))
@@ -472,21 +528,24 @@ def _solve_warm(prob, warm):
     ):
         return None, 0
     tab = _Tableau(
-        # never written, so shared by every warm descendant of one cold solve
-        A=warm.A,
+        # never written, so shared by every warm descendant of one solve
+        A=A,
         b=prob.b.copy(),
         lb=lb,
         ub=ub,
-        # pivots update these in place, and the sibling node shares them
-        basis=warm.basis.copy(),
+        # copies: pivots update them in place, and a sibling node starts
+        # from the same parent
+        basis=basis,
         status=status,
         enterable=ub - lb > 0.0,
-        Binv=warm.Binv.copy(),
-        age=warm.age,
-        source=warm.source,
+        source=prob.A,
     )
     c = np.concatenate([prob.c, np.zeros(m)])
     try:
+        if A is warm.A:
+            tab.Binv, tab.age = warm.Binv.copy(), warm.age
+        else:
+            tab.refactor()
         y = _dual_phase(tab, c)
         if y is None:
             return _finish(prob, tab, c, warm=True), tab.iterations
@@ -503,13 +562,20 @@ def solve_lp(prob, warm=None):
     """Solve a bounded-variable LP by the simplex method.
 
     Without warm, runs the two-phase primal simplex.  With warm set to the
-    basis (the final tableau) of an optimal result for the same A (b, c and
-    the bounds may all differ), re-optimizes from it by the dual simplex,
-    starting from the inverse the tableau carries, then prices with c by
-    the primal simplex, and falls back to the two-phase method when that
-    does not finish.  The warm tableau must come from a problem built on
-    the very same A array (prob.A is warm.source); one from any other
-    array, even an equal one, is ignored and the problem is solved cold.
+    basis (the final tableau) of an optimal result, re-optimizes from it by
+    the dual simplex, then prices with c by the primal simplex, and falls
+    back to the two-phase method when that does not finish.  b, c and the
+    bounds may all differ from warm's problem, but prob.A must be one of:
+
+    * the very same array (prob.A is warm.source); the solve starts from
+      the inverse the tableau carries;
+    * an array that borders it: more rows, warm.source equal in value to
+      its leading block, and each appended column zero above the old rows
+      and the slack of one new row, the i-th column of the i-th row.  The
+      old basis plus the new slacks is factored afresh.
+
+    A tableau from any other array, an equal copy of warm.source included,
+    is ignored and the problem is solved cold.
     """
     if prob.A.shape[0] == 0:
         return _solve_box(prob)

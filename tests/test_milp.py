@@ -321,7 +321,8 @@ def _assert_matches_cold(prob, res):
 
 def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch):
     # the ball trees, then every MILP of the OA runs on the first ten
-    # programs of the oracle corpus
+    # programs of the oracle corpus and on the aggregated balls, whose
+    # MILPs after the first start their roots from the last MILP's root
     seen = _lp_recorder(monkeypatch)
     for n in range(2, 7):
         solve_milp(*_ball_milp(n))
@@ -330,9 +331,34 @@ def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch):
     rng = np.random.default_rng(2024)
     for _ in range(10):
         oa.oa_solve(instances.random_feasible_program(rng))
+    for n in range(2, 5):
+        oa.oa_solve(emit_conic(instances.empty_ball_model(n, "naive"))[0])
     for prob, given, res in seen:
         if given is not None:
             _assert_matches_cold(prob, res)
+
+
+def test_each_oa_milp_after_the_first_starts_its_root_warm(monkeypatch):
+    seen = _lp_recorder(monkeypatch)
+    roots = []
+
+    def recording_milp(*args, **kwargs):
+        roots.append(len(seen))
+        return solve_milp(*args, **kwargs)
+
+    monkeypatch.setattr(oa, "solve_milp", recording_milp)
+    for n in range(2, 5):
+        roots.clear()
+        out = oa.oa_solve(
+            emit_conic(instances.empty_ball_model(n, "naive"))[0])
+        assert out.iterations == len(roots) > 2
+        for i, (record, first) in enumerate(zip(out.trace, roots)):
+            _, warm, res = seen[first]
+            assert record["milp_root_pivots"] == res.iterations > 0
+            # the start is the previous MILP's root tableau
+            assert res.warm == (i > 0) == (warm is not None)
+            if i:
+                assert warm is seen[roots[i - 1]][2].basis
 
 
 # --------------------------------------------- deadlines and pivot counts

@@ -632,3 +632,122 @@ def test_warm_basis_from_another_array_of_equal_values_solves_cold():
         cold = solve_lp(copied)
         assert not res.warm
         _same_result(res, cold)
+
+
+# ------------------------------------------ warm starts on a bordered array
+
+
+def bordered(prob, rng, k, x):
+    """prob with k new rows g.x - s = h appended, each with its own slack
+    s in a new column that is zero above it: the shape of an OA cut row.
+
+    h is drawn around g.x, so some rows cut the point x off.  The slack's
+    upper bound never binds; an infinite one would turn rounding noise in
+    a basic slack's reduced cost into an infinite dual bound in
+    check_optimal.
+    """
+    m, n = prob.A.shape
+    G = np.round(rng.standard_normal((k, n)) * 2.0, 1)
+    A = np.zeros((m + k, n + k))
+    A[:m, :n] = prob.A
+    A[m:, :n] = G
+    A[m:, n:] = -np.eye(k)
+    h = G @ x + rng.uniform(-1.0, 2.0, size=k)
+    return LpProblem(A, np.concatenate([prob.b, h]),
+                     np.concatenate([prob.c, np.zeros(k)]),
+                     np.concatenate([prob.lb, np.zeros(k)]),
+                     np.concatenate([prob.ub, np.full(k, 1e6)]))
+
+
+def test_warm_start_on_a_bordered_array_matches_cold():
+    rng = np.random.default_rng(1414)
+    n_warm = n_infeasible = n_pivoted = 0
+    for _ in range(200):
+        parent = random_instance(rng)
+        first = solve_lp(parent)
+        if first.status != OPTIMAL:
+            continue
+        child = bordered(parent, rng, int(rng.integers(1, 4)), first.x)
+        res = solve_lp(child, warm=first.basis)
+        cold = solve_lp(child)
+        assert res.warm and res.status == cold.status
+        if res.status == OPTIMAL:
+            check_optimal(child, res)
+            assert_allclose(res.obj, cold.obj, rtol=1e-7, atol=1e-7)
+            assert res.basis.source is child.A
+        else:
+            check_farkas(child, res.farkas)
+            n_infeasible += 1
+        n_warm += 1
+        n_pivoted += res.iterations > 1
+    assert n_warm > 150
+    assert n_infeasible > 50
+    assert n_pivoted > 80
+
+
+def _bordered_pair():
+    """An optimal parent LP and a two-row bordered child."""
+    rng = np.random.default_rng(1415)
+    m, n = 3, 6
+    A = rng.standard_normal((m, n))
+    b = A @ rng.uniform(-1.0, 1.0, size=n)
+    parent = LpProblem(A, b, rng.standard_normal(n), np.full(n, -2.0),
+                       np.full(n, 2.0))
+    first = solve_lp(parent)
+    assert first.status == OPTIMAL
+    child = bordered(parent, rng, 2, first.x)
+    assert solve_lp(child, warm=first.basis).warm
+    return parent, first, child
+
+
+def _leading_block_differs(A):
+    A[0, 0] += 1.0
+    return A
+
+
+def _slack_nonzero_above(A):
+    A[0, -1] = 1.0
+    return A
+
+
+def _one_slack_for_two_rows(A):
+    A[-1, -2] = -1.0
+    return A
+
+
+def _slacks_swapped(A):
+    A[-2:, -2:] = [[0.0, -1.0], [-1.0, 0.0]]
+    return A
+
+
+def _one_column_more(A):
+    A = np.hstack([A, np.zeros((A.shape[0], 1))])
+    A[-1, -1] = 1.0
+    return A
+
+
+@pytest.mark.parametrize("edit", [_leading_block_differs,
+                                  _slack_nonzero_above,
+                                  _one_slack_for_two_rows,
+                                  _slacks_swapped,
+                                  _one_column_more])
+def test_warm_start_on_an_array_that_does_not_border_solves_cold(edit):
+    _, first, child = _bordered_pair()
+    A = edit(child.A.copy())
+    extra = A.shape[1] - child.A.shape[1]
+    other = LpProblem(A, child.b, np.append(child.c, np.zeros(extra)),
+                      np.append(child.lb, np.zeros(extra)),
+                      np.append(child.ub, np.full(extra, np.inf)))
+    res = solve_lp(other, warm=first.basis)
+    assert not res.warm
+    _same_result(res, solve_lp(other))
+
+
+def test_warm_start_on_an_array_with_fewer_rows_solves_cold():
+    # the bordered child's tableau does not serve the parent it grew from
+    parent, _, child = _bordered_pair()
+    grown = solve_lp(child)
+    assert grown.status == OPTIMAL
+    res = solve_lp(parent, warm=grown.basis)
+    assert not res.warm
+    _same_result(res, solve_lp(parent))
