@@ -452,7 +452,7 @@ def _solve_unconstrained(c, K, Kd, m):
 
 
 def _equilibrate(A, b):
-    scale = np.maximum(np.max(np.abs(A), axis=1), np.abs(b))
+    scale = np.maximum(np.max(np.abs(A), axis=1, initial=0.0), np.abs(b))
     scale = np.where(scale > 0, scale, 1.0)
     d = 1.0 / scale
     return A * d[:, None], b * d, d
@@ -463,16 +463,6 @@ def solve_continuous(prob):
     A0, b0, c, K = prob.A, prob.b, prob.c, prob.cones
     m, n = A0.shape
     Kd = K.dual()
-
-    if n == 0:
-        if float(np.abs(b0).max(initial=0.0)) <= 1e-12:
-            return ConicResult(OPTIMAL, z=np.zeros(0), obj=0.0,
-                               lam=np.zeros(m))
-        lam = b0 / float(b0 @ b0)
-        return ConicResult(INFEASIBLE, lam=lam, obj=np.inf)
-
-    if m == 0:
-        return _solve_unconstrained(c, K, Kd, m)
 
     A, b, d_scale = _equilibrate(A0, b0)
 

@@ -7,17 +7,13 @@ bounds, which keeps the tree finite even when a node relaxation is unbounded:
 such a node is branched on the feasible point its unbounded LP result
 carries until the integer part is fixed.
 
-A node LP's final simplex tableau, inverse included, is its children's warm
-start: each open node keeps its parent's tableau, and its LP is
-re-optimized from there by the dual simplex without a fresh factorization.
-The two children of a node share the parent's tableau and each copies the
-parts it pivots on.  Every node LP is posed on the one A array given to
-solve_milp, which the warm start requires.  The root starts from the
-tableau passed as warm, when there is one: the root tableau of an earlier
-MILP whose array this MILP's array borders with new rows and their
-slacks.  Without one the root is solved cold.  The root's final tableau
-comes back with the result.  Children of nodes without an optimal LP are
-solved cold.
+A node LP's final simplex tableau is its children's warm start, under the
+warm-start contract stated in simplex.py: each open node keeps its
+parent's tableau, and every node LP is posed on the one A array given to
+solve_milp.  The root starts from the tableau passed as warm, when there
+is one, and is solved cold otherwise; the root's final tableau comes back
+with the result.  Children of nodes without an optimal LP are solved
+cold.
 
 A deadline on the time.monotonic clock is checked before each node LP;
 once it has passed the search stops with status time_limit, whose lower
@@ -79,8 +75,7 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
     deadline, a time.monotonic() value, stops the search with status
     time_limit before the first node LP that would start after it.  warm,
     the root tableau (MilpResult.root) of an earlier MILP, is the root
-    LP's warm start; solve_lp uses it when A is that MILP's array or
-    borders it with new rows and their slacks, and solves cold otherwise.
+    LP's warm start, used as simplex.py's warm-start contract allows.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()

@@ -5,19 +5,19 @@ dual cuts with continuous conic subproblems on the integer assignments the
 MILP proposes.  A feasible subproblem contributes its dual certificate
 and a candidate incumbent, an infeasible one contributes its ray, and when
 neither certificate is available the driver separates the MILP point from
-each cone factor.  Every cut takes one path, the initial tangents and the
-root relaxation's dual included: it is split by cone factor, and each
-nonzero block is checked (or repaired) against its own dual factor only
-and pooled as a cut of its own.  The MILP depends only on the cut pool
-and the lower bound, and every solve is deterministic, so an iteration
-that adds no cut and leaves the lower bound unchanged is a fixed point:
-the next one would repeat it forever.  Instances whose fibers admit no
-dual certificates end there, and the driver reports an assumption failure
-rather than loop on.
+each cone factor.  Every cut takes one path, the initial tangents, the
+root relaxation's dual and cuts given to add_cut included: it is split by
+cone factor, and each nonzero block is checked (or repaired) against its
+own dual factor only and pooled as a cut of its own.  The MILP depends
+only on the cut pool and the lower bound, and every solve is
+deterministic, so an iteration that adds no cut and leaves the lower
+bound unchanged is a fixed point: the next one would repeat it forever.
+Instances whose fibers admit no dual certificates end there, and the
+driver reports an assumption failure rather than loop on.
 
 Each MILP is the previous one plus the new cut rows, so its array borders
-the previous MILP's: MILP k+1's root LP re-optimizes from MILP k's root
-tableau by the dual simplex instead of solving cold.
+the previous MILP's, and MILP k+1's root LP starts warm from MILP k's root
+tableau under the warm-start contract stated in simplex.py.
 """
 
 import itertools
@@ -141,39 +141,59 @@ def _append(state, beta, provenance, assignment):
     units.append(unit)
 
 
-def _add_block(state, f, sl, block, provenance, assignment):
-    """Add one factor's block as a cut padded with zeros; drop it when it is
-    zero, not finite, or off the dual factor beyond repair."""
+def _checked(state, f, sl, block):
+    """One factor's block as a cut padded with zeros, scaled to max-abs 1
+    and on its dual factor; None when the block is zero, not finite, or
+    off the dual factor beyond repair."""
     scale = float(np.max(np.abs(block)))
     if not 0.0 < scale < np.inf:
-        return
+        return None
     block = _onto_dual(f, block / scale)
-    if block is not None:
-        beta = np.zeros(state.cones.dim)
-        beta[sl] = block
+    if block is None:
+        return None
+    beta = np.zeros(state.cones.dim)
+    beta[sl] = block
+    return beta
+
+
+def _add_block(state, f, sl, block, provenance, assignment):
+    """Add one factor's block as a cut unless _checked rejects it."""
+    beta = _checked(state, f, sl, block)
+    if beta is not None:
         _append(state, beta, provenance, assignment)
 
 
-def _add_certificate(state, beta, provenance, assignment):
-    """Add a dual certificate as one cut per cone factor it touches; the
-    dual of a product is the product of the duals, so they imply it."""
+def _split(state, beta):
+    """(factor, _checked cut) for each cone factor whose block exceeds
+    1e-12 of beta's max-abs; none when beta is zero or not finite.  The
+    dual of a product is the product of the duals, so the cuts imply
+    beta."""
     scale = float(np.max(np.abs(beta), initial=0.0))
     if not 0.0 < scale < np.inf:
-        return
-    for f, sl in state.cones.slices():
-        block = beta[sl]
-        if float(np.max(np.abs(block), initial=0.0)) > 1e-12 * scale:
-            _add_block(state, f, sl, block, provenance, assignment)
+        return []
+    return [(f, _checked(state, f, sl, beta[sl]))
+            for f, sl in state.cones.slices()
+            if float(np.max(np.abs(beta[sl]), initial=0.0)) > 1e-12 * scale]
+
+
+def _add_certificate(state, beta, provenance, assignment):
+    """Add a dual certificate as one cut per cone factor it touches,
+    dropping the blocks beyond repair."""
+    for _, cut in _split(state, beta):
+        if cut is not None:
+            _append(state, cut, provenance, assignment)
 
 
 def add_cut(state, cut):
-    """Validate, normalize and append a whole cut; vacuous or duplicate
-    cuts drop.
+    """Validate and pool a cut the way the solver pools its certificates.
 
-    After scaling the cut to unit max-norm, each nonzero factor block must
-    lie (essentially exactly) in its dual factor; blocks that miss by a
-    small margin are repaired toward the dual interior, and only cuts that
-    stay outside the repair cap raise InvalidCut.
+    The cut is split by cone factor (see _split): each block above 1e-12
+    of the cut's max-abs is scaled to max-abs 1, must lie (essentially
+    exactly) in its own dual factor, and is pooled as a cut of its own.
+    Blocks that miss by a small margin are repaired toward the dual
+    interior; vacuous or duplicate blocks drop.  A block that stays
+    outside the repair cap raises InvalidCut before any block is pooled,
+    so a rejected cut leaves the pool unchanged.
     """
     beta = np.asarray(cut.beta, dtype=float).ravel()
     if beta.shape != (state.cones.dim,):
@@ -183,19 +203,13 @@ def add_cut(state, cut):
         )
     if not np.all(np.isfinite(beta)):
         raise InvalidCut("cut has non-finite entries")
-    scale = float(np.max(np.abs(beta), initial=0.0))
-    if scale <= 0.0:
-        # a zero cut is vacuous
-        return state
-    beta = beta / scale
-    for f, sl in state.cones.slices():
-        if not np.any(beta[sl]):
-            continue
-        block = _onto_dual(f, beta[sl])
-        if block is None:
-            raise InvalidCut("cut leaves the dual cone on a %s factor" % f.kind)
-        beta[sl] = block
-    _append(state, beta, cut.provenance, cut.assignment)
+    parts = _split(state, beta)
+    for f, part in parts:
+        if part is None:
+            raise InvalidCut(
+                "cut leaves the dual cone on a %s factor" % f.kind)
+    for _, part in parts:
+        _append(state, part, cut.provenance, cut.assignment)
     return state
 
 

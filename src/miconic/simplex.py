@@ -11,22 +11,27 @@ cannot cycle.  An unbounded ray is returned only once it passes a check
 scaled to max|ray| = 1.  A false ray means a drifted inverse, which is
 refactored, or a basis so near singular that the column's reduced cost is
 rounding noise; that column is then kept out until the basis changes.
+More false rays in one phase than the extended array has columns end the
+solve with NumericFailure.
 
-An optimal result carries its final tableau: the extended array [A, I']
-the solve pivoted on (I' the signed artificial columns), the basis, every
-column's rest and the basis inverse.  Passing it back with another problem
-re-optimizes by the bounded dual simplex method (Koberstein, *The dual
-simplex method*, 2005) when the problem is posed on one of two arrays:
+The warm-start contract.  An optimal result carries its final tableau:
+the extended array [A, I'] the solve pivoted on (I' the signed artificial
+columns), the basis, every column's rest and the basis inverse.  Passing
+the tableau back with another problem re-optimizes by the bounded
+dual simplex method (Koberstein, *The dual simplex method*, 2005), then
+prices with c by the primal simplex.  b, c and the bounds may all differ
+from the earlier problem's, but the new A must be one of two arrays:
 
-* the same A array.  The solve starts from a copy of the carried inverse
-  rather than a fresh factorization.  The extended array is never
-  written, so every warm descendant of one solve shares it, and the
-  inverse's age, the product-form updates since its last refactor,
-  carries over too, so the refactor after 64 updates counts them along
-  the whole chain of warm starts.  Branch and bound solves each child
-  node this way from its parent's final tableau.
-* an array that borders A: A is its leading block, and each new row has
-  its own slack column, zero above the new rows.  The old columns keep
+* the very same A array (prob.A is warm.source).  The solve starts from a
+  copy of the carried inverse rather than a fresh factorization.  The
+  extended array is never written, so every warm descendant of one solve
+  shares it, and the inverse's age, the product-form updates since its
+  last refactor, carries over too, so the refactor after 64 updates
+  counts them along the whole chain of warm starts.  Branch and bound
+  solves each child node this way from its parent's final tableau.
+* an array that borders A: more rows, A equal in value to its leading
+  block, and each appended column zero above the old rows and the slack
+  of one new row, the i-th column of the i-th row.  The old columns keep
   their rests, the new slacks enter the basis, the new artificials rest
   at zero, and the basis inverse is factored afresh.  Outer approximation
   solves each MILP's root this way from the previous MILP's root, whose
@@ -88,8 +93,7 @@ class LpResult:
 
     status is one of optimal / infeasible / unbounded.  For optimal results
     x, obj, the equality-row duals y and basis, the solve's final tableau
-    and the warm start of a re-solve on the same A or on one that borders
-    it, are set.  For
+    and a re-solve's warm start (see the module docstring), are set.  For
     infeasible results farkas holds y with y.b > sup{y.A x : l <= x <= u}.
     For unbounded results x is a point that meets the rows and bounds and
     ray a recession direction with A ray = 0 and c.ray < 0.  iterations
@@ -154,12 +158,7 @@ class _Tableau:
         self.age += 1
 
     def nonbasic_values(self):
-        v = np.zeros(self.A.shape[1])
-        at_lower = self.status == _AT_LOWER
-        at_upper = self.status == _AT_UPPER
-        v[at_lower] = self.lb[at_lower]
-        v[at_upper] = self.ub[at_upper]
-        return v
+        return _rests(self.status, self.lb, self.ub)
 
     def values(self):
         v = self.nonbasic_values()
@@ -178,14 +177,19 @@ _FEAS_TOL = 1e-9
 _DUAL_PIVOT_TOL = 1e-9
 
 
+def _rests(status, lb, ub):
+    """Each column's value at its rest: its lower or upper bound, else 0."""
+    return np.where(status == _AT_LOWER, lb,
+                    np.where(status == _AT_UPPER, ub, 0.0))
+
+
 def _choose_entering(tab, d, bland):
-    at_upper = tab.status == _AT_UPPER
-    score = np.where(at_upper, d, -d)
-    sigma = np.where(at_upper, -1.0, 1.0)
-    flip = (tab.status == _FREE) & (d > _COST_TOL)
-    score[flip] = d[flip]
-    sigma[flip] = -1.0
-    score[~tab.enterable | (tab.status == _BASIC)] = -np.inf
+    # a column enters downward from its upper bound, or free when d > 0
+    st = tab.status
+    down = (st == _AT_UPPER) | ((st == _FREE) & (d > _COST_TOL))
+    sigma = np.where(down, -1.0, 1.0)
+    score = -sigma * d
+    score[~tab.enterable | (st == _BASIC)] = -np.inf
     if bland:
         ok = score > _COST_TOL
         if not ok.any():
@@ -210,7 +214,8 @@ def _phase(tab, c, allow_unbounded):
     # enter again once the basis changes
     barred = []
     # a nearly singular basis can yield false ray after false ray, each
-    # barring one column; Bland's rule cannot cycle
+    # barring one column; Bland's rule cannot cycle, but a basis that
+    # stays near singular can, so more false rays than columns end it
     false_rays = 0
     while True:
         tab.iterations += 1
@@ -229,22 +234,15 @@ def _phase(tab, c, allow_unbounded):
         # entering moves by t >= 0 in direction sigma; basic values move -sigma*w*t
         wi = sigma * w
         xB = x[tab.basis]
-        lbB = tab.lb[tab.basis]
-        ubB = tab.ub[tab.basis]
-        cap = np.full(m, np.inf)
-        pos = wi > _PIVOT_TOL
-        neg = wi < -_PIVOT_TOL
-        with np.errstate(invalid="ignore"):
-            cap[pos] = np.where(
-                np.isfinite(lbB[pos]), (xB[pos] - lbB[pos]) / wi[pos], np.inf
-            )
-            cap[neg] = np.where(
-                np.isfinite(ubB[neg]), (ubB[neg] - xB[neg]) / (-wi[neg]),
-                np.inf,
+        # x_B is finite, so an infinite bound gives an infinite cap
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cap = np.where(
+                wi > _PIVOT_TOL, (xB - tab.lb[tab.basis]) / wi,
+                np.where(wi < -_PIVOT_TOL, (tab.ub[tab.basis] - xB) / -wi,
+                         np.inf),
             )
         np.maximum(cap, 0.0, out=cap)
-        rng_e = tab.ub[e] - tab.lb[e]
-        limit = rng_e if np.isfinite(rng_e) else np.inf
+        limit = tab.ub[e] - tab.lb[e]
         cap_min = float(np.min(cap, initial=np.inf))
         if cap_min < limit - 1e-12:
             idx = np.nonzero(cap <= cap_min + 1e-12)[0]
@@ -269,6 +267,8 @@ def _phase(tab, c, allow_unbounded):
             # a false ray: Binv has drifted, or the basis is so near
             # singular that the column's reduced cost is rounding noise
             false_rays += 1
+            if false_rays > n:
+                raise NumericFailure("simplex false rays outnumber columns")
             if tab.age:
                 tab.refactor()
             else:
@@ -337,45 +337,35 @@ def _finish(prob, tab, c, warm):
                     iterations=tab.iterations, basis=tab, warm=warm)
 
 
+def _tableau(prob, A, basis, status, art_ub):
+    """prob's tableau on the extended array A, and c padded with zeros.
+
+    The artificials lie in [0, art_ub]: unbounded above in phase one,
+    pinned at zero in phase two and in every warm start.  A column may
+    enter only when its bounds leave it room, so fixed columns never do.
+    """
+    m = prob.A.shape[0]
+    lb = np.concatenate([prob.lb, np.zeros(m)])
+    ub = np.concatenate([prob.ub, np.full(m, art_ub)])
+    tab = _Tableau(A=A, b=prob.b, lb=lb, ub=ub, basis=basis, status=status,
+                   enterable=ub - lb > 0.0, source=prob.A)
+    return tab, np.concatenate([prob.c, np.zeros(m)])
+
+
 def _solve_cold(prob):
     """Two-phase primal simplex from an all-artificial basis."""
     m, n = prob.A.shape
-    # initial nonbasic rest points: finite bound nearest zero, else free at 0
-    status = np.empty(n + m, dtype=int)
-    for j in range(n):
-        lo, hi = prob.lb[j], prob.ub[j]
-        if np.isfinite(lo) and np.isfinite(hi):
-            status[j] = _AT_LOWER if abs(lo) <= abs(hi) else _AT_UPPER
-        elif np.isfinite(lo):
-            status[j] = _AT_LOWER
-        elif np.isfinite(hi):
-            status[j] = _AT_UPPER
-        else:
-            status[j] = _FREE
-    status[n:] = _BASIC
-
-    v0 = np.zeros(n)
-    v0[status[:n] == _AT_LOWER] = prob.lb[status[:n] == _AT_LOWER]
-    v0[status[:n] == _AT_UPPER] = prob.ub[status[:n] == _AT_UPPER]
-    rho = prob.b - prob.A @ v0
+    # each column rests at its finite bound nearest zero, a tie going to
+    # the lower one, else at its one finite bound, else free at zero
+    lower = np.isfinite(prob.lb) & (np.abs(prob.lb) <= np.abs(prob.ub))
+    status = np.where(lower, _AT_LOWER,
+                      np.where(np.isfinite(prob.ub), _AT_UPPER, _FREE))
+    rho = prob.b - prob.A @ _rests(status, prob.lb, prob.ub)
     signs = np.where(rho >= 0, 1.0, -1.0)
-
-    lb = np.concatenate([prob.lb, np.zeros(m)])
-    ub = np.concatenate([prob.ub, np.full(m, np.inf)])
-    tab = _Tableau(
-        A=np.hstack([prob.A, np.diag(signs)]),
-        b=prob.b.copy(),
-        lb=lb,
-        ub=ub,
-        basis=np.arange(n, n + m),
-        status=status,
-        enterable=np.ones(n + m, dtype=bool),
-        source=prob.A,
-    )
+    tab, c2 = _tableau(prob, np.hstack([prob.A, np.diag(signs)]),
+                       np.arange(n, n + m),
+                       np.concatenate([status, np.full(m, _BASIC)]), np.inf)
     tab.refactor()
-
-    # fixed columns contribute a constant and must never enter the basis
-    tab.enterable[:n] = prob.ub - prob.lb > 0.0
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     _, x1 = _phase(tab, c1, allow_unbounded=False)
@@ -387,7 +377,6 @@ def _solve_cold(prob):
     # phase two: artificials pinned at zero and barred from entering
     tab.ub[n:] = 0.0
     tab.enterable[n:] = False
-    c2 = np.concatenate([prob.c, np.zeros(m)])
     return _finish(prob, tab, c2, warm=False)
 
 
@@ -462,35 +451,29 @@ def _farkas_holds(prob, y, margin):
     return np.isfinite(sup) and float(prob.b @ y) > sup + margin
 
 
-def _borders(A, old):
-    """A is old bordered by new rows, each with its own slack column.
-
-    The leading block of A equals old, the appended columns are zero above
-    the new rows, and below them each holds one nonzero, in the row of its
-    own index: the i-th new column is the slack of the i-th new row.
-    """
-    m0, n0 = old.shape
-    m, n = A.shape
-    k = m - m0
-    if k <= 0 or n - n0 != k:
-        return False
-    slacks = A[m0:, n0:]
-    return (np.array_equal(A[:m0, :n0], old)
-            and not np.any(A[:m0, n0:])
-            and np.count_nonzero(slacks) == k
-            and np.all(np.diagonal(slacks) != 0.0))
-
-
 def _bordered_start(A, warm):
     """The extended array, basis and rests of warm's final tableau carried
-    to the array A that borders its source.
+    to A, or None when A does not border warm.source.
 
-    Old structural columns keep their index and rest, old artificial
-    columns their rest and sign; the new slacks are basic and the new
-    artificials rest at zero.  The caller factors the basis afresh.
+    A borders it when its leading block equals warm.source, its appended
+    columns are zero above the new rows, and below them each holds one
+    nonzero, in the row of its own index: the i-th new column is the slack
+    of the i-th new row.  Old structural columns keep their index and
+    rest, old artificial columns their rest and sign; the new slacks are
+    basic and the new artificials rest at zero.  The caller factors the
+    basis afresh.
     """
     m0, n0 = warm.source.shape
     m, n = A.shape
+    k = m - m0
+    if k <= 0 or n - n0 != k:
+        return None
+    slacks = A[m0:, n0:]
+    if not (np.array_equal(A[:m0, :n0], warm.source)
+            and not np.any(A[:m0, n0:])
+            and np.count_nonzero(slacks) == k
+            and np.all(np.diagonal(slacks) != 0.0)):
+        return None
     # where each column of warm.A sits in the bordered extended array
     old = np.concatenate([np.arange(n0), np.arange(n, n + m0)])
     signs = np.ones(m)
@@ -508,41 +491,29 @@ def _solve_warm(prob, warm):
     Returns (result, iterations); result is None when the warm start cannot
     finish and the caller should solve cold.
     """
-    m = prob.A.shape[0]
     # the carried inverse is of warm.A's basis columns, so it serves only
-    # the very same array; a bordered array factors the kept basis afresh;
-    # any other array, even one of equal shape and values, is solved cold
+    # the very same array, whose extended array is never written and so
+    # shared by every warm descendant of one solve; basis and rests are
+    # copied, since pivots update them in place and a sibling node starts
+    # from the same parent.  A bordered array factors the kept basis
+    # afresh; any other array, even one of equal values, is solved cold
     if prob.A is warm.source:
-        A, basis, status = warm.A, warm.basis.copy(), warm.status.copy()
-    elif _borders(prob.A, warm.source):
-        A, basis, status = _bordered_start(prob.A, warm)
+        start = warm.A, warm.basis.copy(), warm.status.copy()
     else:
-        return None, 0
-    lb = np.concatenate([prob.lb, np.zeros(m)])
-    ub = np.concatenate([prob.ub, np.zeros(m)])
+        start = _bordered_start(prob.A, warm)
+        if start is None:
+            return None, 0
+    tab, c = _tableau(prob, *start, 0.0)
     # every nonbasic column must still rest on a bound it has
+    st, has_lb, has_ub = tab.status, np.isfinite(tab.lb), np.isfinite(tab.ub)
     if (
-        np.any((status == _AT_LOWER) & ~np.isfinite(lb))
-        or np.any((status == _AT_UPPER) & ~np.isfinite(ub))
-        or np.any((status == _FREE) & (np.isfinite(lb) | np.isfinite(ub)))
+        np.any((st == _AT_LOWER) & ~has_lb)
+        or np.any((st == _AT_UPPER) & ~has_ub)
+        or np.any((st == _FREE) & (has_lb | has_ub))
     ):
         return None, 0
-    tab = _Tableau(
-        # never written, so shared by every warm descendant of one solve
-        A=A,
-        b=prob.b.copy(),
-        lb=lb,
-        ub=ub,
-        # copies: pivots update them in place, and a sibling node starts
-        # from the same parent
-        basis=basis,
-        status=status,
-        enterable=ub - lb > 0.0,
-        source=prob.A,
-    )
-    c = np.concatenate([prob.c, np.zeros(m)])
     try:
-        if A is warm.A:
+        if tab.A is warm.A:
             tab.Binv, tab.age = warm.Binv.copy(), warm.age
         else:
             tab.refactor()
@@ -562,20 +533,9 @@ def solve_lp(prob, warm=None):
     """Solve a bounded-variable LP by the simplex method.
 
     Without warm, runs the two-phase primal simplex.  With warm set to the
-    basis (the final tableau) of an optimal result, re-optimizes from it by
-    the dual simplex, then prices with c by the primal simplex, and falls
-    back to the two-phase method when that does not finish.  b, c and the
-    bounds may all differ from warm's problem, but prob.A must be one of:
-
-    * the very same array (prob.A is warm.source); the solve starts from
-      the inverse the tableau carries;
-    * an array that borders it: more rows, warm.source equal in value to
-      its leading block, and each appended column zero above the old rows
-      and the slack of one new row, the i-th column of the i-th row.  The
-      old basis plus the new slacks is factored afresh.
-
-    A tableau from any other array, an equal copy of warm.source included,
-    is ignored and the problem is solved cold.
+    basis (the final tableau) of an optimal result, re-optimizes from it
+    under the warm-start contract of this module's docstring, and falls
+    back to the two-phase method when that does not finish.
     """
     if prob.A.shape[0] == 0:
         return _solve_box(prob)

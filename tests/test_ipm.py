@@ -334,6 +334,18 @@ def test_empty_z_block():
     assert solve_continuous(prob).status == INFEASIBLE
 
 
+def test_a_zero_row_with_a_tiny_right_side_is_infeasible_at_any_width():
+    # 0.z = 1e-13 holds for no z, with columns or without: both shapes take
+    # the one preprocessing path and its exact row-space certificate
+    for K in (ConeProduct([]), ConeProduct([cones.nonneg(2)])):
+        prob = ContinuousConicProblem(np.zeros((1, K.dim)), [1e-13],
+                                      np.ones(K.dim), K)
+        res = solve_continuous(prob)
+        assert res.status == INFEASIBLE
+        assert not np.any(prob.A.T @ res.lam)
+        assert float(prob.b @ res.lam) > 0.0
+
+
 def test_block_hessian_solve_matches_checked_triangular_solves():
     # the reference is scipy's validated Cholesky solve on the same factor,
     # whose diagonal blocks are the blocks' own factors up to rounding

@@ -113,6 +113,24 @@ def test_cut_on_one_factor_is_checked_against_that_factor_only(monkeypatch):
     assert len(st.cuts) == 1 and st.cuts[0].beta[-3] == 1.0
 
 
+def test_cut_on_two_factors_pools_as_two_one_factor_cuts():
+    st = _state(cones.ConeProduct((cones.nonneg(2), cones.soc(3))))
+    add_cut(st, Cut(np.array([2.0, 1.0, 3.0, 1.5, 0.0]), SEPARATION))
+    assert [c.beta.tolist() for c in st.cuts] == [
+        [1.0, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.5, 0.0]]
+    assert all(c.provenance == SEPARATION for c in st.cuts)
+
+
+def test_cut_with_one_block_beyond_repair_leaves_the_pool_unchanged():
+    st = _state(cones.ConeProduct((cones.nonneg(2), cones.soc(3))))
+    add_cut(st, Cut(np.array([0.0, 0.0, 1.0, 0.0, 0.0]), SEPARATION))
+    before = list(st.cuts)
+    # the orthant block is valid and new; the SOC block is not
+    with pytest.raises(InvalidCut):
+        add_cut(st, Cut(np.array([1.0, 1.0, -1.0, 0.0, 0.0]), SEPARATION))
+    assert st.cuts == before
+
+
 def test_every_pool_cut_lies_on_exactly_one_factor():
     progs = [emit_conic(instances.disk_model())[0],
              emit_conic(instances.trimloss_model())[0],

@@ -162,6 +162,20 @@ def test_fixed_variables():
     assert_allclose(res.x, [1.5, 2.5])
 
 
+def test_cold_start_rests_each_idle_column_at_its_documented_bound():
+    # x0 = 1 with x0 in [0, 2]; every other column has a zero cost and a
+    # zero column, so it never moves from where the cold start rests it:
+    # at the finite bound nearest zero, a tie going to the lower one, else
+    # at its one finite bound, else free at zero
+    lb = [0.0, -1.0, -3.0, -2.0, 4.0, -np.inf, -np.inf]
+    ub = [2.0, 3.0, 1.0, 2.0, np.inf, -5.0, np.inf]
+    A = np.zeros((1, 7))
+    A[0, 0] = 1.0
+    res = solve_lp(LpProblem(A, [1.0], [1.0] + [0.0] * 6, lb, ub))
+    assert res.status == OPTIMAL
+    assert res.x.tolist() == [1.0, -1.0, 1.0, -2.0, 4.0, -5.0, 0.0]
+
+
 def test_degenerate_cycling_guard():
     # classic cycling-prone instance; must terminate at -1/20
     A = np.array(
@@ -452,6 +466,28 @@ def test_repeated_false_rays_fall_back_to_blands_rule(monkeypatch):
     assert pivots[0] <= 100
     assert res.status == OPTIMAL
     assert res.obj == pytest.approx(-0.70273, abs=1e-5)
+
+
+def test_false_rays_outnumbering_the_columns_end_the_solve(monkeypatch):
+    # seed-42 corpus program 38: the first OA MILP's root LP (10 x 19,
+    # cold) reaches a basis so near singular that two columns swap with a
+    # false ray every two pivots, and the solve once ran on to the
+    # iteration cap.  The phase now stops at the 30th false ray, one more
+    # than its extended array's 29 columns
+    rng = np.random.default_rng(42)
+    programs = [instances.random_feasible_program(rng) for _ in range(39)]
+    false_rays = []
+    real = simplex._ray_holds
+
+    def spy(A, c, ray):
+        holds = real(A, c, ray)
+        if not holds:
+            false_rays.append(A.shape[1])
+        return holds
+
+    monkeypatch.setattr(simplex, "_ray_holds", spy)
+    oa.oa_solve(programs[38])
+    assert false_rays == [29] * 30
 
 
 # ------------------------------------------- warm starts that hand over
