@@ -105,9 +105,12 @@ def _trace_in_model_units(record, offset):
 
 
 def _cmd_solve(args):
+    try:
+        config = OaConfig(tol=args.tol, max_iters=args.max_iters,
+                          time_limit=args.time_limit)
+    except ValueError as err:
+        raise MiconicError(err) from None
     program = _load_program(args.input)
-    config = OaConfig(tol=args.tol, max_iters=args.max_iters,
-                      time_limit=args.time_limit)
     start = time.perf_counter()
     res = oa_solve(program, config)
     wall = time.perf_counter() - start

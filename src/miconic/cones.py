@@ -22,8 +22,9 @@ NONNEG, SOC and RSOC are self-dual.  The duals of EXP and POW are linear
 images of them: p = (u, v, w) is in EXPDUAL iff (-v, -u, e*w) is in EXP,
 and in POWDUAL(a) iff (u/a, v/(1-a), w) is in POW(a).  The symmetric maps
 also carry separating vectors between the pairs.  The dual families have
-membership and separation, to validate certificates, but no barrier, and
-samplers of their own, since generated instances are seeded through them.
+membership, separation and a canonical interior point, to validate and
+repair certificates, but no barrier, and samplers of their own, since
+generated instances are seeded through them.
 """
 
 from dataclasses import dataclass, field
@@ -209,8 +210,8 @@ class _Family:
     along the last axis; separate gets one point outside the cone and
     returns an outer normal of any length.  sample draws boundary-reaching
     or strictly interior points.  interior holds a canonical interior
-    point's leading entries and the value of the rest.  A family without a
-    barrier has none, nor barrier or tangents.  nu is the barrier
+    point's leading entries and the value of the rest, with max-abs 1.  A
+    family without a barrier has no barrier or tangents.  nu is the barrier
     parameter, None for one per coordinate."""
 
     kind = dual_kind = None
@@ -517,6 +518,7 @@ class _LinearImage(_Family):
 
 class _ExpDual(_LinearImage):
     kind = EXPDUAL
+    interior = ((-1.0, 1.0, 1.0), 0.0)
     coefficients = np.array([-1.0, -1.0, math.e])
 
     def map(self, cone, p):
@@ -533,6 +535,7 @@ class _ExpDual(_LinearImage):
 
 class _PowDual(_LinearImage):
     kind = POWDUAL
+    interior = ((1.0, 1.0, 0.0), 0.0)
 
     def map(self, cone, p):
         return p / np.array([cone.alpha, 1.0 - cone.alpha, 1.0])
@@ -597,7 +600,9 @@ def separate(cone, p):
 
 
 def interior_point(cone):
-    """A canonical strictly interior point, used to start the conic solver."""
+    """A canonical strictly interior point with max-abs 1: the conic
+    solver's start on a primal factor, and on a dual factor the direction
+    along which outer approximation repairs a cut."""
     head, rest = cone.family.interior
     return np.r_[head, np.full(cone.dim - len(head), rest)]
 

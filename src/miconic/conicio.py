@@ -27,21 +27,18 @@ def _fmt(value):
     return "%.17g" % float(value)
 
 
-def _triplet_lines(matrix):
-    rows, cols = np.nonzero(matrix)
-    out = ["%d" % len(rows)]
-    for i, j in zip(rows, cols):
-        out.append("%d %d %s" % (i, j, _fmt(matrix[i, j])))
-    return out
+def _sparse_lines(array):
+    """The array's nonzero count, then "index... value" for each nonzero."""
+    nonzero = np.argwhere(array)
+    return ["%d" % len(nonzero)] + [
+        " ".join(["%d" % i for i in index] + [_fmt(array[tuple(index)])])
+        for index in nonzero]
 
 
 def write_conic(program):
     """Render a program in the sectioned text format."""
     lines = ["VER", "1", ""]
-    lines += ["OBJ", _fmt(program.obj_offset)]
-    nz_c = np.nonzero(program.c)[0]
-    lines.append("%d" % len(nz_c))
-    lines += ["%d %s" % (j, _fmt(program.c[j])) for j in nz_c]
+    lines += ["OBJ", _fmt(program.obj_offset)] + _sparse_lines(program.c)
     lines.append("")
     lines += ["VARX", "%d" % program.num_integer]
     lines += ["%d %s %s" % (j, _fmt(program.L[j]), _fmt(program.U[j]))
@@ -54,11 +51,10 @@ def write_conic(program):
         else:
             lines.append("%s %d" % (f.kind, f.dim))
     lines.append("")
-    lines += ["AX"] + _triplet_lines(program.A_x) + [""]
-    lines += ["AZ"] + _triplet_lines(program.A_z) + [""]
-    nz_b = np.nonzero(program.b)[0]
-    lines += ["B", "%d %d" % (program.num_rows, len(nz_b))]
-    lines += ["%d %s" % (i, _fmt(program.b[i])) for i in nz_b]
+    lines += ["AX"] + _sparse_lines(program.A_x) + [""]
+    lines += ["AZ"] + _sparse_lines(program.A_z) + [""]
+    count, *entries = _sparse_lines(program.b)
+    lines += ["B", "%d %s" % (program.num_rows, count)] + entries
     return "\n".join(lines) + "\n"
 
 
@@ -169,65 +165,37 @@ def read_conic(text):
     return _assemble(r, data)
 
 
+def _scatter(r, section, entries, shape):
+    """A zero array of the given shape holding each (index..., value) entry;
+    an index outside the shape, or listed twice, fails the section."""
+    r.section = section
+    out = np.zeros(shape)
+    seen = set()
+    for *index, value in entries:
+        index = tuple(index)
+        if not all(0 <= i < n for i, n in zip(index, shape)):
+            r.fail("index %s outside shape %s" % (index, shape))
+        if index in seen:
+            r.fail("index %s listed twice" % (index,))
+        seen.add(index)
+        out[index] = value
+    return out
+
+
 def _assemble(r, data):
     K = cones.ConeProduct(tuple(data["VARZ"]))
-    nz = K.dim
-
-    r.section = "VARX"
+    # nx distinct in-range indices cover every integer column
     nx = len(data["VARX"])
-    L = np.empty(nx)
-    U = np.empty(nx)
-    seen_cols = set()
-    for j, lo, hi in data["VARX"]:
-        if not 0 <= j < nx:
-            r.fail("integer column %d out of range" % j)
-        if j in seen_cols:
-            r.fail("integer column %d listed twice" % j)
-        seen_cols.add(j)
-        if lo > hi:
-            r.fail("integer column %d has lower > upper" % j)
-        L[j], U[j] = lo, hi
-
-    r.section = "OBJ"
+    L = _scatter(r, "VARX", [(j, lo) for j, lo, _ in data["VARX"]], (nx,))
+    U = _scatter(r, "VARX", [(j, hi) for j, _, hi in data["VARX"]], (nx,))
+    if np.any(L > U):
+        r.fail("integer column %d has lower > upper"
+               % np.flatnonzero(L > U)[0])
     offset, entries = data["OBJ"]
-    c = np.zeros(nz)
-    seen_cols = set()
-    for j, value in entries:
-        if not 0 <= j < nz:
-            r.fail("objective entry %d out of range (z has %d columns)"
-                   % (j, nz))
-        if j in seen_cols:
-            r.fail("objective entry %d listed twice" % j)
-        seen_cols.add(j)
-        c[j] = value
-
-    r.section = "B"
+    c = _scatter(r, "OBJ", entries, (K.dim,))
     m, b_entries = data["B"]
-    b = np.zeros(m)
-    seen_rows = set()
-    for i, value in b_entries:
-        if not 0 <= i < m:
-            r.fail("rhs entry %d out of range (%d rows)" % (i, m))
-        if i in seen_rows:
-            r.fail("rhs entry %d listed twice" % i)
-        seen_rows.add(i)
-        b[i] = value
-
-    def matrix(name, ncols):
-        r.section = name
-        out = np.zeros((m, ncols))
-        seen_cells = set()
-        for i, j, value in data[name]:
-            if not 0 <= i < m or not 0 <= j < ncols:
-                r.fail("triplet (%d, %d) out of range for a %d-by-%d matrix"
-                       % (i, j, m, ncols))
-            if (i, j) in seen_cells:
-                r.fail("triplet (%d, %d) listed twice" % (i, j))
-            seen_cells.add((i, j))
-            out[i, j] = value
-        return out
-
-    A_x = matrix("AX", nx)
-    A_z = matrix("AZ", nz)
+    b = _scatter(r, "B", b_entries, (m,))
+    A_x = _scatter(r, "AX", data["AX"], (m, nx))
+    A_z = _scatter(r, "AZ", data["AZ"], (m, K.dim))
     return ConicProgram(c=c, A_x=A_x, A_z=A_z, b=b, L=L, U=U, cones=K,
                         obj_offset=offset)

@@ -412,12 +412,9 @@ def _hsde_loop(A, b, c, K, Kd, max_iters):
             if not centering and alpha < 0.05:
                 # poor predictor progress: recenter before trying again
                 force_center = True
-            z = z + alpha * dz
-            lam = lam + alpha * dlam
-            beta = beta + alpha * dbeta
-            tau = tau + alpha * dtau
-            kappa = kappa + alpha * dkappa
             # the accepted trial point is the new point, bit for bit
+            z, beta, tau, kappa = zt, bt, tt, kt
+            lam = lam + alpha * dlam
             prox2, W = trial
 
         big = max(tau, kappa, float(np.abs(z).max(initial=0.0)),
@@ -446,7 +443,7 @@ def _solve_unconstrained(c, K, Kd, m):
     for f, sl in Kd.slices():
         beta = cones.separate(f, c[sl])
         if beta is not None:
-            ray[sl] = beta
+            ray[sl] = beta / float(np.max(np.abs(beta)))
             break
     return ConicResult(UNBOUNDED, ray=ray, obj=-np.inf)
 

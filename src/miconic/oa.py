@@ -62,9 +62,24 @@ class Cut:
 
 @dataclass
 class OaConfig:
+    """Solve settings: the relative gap tolerance, the most OA iterations,
+    and the wall-clock limit in seconds (None for none).  A setting out of
+    its range raises ValueError naming the field."""
+
     tol: float = 1e-5
     max_iters: int = 1000
     time_limit: float = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be finite and positive, got %r"
+                             % self.tol)
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative, got %r"
+                             % self.max_iters)
+        if self.time_limit is not None and not self.time_limit >= 0.0:
+            raise ValueError("time_limit must be nonnegative or None, got %r"
+                             % self.time_limit)
 
 
 @dataclass
@@ -76,7 +91,6 @@ class OaState:
     cuts: list = field(default_factory=list)
     incumbent_x: np.ndarray = None
     incumbent_z: np.ndarray = None
-    iterations: int = 0
     # the pool's unit vectors, keyed by (provenance, assignment)
     _units: dict = field(default_factory=dict)
     # the last MILP's root tableau, the next MILP's root warm start
@@ -98,29 +112,20 @@ class OaOutcome:
 
 
 _REPAIR_CAP = 1e-3
-_interior_cache = {}
-
-
-def _dual_interior(f):
-    """A canonical strictly interior direction of the dual factor."""
-    if f not in _interior_cache:
-        g = cones.sample_interior(cones.dual(f), np.random.default_rng(7))
-        _interior_cache[f] = g / float(np.max(np.abs(g)))
-    return _interior_cache[f]
 
 
 def _onto_dual(f, block):
     """The block if it lies in the dual factor, else a repaired copy or None.
 
     Numerically computed dual vectors land on either side of the cone
-    boundary; a doubling search along an interior direction finds a small
-    shift restoring membership.  None means the block is farther from the
-    cone than the repair cap.
+    boundary; a doubling search along the dual factor's canonical interior
+    point finds a small shift restoring membership.  None means the block
+    is farther from the cone than the repair cap.
     """
     d = cones.dual(f)
     if cones.member(d, block, 1e-9):
         return block
-    g = _dual_interior(f) * float(np.max(np.abs(block)))
+    g = cones.interior_point(d) * float(np.max(np.abs(block)))
     delta = 1e-10
     while delta <= _REPAIR_CAP:
         cand = block + delta * g
@@ -296,13 +301,12 @@ def oa_solve(program, config=None):
     state = OaState(cones=program.cones, tol=cfg.tol)
     trace = []
     end = _initialize(program, state)
-    while end is None and state.iterations < cfg.max_iters:
+    while end is None and len(trace) < cfg.max_iters:
         if deadline is not None and time.monotonic() > deadline:
             end = TIME_LIMIT, None
             break
-        state.iterations += 1
         record = {
-            "iteration": state.iterations,
+            "iteration": len(trace) + 1,
             "milp_status": None,
             "milp_value": None,
             "milp_nodes": None,
@@ -327,7 +331,7 @@ def oa_solve(program, config=None):
         obj=state.z_upper if state.incumbent_x is not None else None,
         lower_bound=state.z_lower,
         upper_bound=state.z_upper,
-        iterations=state.iterations,
+        iterations=len(trace),
         cuts=list(state.cuts),
         trace=trace,
         diagnostic=diagnostic,

@@ -364,6 +364,25 @@ def test_duplicate_triplet_is_rejected():
         read_conic(bad)
 
 
+@pytest.mark.parametrize("section, old, new", [
+    ("VARX", "VARX\n1\n0 0 1", "VARX\n1\n1 0 1"),
+    ("VARX", "VARX\n1\n0 0 1", "VARX\n2\n0 0 1\n0 0 1"),
+    ("VARX", "VARX\n1\n0 0 1", "VARX\n1\n0 2 1"),
+    ("OBJ", "OBJ\n0\n1\n2 1", "OBJ\n0\n2\n2 1\n2 1"),
+    ("B", "B\n1 0", "B\n1 1\n1 1"),
+    ("B", "B\n1 0", "B\n1 2\n0 1\n0 1"),
+    ("AX", "\nAX\n1\n0 0 1", "\nAX\n1\n0 1 1"),
+    ("AZ", "\nAZ\n1\n0 0 1", "\nAZ\n1\n1 0 1"),
+], ids=["varx-range", "varx-twice", "varx-bounds", "obj-twice",
+        "b-range", "b-twice", "ax-range", "az-range"])
+def test_bad_sparse_entry_is_rejected_in_its_section(section, old, new):
+    text = _pathology_text()
+    assert old in text
+    with pytest.raises(FormatError) as err:
+        read_conic(text.replace(old, new))
+    assert str(err.value).startswith("section %s" % section)
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -495,6 +514,13 @@ def test_cli_rejects_malformed_input(tmp_path, capsys):
     assert err
     code, _, _ = _run(["solve", str(tmp_path / "missing.model")], capsys)
     assert code == 2
+
+
+def test_cli_rejects_a_solve_setting_out_of_range(capsys):
+    code, out, err = _run(
+        ["solve", str(INSTANCE_DIR / "disk.model"), "--tol", "nan"], capsys)
+    assert code == 2 and not out
+    assert "tol" in err
 
 
 def test_cli_checks_and_compiles_a_deeply_nested_model(tmp_path, capsys):

@@ -313,6 +313,17 @@ def test_all_zero_rows_are_dropped_before_the_iterations():
     check_unbounded_certificate(prob, solve_continuous(prob))
 
 
+@pytest.mark.parametrize("rows", [0, 2])
+def test_unbounded_ray_without_effective_rows_has_max_abs_one(rows):
+    K = ConeProduct([cones.soc(3)])
+    prob = ContinuousConicProblem(np.zeros((rows, 3)), np.zeros(rows),
+                                  [0.5, 1.0, 0.0], K)
+    res = solve_continuous(prob)
+    assert res.status == UNBOUNDED
+    assert np.max(np.abs(res.ray)) == 1.0
+    check_unbounded_certificate(prob, res)
+
+
 def test_iteration_limit_returns_the_best_almost_optimal_point(monkeypatch):
     prob = instances.random_continuous_feasible(np.random.default_rng(1))
     # 18 iterations reach optimal; 14 stop at a point only almost optimal

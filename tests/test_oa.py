@@ -83,6 +83,24 @@ def test_near_boundary_cut_is_repaired_not_rejected():
     assert cones.member(cones.dual(K.factors[0]), stored, 1e-9)
 
 
+@pytest.mark.parametrize("factor", [
+    cones.nonneg(3), cones.soc(3), cones.rsoc(4), cones.exp_cone(),
+    cones.pow_cone(0.3)], ids=str)
+def test_block_just_outside_its_dual_factor_is_repaired_onto_it(factor):
+    d = cones.dual(factor)
+    g = cones.interior_point(d)
+    assert cones.strict_member(d, g) and np.max(np.abs(g)) == 1.0
+    # a boundary point of the dual factor, pushed out along -g
+    nudged = cones.tangents(factor)[-1] - 1e-6 * g
+    nudged = nudged / np.max(np.abs(nudged))
+    assert not cones.member(d, nudged, 1e-9)
+    st = _state(cones.ConeProduct((factor,)))
+    add_cut(st, Cut(nudged, SUBPROBLEM_DUAL))
+    (cut,) = st.cuts
+    assert cones.member(d, cut.beta, 1e-9)
+    assert np.max(np.abs(cut.beta - nudged)) < 1e-3
+
+
 def test_stored_cuts_are_max_norm_one():
     st = _state(cones.ConeProduct((cones.nonneg(3),)))
     add_cut(st, Cut(np.array([0.0, 5.0, 2.5]), SEPARATION))
@@ -312,6 +330,14 @@ def test_iteration_limit_status():
     assert res.iterations == 2
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("tol", float("nan")), ("tol", -1.0), ("tol", 0.0), ("tol", np.inf),
+    ("max_iters", -3), ("time_limit", float("nan")), ("time_limit", -1.0)])
+def test_config_rejects_a_setting_out_of_range(setting, value):
+    with pytest.raises(ValueError, match=setting):
+        OaConfig(**{setting: value})
+
+
 def test_time_limit_status():
     prog, _ = emit_conic(instances.empty_ball_model(3, "naive"))
     res = oa_solve(prog, OaConfig(time_limit=0.0))
@@ -446,3 +472,23 @@ def test_random_corpus_oa_agrees_with_brute_force():
         if not _agreement(ro, rb):
             failures.append((i, ro.status, rb.status))
     assert not failures, failures
+
+
+def test_oa_answer_does_not_depend_on_the_order_of_the_cone_factors():
+    rng = np.random.default_rng(2024)
+    progs = [instances.random_feasible_program(rng) for _ in range(40)]
+    progs += [instances.random_infeasible_program(rng) for _ in range(20)]
+    perm_rng = np.random.default_rng(5)
+    for prog in progs[::4]:
+        slices = [sl for _, sl in prog.cones.slices()]
+        order = perm_rng.permutation(len(slices))
+        cols = np.concatenate([np.arange(prog.num_conic)[slices[k]]
+                               for k in order])
+        permuted = ConicProgram(
+            c=prog.c[cols], A_x=prog.A_x, A_z=prog.A_z[:, cols], b=prog.b,
+            L=prog.L, U=prog.U, obj_offset=prog.obj_offset,
+            cones=cones.ConeProduct(
+                tuple(prog.cones.factors[k] for k in order)),
+        )
+        ro, rp = oa_solve(prog), oa_solve(permuted)
+        assert _agreement(rp, ro), (ro.status, rp.status, ro.obj, rp.obj)
