@@ -93,15 +93,25 @@ class ConeGroup:
 
 @dataclass(frozen=True)
 class ConeProduct:
-    """An ordered product of cone factors covering a z-block."""
+    """An ordered product of cone factors covering a z-block.  Its
+    dimension, barrier parameter, (factor, slice) pairs, the index of the
+    factor holding each coordinate, and its groups are fixed when it is
+    made."""
 
     factors: tuple
+    dim: int = field(init=False, repr=False, compare=False)
+    nu: int = field(init=False, repr=False, compare=False)
+    _pairs: tuple = field(init=False, repr=False, compare=False)
+    factor_of: np.ndarray = field(init=False, repr=False, compare=False)
     groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        factors, pairs, dim = tuple(self.factors), [], 0
+        for f in factors:
+            pairs.append((f, slice(dim, dim + f.dim)))
+            dim += f.dim
         coords = {}
-        for f, sl in self.slices():
+        for f, sl in pairs:
             shape = Cone(NONNEG, 1) if f.kind == NONNEG else f
             coords.setdefault(shape, []).extend(range(sl.start, sl.stop))
         groups = []
@@ -112,22 +122,17 @@ class ConeProduct:
             blocks = ((index, index) if len(rows) == 1
                       else (rows[:, :, None], rows[:, None, :]))
             groups.append(ConeGroup(cone, len(rows), index, blocks))
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "nu", sum(f.nu for f in factors))
+        object.__setattr__(self, "_pairs", tuple(pairs))
+        object.__setattr__(self, "factor_of", np.repeat(
+            np.arange(len(factors)), [f.dim for f in factors]))
         object.__setattr__(self, "groups", tuple(groups))
 
-    @property
-    def dim(self):
-        return sum(f.dim for f in self.factors)
-
     def slices(self):
-        """Yield (factor, slice) pairs in order."""
-        at = 0
-        for f in self.factors:
-            yield f, slice(at, at + f.dim)
-            at += f.dim
-
-    @property
-    def nu(self):
-        return sum(f.nu for f in self.factors)
+        """The (factor, slice) pairs in order."""
+        return self._pairs
 
     def dual(self):
         """The dual of each factor, in order; the groups line up with ours."""

@@ -435,17 +435,15 @@ def _hsde_loop(A, b, c, K, Kd, max_iters):
 
 
 def _solve_unconstrained(c, K, Kd, m):
-    """min c.z over z in K with no effective rows: 0 or unbounded below."""
-    n = K.dim
-    if cones.member_product(Kd, c, 0.0):
-        return ConicResult(OPTIMAL, z=np.zeros(n), obj=0.0, lam=np.zeros(m))
-    ray = np.zeros(n)
+    """min c.z over z in K with no effective rows: 0 when no factor of Kd
+    separates c, else unbounded along the first separating vector."""
     for f, sl in Kd.slices():
         beta = cones.separate(f, c[sl])
         if beta is not None:
+            ray = np.zeros(K.dim)
             ray[sl] = beta / float(np.max(np.abs(beta)))
-            break
-    return ConicResult(UNBOUNDED, ray=ray, obj=-np.inf)
+            return ConicResult(UNBOUNDED, ray=ray, obj=-np.inf)
+    return ConicResult(OPTIMAL, z=np.zeros(K.dim), obj=0.0, lam=np.zeros(m))
 
 
 def _equilibrate(A, b):

@@ -8,7 +8,8 @@ neither certificate is available the driver separates the MILP point from
 each cone factor.  Every cut takes one path, the initial tangents, the
 root relaxation's dual and cuts given to add_cut included: it is split by
 cone factor, and each nonzero block is checked (or repaired) against its
-own dual factor only and pooled as a cut of its own.  The MILP depends
+own dual factor only and pooled as a cut of its own, unless an earlier
+cut on that factor points the same way.  The MILP depends
 only on the cut pool and the lower bound, and every solve is
 deterministic, so an iteration that adds no cut and leaves the lower
 bound unchanged is a fixed point: the next one would repeat it forever.
@@ -91,7 +92,7 @@ class OaState:
     cuts: list = field(default_factory=list)
     incumbent_x: np.ndarray = None
     incumbent_z: np.ndarray = None
-    # the pool's unit vectors, keyed by (provenance, assignment)
+    # the unit vectors of the pool's cuts, keyed by cone factor index
     _units: dict = field(default_factory=dict)
     # the last MILP's root tableau, the next MILP's root warm start
     root: object = None
@@ -135,70 +136,52 @@ def _onto_dual(f, block):
     return None
 
 
-def _append(state, beta, provenance, assignment):
-    """Pool beta at max-abs 1 unless a like cut already points its way."""
-    beta = beta / float(np.max(np.abs(beta)))
-    unit = beta / float(np.linalg.norm(beta))
-    units = state._units.setdefault((provenance, assignment), [])
-    if any(float(unit @ u) > 1.0 - 1e-10 for u in units):
-        return
-    state.cuts.append(Cut(beta, provenance, assignment))
-    units.append(unit)
-
-
-def _checked(state, f, sl, block):
-    """One factor's block as a cut padded with zeros, scaled to max-abs 1
-    and on its dual factor; None when the block is zero, not finite, or
-    off the dual factor beyond repair."""
-    scale = float(np.max(np.abs(block)))
-    if not 0.0 < scale < np.inf:
-        return None
-    block = _onto_dual(f, block / scale)
-    if block is None:
-        return None
-    beta = np.zeros(state.cones.dim)
-    beta[sl] = block
-    return beta
-
-
-def _add_block(state, f, sl, block, provenance, assignment):
-    """Add one factor's block as a cut unless _checked rejects it."""
-    beta = _checked(state, f, sl, block)
-    if beta is not None:
-        _append(state, beta, provenance, assignment)
-
-
-def _split(state, beta):
-    """(factor, _checked cut) for each cone factor whose block exceeds
-    1e-12 of beta's max-abs; none when beta is zero or not finite.  The
-    dual of a product is the product of the duals, so the cuts imply
-    beta."""
+def _blocks(state, beta):
+    """(factor index, block) for each cone factor whose block exceeds
+    1e-12 of beta's max-abs, in factor order; none when beta is zero or
+    not finite.  Each block is scaled to max-abs 1 and put on its dual
+    factor (_onto_dual), or is None beyond repair.  The dual of a product
+    is the product of the duals, so the blocks imply beta."""
     scale = float(np.max(np.abs(beta), initial=0.0))
     if not 0.0 < scale < np.inf:
         return []
-    return [(f, _checked(state, f, sl, beta[sl]))
-            for f, sl in state.cones.slices()
-            if float(np.max(np.abs(beta[sl]), initial=0.0)) > 1e-12 * scale]
+    K = state.cones
+    out = []
+    for i in np.unique(K.factor_of[np.abs(beta) > 1e-12 * scale]).tolist():
+        f, sl = K.slices()[i]
+        block = _onto_dual(f, beta[sl] / float(np.max(np.abs(beta[sl]))))
+        if block is not None:
+            block = block / float(np.max(np.abs(block)))
+        out.append((i, block))
+    return out
 
 
-def _add_certificate(state, beta, provenance, assignment):
-    """Add a dual certificate as one cut per cone factor it touches,
-    dropping the blocks beyond repair."""
-    for _, cut in _split(state, beta):
-        if cut is not None:
-            _append(state, cut, provenance, assignment)
+def _pool(state, blocks, provenance, assignment):
+    """Pool each block as a cut of its own, zero off its factor, unless it
+    is None or an earlier cut on the same factor points its way."""
+    for i, block in blocks:
+        if block is None:
+            continue
+        unit = block / float(np.linalg.norm(block))
+        units = state._units.setdefault(i, [])
+        if any(float(unit @ u) > 1.0 - 1e-10 for u in units):
+            continue
+        units.append(unit)
+        beta = np.zeros(state.cones.dim)
+        beta[state.cones.slices()[i][1]] = block
+        state.cuts.append(Cut(beta, provenance, assignment))
 
 
 def add_cut(state, cut):
     """Validate and pool a cut the way the solver pools its certificates.
 
-    The cut is split by cone factor (see _split): each block above 1e-12
+    The cut is split by cone factor (see _blocks): each block above 1e-12
     of the cut's max-abs is scaled to max-abs 1, must lie (essentially
     exactly) in its own dual factor, and is pooled as a cut of its own.
     Blocks that miss by a small margin are repaired toward the dual
-    interior; vacuous or duplicate blocks drop.  A block that stays
-    outside the repair cap raises InvalidCut before any block is pooled,
-    so a rejected cut leaves the pool unchanged.
+    interior; vacuous or repeated blocks drop.  A block that stays outside
+    the repair cap raises InvalidCut before any block is pooled, so a
+    rejected cut leaves the pool unchanged.
     """
     beta = np.asarray(cut.beta, dtype=float).ravel()
     if beta.shape != (state.cones.dim,):
@@ -208,13 +191,12 @@ def add_cut(state, cut):
         )
     if not np.all(np.isfinite(beta)):
         raise InvalidCut("cut has non-finite entries")
-    parts = _split(state, beta)
-    for f, part in parts:
-        if part is None:
-            raise InvalidCut(
-                "cut leaves the dual cone on a %s factor" % f.kind)
-    for _, part in parts:
-        _append(state, part, cut.provenance, cut.assignment)
+    blocks = _blocks(state, beta)
+    for i, block in blocks:
+        if block is None:
+            raise InvalidCut("cut leaves the dual cone on a %s factor"
+                             % state.cones.factors[i].kind)
+    _pool(state, blocks, cut.provenance, cut.assignment)
     return state
 
 
@@ -345,7 +327,9 @@ def _initialize(program, state):
     """
     for f, sl in program.cones.slices():
         for local in cones.tangents(f):
-            _add_block(state, f, sl, local, INITIAL_RELAXATION, None)
+            beta = np.zeros(program.num_conic)
+            beta[sl] = local
+            _pool(state, _blocks(state, beta), INITIAL_RELAXATION, None)
     root_status, root_obj, root_lam = _root_relaxation(program)
     if root_status == INFEASIBLE:
         state.z_lower = np.inf
@@ -357,12 +341,8 @@ def _initialize(program, state):
         )
     if root_status == OPTIMAL:
         state.z_lower = float(root_obj)
-        _add_certificate(
-            state,
-            program.c - program.A_z.T @ root_lam,
-            INITIAL_RELAXATION,
-            None,
-        )
+        beta = program.c - program.A_z.T @ root_lam
+        _pool(state, _blocks(state, beta), INITIAL_RELAXATION, None)
     # almost_optimal or numeric_failure: continue without a root cut
     return None
 
@@ -420,20 +400,15 @@ def _iterate(program, state, record, deadline):
     record["subproblem_status"] = sub.status
     if sub.status == OPTIMAL:
         record["subproblem_value"] = float(sub.obj)
-        _add_certificate(
-            state,
-            program.c - program.A_z.T @ sub.lam,
-            SUBPROBLEM_DUAL,
-            assignment,
-        )
+        beta = program.c - program.A_z.T @ sub.lam
+        _pool(state, _blocks(state, beta), SUBPROBLEM_DUAL, assignment)
         if sub.obj < state.z_upper:
             state.z_upper = float(sub.obj)
             state.incumbent_x = x_star
             state.incumbent_z = sub.z
     elif sub.status == INFEASIBLE:
-        _add_certificate(
-            state, -(program.A_z.T @ sub.lam), INFEASIBILITY_RAY, assignment
-        )
+        beta = -(program.A_z.T @ sub.lam)
+        _pool(state, _blocks(state, beta), INFEASIBILITY_RAY, assignment)
     elif sub.status == UNBOUNDED:
         return ASSUMPTION_FAILURE, (
             "a fiber subproblem is unbounded below, so the instance "
@@ -444,10 +419,12 @@ def _iterate(program, state, record, deadline):
         if sub.obj is not None:
             record["subproblem_value"] = float(sub.obj)
         z_milp = mres.x[nx : nx + nz]
+        beta = np.zeros(nz)
         for f, sl in program.cones.slices():
             g = cones.separate(f, z_milp[sl])
             if g is not None:
-                _add_block(state, f, sl, g, SEPARATION, assignment)
+                beta[sl] = g
+        _pool(state, _blocks(state, beta), SEPARATION, assignment)
 
     if _gap_closed(state):
         return OPTIMAL, None

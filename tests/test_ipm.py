@@ -324,6 +324,23 @@ def test_unbounded_ray_without_effective_rows_has_max_abs_one(rows):
     check_unbounded_certificate(prob, res)
 
 
+@pytest.mark.parametrize("rows", [0, 1])
+def test_cost_at_the_dual_boundary_without_effective_rows(rows):
+    # membership and the ray agree on the 1e-9 tolerance of cones.separate
+    K = ConeProduct([cones.soc(3)])
+    prob = ContinuousConicProblem(np.zeros((rows, 3)), np.zeros(rows),
+                                  [1.0, 1.0 + 1e-12, 0.0], K)
+    res = solve_continuous(prob)
+    assert res.status == OPTIMAL and res.obj == 0.0
+    assert_array_equal(res.z, np.zeros(3))
+    prob = ContinuousConicProblem(np.zeros((rows, 3)), np.zeros(rows),
+                                  [1.0, 1.0 + 1e-8, 0.0], K)
+    res = solve_continuous(prob)
+    assert res.status == UNBOUNDED
+    assert res.ray.tolist() == [1.0, -1.0, 0.0]
+    check_unbounded_certificate(prob, res)
+
+
 def test_iteration_limit_returns_the_best_almost_optimal_point(monkeypatch):
     prob = instances.random_continuous_feasible(np.random.default_rng(1))
     # 18 iterations reach optimal; 14 stop at a point only almost optimal

@@ -53,6 +53,9 @@ def test_duplicate_cut_leaves_pool_unchanged():
     n = len(st.cuts)
     add_cut(st, Cut(np.array([2.0, 1.0, 0.0]), SEPARATION))
     assert len(st.cuts) == n
+    # a repeat of a pooled cut of another provenance and assignment
+    add_cut(st, Cut(np.array([3.0, 1.5, 0.0]), SUBPROBLEM_DUAL, (1,)))
+    assert len(st.cuts) == n
 
 
 def test_zero_cut_is_vacuous():
@@ -164,6 +167,11 @@ def test_every_pool_cut_lies_on_exactly_one_factor():
             touched = [sl for _, sl in prog.cones.slices()
                        if np.any(cut.beta[sl])]
             assert len(touched) == 1
+        # no two pooled cuts point the same way
+        units = np.array([c.beta / np.linalg.norm(c.beta) for c in res.cuts])
+        cosines = units @ units.T
+        np.fill_diagonal(cosines, -1.0)
+        assert not np.any(cosines > 1.0 - 1e-10)
         total += len(res.cuts)
     assert total > 100
 
