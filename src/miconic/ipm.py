@@ -10,16 +10,18 @@ neighbourhoods of the central path, measured by the squared proximity in
 the local barrier-Hessian metric.  While the point lies outside the
 narrow one (0.1) the step is a centering step; from inside it the step is
 a pure predictor, which backtracks until it lands inside the wide one
-(0.25).  Each trial point of the line search needs its block Hessian for
-the proximity test, and the accepted trial's Hessian is the one the next
-iteration factors, so it is carried forward instead of built again.
+(0.25).  One function judges every point, the start, each trial and each
+rescaled point: it returns the point's record with mu, the block Hessian
+and the proximity, or None.  An accepted trial's record is the next
+iterate as it is, so its Hessian is never built again.
 
 The problems are small, so the linear algebra is dense.  The block-diagonal
 barrier Hessian of a point is one matrix with one Cholesky factor, as is
 the Schur complement of the reduced Newton system; each factorization and
 each solve is one direct LAPACK call.  Barriers and interior tests are
 evaluated a cone group at a time (see cones.ConeProduct), one call for all
-factors of one shape.
+factors of one shape; z lies inside K exactly when every group's barrier
+evaluates, so z has no interior test of its own.
 
 Every iteration the scaled points are offered to independent validators,
 so a returned certificate never relies on solver internals:
@@ -37,6 +39,7 @@ problems whose rows already determine z completely.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -96,9 +99,10 @@ class ConicResult:
     max|A'lam| = 1 or b.lam = 1.  For unbounded: ray with max|ray| = 1.
     iterations counts interior-point iterations run, and metrics counts
     their predictor and centering steps, the trial points of their line
-    searches and the block Hessians built; all are 0 when preprocessing
-    settled the problem.  For almost_optimal and numeric_failure,
-    diagnostic names the exit that ended the iterations.
+    searches and the block Hessian builds begun, also those the barrier
+    ends at a z outside K; all are 0 when preprocessing settled the
+    problem.  For almost_optimal and numeric_failure, diagnostic names the
+    exit that ended the iterations.
     """
 
     status: str
@@ -202,10 +206,13 @@ class _BlockHessian:
     """
 
     def __init__(self, K, z, mu):
+        # every group's barrier before any allocation: a z outside K
+        # raises NotInterior having allocated nothing
+        evaluated = [cones.barrier_value_grad_hess(g.cone, g.stack(z))
+                     for g in K.groups]
         self.grad = np.empty_like(z)
         self.H = np.zeros((len(z), len(z)))
-        for g in K.groups:
-            _, grad, hess = cones.barrier_value_grad_hess(g.cone, g.stack(z))
+        for g, (_, grad, hess) in zip(K.groups, evaluated):
             self.grad[g.index] = grad.ravel()
             self.H[g.blocks] = mu * hess
         self.L, info = _potrf(self.H, lower=1)
@@ -235,63 +242,68 @@ def _barrier_grad(K, z):
     return g
 
 
-def _interior(K, Kd, z, beta, tau, kappa):
-    if tau <= 0.0 or kappa <= 0.0:
-        return False
-    for g, gd in zip(K.groups, Kd.groups):
-        if g.cone.family is gd.cone.family:
-            # a self-dual group tests its primal and dual rows in one call
-            rows = np.concatenate((g.stack(z), gd.stack(beta)))
-            if not cones.strict_member(g.cone, rows).all():
-                return False
-        elif not (cones.strict_member(g.cone, g.stack(z)).all()
-                  and cones.strict_member(gd.cone, gd.stack(beta)).all()):
-            return False
-    return True
+class _Point(NamedTuple):
+    """An interior point of the embedding with mu = (z.beta + tau kappa) /
+    (nu + 1), its block Hessian W = mu F''(z) and prox2, its squared
+    distance to the central path in W's metric."""
+
+    z: np.ndarray
+    beta: np.ndarray
+    tau: float
+    kappa: float
+    mu: float
+    W: _BlockHessian
+    prox2: float
 
 
-def _proximity(K, z, beta, tau, kappa, nu):
-    """Squared distance to the central path in the local Hessian metric.
+def _point(K, Kd, z, beta, tau, kappa, metrics):
+    """The point's record, or None unless it is interior.
 
-    Returns (distance, block Hessian at z), or None when either cannot be
-    formed.  The Hessian is the one the next iteration needs if z is
-    accepted, so the caller keeps it instead of building it again.
+    The one place a point is judged: tau and kappa positive, beta strictly
+    inside Kd, mu finite and positive, and z strictly inside K, which the
+    barrier decides as it builds the Hessian.  Each build begun counts in
+    metrics["hessian_builds"].
     """
-    mu = (float(z @ beta) + tau * kappa) / (nu + 1.0)
+    if not (tau > 0.0 and kappa > 0.0):
+        return None
+    for g in Kd.groups:
+        if not cones.strict_member(g.cone, g.stack(beta)).all():
+            return None
+    mu = (float(z @ beta) + tau * kappa) / (K.nu + 1.0)
     if not np.isfinite(mu) or mu <= 0.0:
         return None
+    metrics["hessian_builds"] += 1
     try:
         W = _BlockHessian(K, z, mu)
     except (np.linalg.LinAlgError, NotInterior):
         return None
     e = beta + mu * W.grad
-    val = float(e @ W.solve(e)) / mu + (tau * kappa / mu - 1.0) ** 2
-    if not np.isfinite(val):
+    prox2 = float(e @ W.solve(e)) / mu + (tau * kappa / mu - 1.0) ** 2
+    if not np.isfinite(prox2):
         return None
-    return val, W
+    return _Point(z, beta, tau, kappa, mu, W, prox2)
 
 
-def _hsde_loop(A, b, c, K, Kd, max_iters):
+def _hsde_loop(A, b, c, K, Kd):
     """Run the embedding on a preprocessed full-row-rank system."""
     m, n = A.shape
-    nu = K.nu
-
+    metrics = _no_steps()
     z = np.concatenate([cones.interior_point(f) for f in K.factors])
-    beta = -_barrier_grad(K, z)
+    point = _point(K, Kd, z, -_barrier_grad(K, z), 1.0, 1.0, metrics)
     lam = np.zeros(m)
-    tau = 1.0
-    kappa = 1.0
 
     best_almost = None
     stalls = 0
     force_center = False
-    # proximity and block Hessian at the current point; None means rebuild
-    W = prox2 = None
-    metrics = _no_steps()
     it = 0
 
-    why = "iteration limit of %d reached" % max_iters
-    for it in range(1, max_iters + 1):
+    why = "iteration limit of %d reached" % _MAX_ITERS
+    for it in range(1, _MAX_ITERS + 1):
+        # only the start and a rescaled point can lack a record
+        if point is None:
+            why = "barrier Hessian not formed at the current point"
+            break
+        z, beta, tau, kappa, mu, W, prox2 = point
         # offer scaled candidates to the validators first; every check is
         # monotone in its tolerance, so only a point that passes the loose
         # one can pass the tight one
@@ -312,19 +324,6 @@ def _hsde_loop(A, b, c, K, Kd, max_iters):
         if cand is not None:
             return ConicResult(UNBOUNDED, ray=cand, obj=-np.inf,
                                iterations=it, metrics=metrics)
-
-        mu = (float(z @ beta) + tau * kappa) / (nu + 1.0)
-        if not np.isfinite(mu) or mu <= 0.0:
-            why = "mu is not finite and positive"
-            break
-        if W is None:
-            metrics["hessian_builds"] += 1
-            here = _proximity(K, z, beta, tau, kappa, nu)
-            if here is None:
-                why = "barrier Hessian not formed at the current point"
-                break
-            prox2, W = here
-        grad = W.grad
 
         # predictor-corrector: re-centre until the point is inside the
         # narrow neighbourhood, then take a pure predictor step from it
@@ -363,7 +362,7 @@ def _hsde_loop(A, b, c, K, Kd, max_iters):
             return dz, dlam, dtau
 
         d1 = (sigma - 1.0) * r_p
-        d2 = (sigma - 1.0) * r_d - beta - sigma * mu * grad
+        d2 = (sigma - 1.0) * r_d - beta - sigma * mu * W.grad
         d3 = (sigma - 1.0) * r_g - kappa + sigma * mu / tau
         dz, dlam, dtau = solve_reduced(d1, d2, d3)
         for _ in range(2):
@@ -378,53 +377,45 @@ def _hsde_loop(A, b, c, K, Kd, max_iters):
                 break
             cz, cl, ct = solve_reduced(e1, e2, e3)
             dz, dlam, dtau = dz + cz, dlam + cl, dtau + ct
-        dbeta = -beta - sigma * mu * grad - W.H @ dz
+        dbeta = -beta - sigma * mu * W.grad - W.H @ dz
         dkappa = -kappa + sigma * mu / tau - (mu / tau**2) * dtau
 
         # backtrack until the trial point is interior and stays near the
         # central path: predictor steps must land inside the wide
         # neighbourhood, centering steps must at least shrink the proximity
         alpha = 1.0
-        accepted = False
         for _ in range(90):
             metrics["line_search_trials"] += 1
-            zt = z + alpha * dz
-            bt = beta + alpha * dbeta
-            tt = tau + alpha * dtau
-            kt = kappa + alpha * dkappa
-            if _interior(K, Kd, zt, bt, tt, kt):
-                metrics["hessian_builds"] += 1
-                trial = _proximity(K, zt, bt, tt, kt, nu)
-                if trial is not None and (
-                    trial[0] <= _WIDE or (centering and trial[0] < prox2)
-                ):
-                    accepted = True
-                    break
+            trial = _point(K, Kd, z + alpha * dz, beta + alpha * dbeta,
+                           tau + alpha * dtau, kappa + alpha * dkappa, metrics)
+            if trial is not None and (
+                trial.prox2 <= _WIDE or (centering and trial.prox2 < prox2)
+            ):
+                break
             alpha *= 0.8
-        if not accepted:
+        else:
+            # the point stays, and the next step re-centres it
             stalls += 1
             force_center = True
             if stalls >= 3:
                 why = "3 straight line searches stalled"
                 break
-        else:
-            stalls = 0
-            if not centering and alpha < 0.05:
-                # poor predictor progress: recenter before trying again
-                force_center = True
-            # the accepted trial point is the new point, bit for bit
-            z, beta, tau, kappa = zt, bt, tt, kt
-            lam = lam + alpha * dlam
-            prox2, W = trial
+            continue
+        stalls = 0
+        if not centering and alpha < 0.05:
+            # poor predictor progress: recenter before trying again
+            force_center = True
+        # the accepted trial's record is the next iterate, bit for bit
+        point, lam = trial, lam + alpha * dlam
 
-        big = max(tau, kappa, float(np.abs(z).max(initial=0.0)),
-                  float(np.abs(beta).max(initial=0.0)),
-                  float(np.abs(lam).max(initial=0.0)))
+        big = max(point.tau, point.kappa,
+                  *(float(np.abs(v).max(initial=0.0))
+                    for v in (point.z, point.beta, lam)))
         if big > 1e10:
             s = 1.0 / big
-            z, lam, beta = z * s, lam * s, beta * s
-            tau, kappa = tau * s, kappa * s
-            W = None
+            lam = lam * s
+            point = _point(K, Kd, point.z * s, point.beta * s, point.tau * s,
+                           point.kappa * s, metrics)
 
     if best_almost is not None:
         zc, lc, obj = best_almost
@@ -507,7 +498,7 @@ def solve_continuous(prob):
         lam_k /= scale
         return ConicResult(INFEASIBLE, lam=embed_lam(lam_k), obj=np.inf)
 
-    res = _hsde_loop(Ak, bk, c, K, Kd, _MAX_ITERS)
+    res = _hsde_loop(Ak, bk, c, K, Kd)
     if res.lam is not None:
         res.lam = embed_lam(res.lam)
     return res

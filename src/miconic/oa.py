@@ -120,13 +120,14 @@ def _onto_dual(f, block):
 
     Numerically computed dual vectors land on either side of the cone
     boundary; a doubling search along the dual factor's canonical interior
-    point finds a small shift restoring membership.  None means the block
-    is farther from the cone than the repair cap.
+    point, of max-abs 1 as the block is, finds a small shift restoring
+    membership.  None means the block is farther from the cone than the
+    repair cap.
     """
     d = cones.dual(f)
     if cones.member(d, block, 1e-9):
         return block
-    g = cones.interior_point(d) * float(np.max(np.abs(block)))
+    g = cones.interior_point(d)
     delta = 1e-10
     while delta <= _REPAIR_CAP:
         cand = block + delta * g

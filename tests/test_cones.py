@@ -172,8 +172,10 @@ def test_separate_returns_none_inside(cone):
 
 @pytest.mark.parametrize("cone", ALL_FAMILIES, ids=str)
 def test_strict_member_is_the_open_interior(cone):
-    # the interior test must match the barrier's domain on primal families,
-    # since the IPM screens its line search with it
+    # the interior test must match the barrier's domain on primal families:
+    # the IPM judges a point's z by whether its barrier evaluates and its
+    # beta by the interior test, so the two must agree, also within 1e-12
+    # to 1e-6 of the boundary on either side
     rng = np.random.default_rng(41)
     inside = [cones.sample_interior(cone, rng) for _ in range(50)]
     outside = [np.zeros(cone.dim)] + _outside_points(cone, rng, 50)
@@ -181,12 +183,25 @@ def test_strict_member_is_the_open_interior(cone):
         for p in points:
             assert cones.strict_member(cone, p) == expected
             if cone in ALL_PRIMAL:
-                try:
-                    cones.barrier_value_grad_hess(cone, p)
-                    evaluated = True
-                except NotInterior:
-                    evaluated = False
-                assert evaluated is expected
+                assert _barrier_evaluates(cone, p) is expected
+    if cone not in ALL_PRIMAL:
+        return
+    sides = set()
+    for push in range(-12, -5):
+        for _ in range(30):
+            p = _near_boundary(cone, rng, push)
+            inside = cones.strict_member(cone, p)
+            assert _barrier_evaluates(cone, p) is inside
+            sides.add(inside)
+    assert sides == {True, False}
+
+
+def _barrier_evaluates(cone, p):
+    try:
+        cones.barrier_value_grad_hess(cone, p)
+    except NotInterior:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("cone", ALL_FAMILIES, ids=str)

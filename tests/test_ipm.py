@@ -19,7 +19,8 @@ from miconic.ipm import (
     ConicResult,
     _barrier_grad,
     _BlockHessian,
-    _proximity,
+    _no_steps,
+    _point,
     solve_continuous,
 )
 from miconic.simplex import LpProblem, solve_lp
@@ -445,7 +446,7 @@ def test_jitter_repairs_only_the_block_that_needs_it(monkeypatch):
         first_hessian_is(np.diag([1.0, -1.0, 1.0]))
         with pytest.raises(np.linalg.LinAlgError):
             _BlockHessian(K, z, mu)
-        assert _proximity(K, z, beta, 1.0, 1.0, K.nu) is None
+        assert _point(K, K.dual(), z, beta, 1.0, 1.0, _no_steps()) is None
 
 
 def random_feasible_problems(seed, count):
@@ -479,34 +480,45 @@ def test_step_counts_add_up_and_line_searches_stay_short():
 
 
 def test_accepted_trial_hessian_is_not_built_again(monkeypatch):
-    calls = []
-    interior = []
+    # the barrier calls made inside each _point call, and those made
+    # outside any
+    points = []
+    outside = []
     real_barrier = cones.barrier_value_grad_hess
-    real_interior = ipm._interior
+    real_point = ipm._point
 
     def counted_barrier(f, z):
-        calls.append(f)
+        (points[-1] if judging else outside).append(f)
         return real_barrier(f, z)
 
-    def counted_interior(*args):
-        ok = real_interior(*args)
-        interior.append(ok)
-        return ok
+    def counted_point(*args):
+        nonlocal judging
+        points.append([])
+        judging = True
+        try:
+            return real_point(*args)
+        finally:
+            judging = False
 
+    judging = False
     monkeypatch.setattr(cones, "barrier_value_grad_hess", counted_barrier)
-    monkeypatch.setattr(ipm, "_interior", counted_interior)
+    monkeypatch.setattr(ipm, "_point", counted_point)
     for prob in random_feasible_problems(503, 10):
-        calls.clear()
-        interior.clear()
+        points.clear()
+        outside.clear()
         res = solve_continuous(prob)
         assert res.status == OPTIMAL
-        # one Hessian at the start, then one per interior trial point and
-        # none at the top of later iterations
-        builds = res.metrics["hessian_builds"]
-        assert builds == 1 + sum(interior)
-        # one barrier call per cone group for the starting gradient and
-        # one per group for each Hessian, and no other
-        assert len(calls) == len(prob.cones.groups) * (1 + builds)
+        groups = len(prob.cones.groups)
+        # the start point, then one per trial point, and none at the top
+        # of later iterations
+        assert len(points) == 1 + res.metrics["line_search_trials"]
+        # one barrier call per cone group for the starting gradient, and
+        # every other inside a _point call
+        assert len(outside) == groups
+        # each Hessian build begun calls the first group's barrier, and at
+        # most one call per group
+        assert res.metrics["hessian_builds"] == sum(map(bool, points))
+        assert all(len(calls) <= groups for calls in points)
 
 
 @pytest.mark.parametrize("factor", [
@@ -514,23 +526,77 @@ def test_accepted_trial_hessian_is_not_built_again(monkeypatch):
     cones.pow_cone(0.3),
 ], ids=lambda f: f.kind)
 def test_proximity_hessian_equals_a_fresh_build(factor):
-    # the loop carries this Hessian into the next iteration in place of
-    # building one there, so it must be that build, bit for bit
+    # the loop takes an accepted trial's record as the next iterate in
+    # place of building its Hessian there, so it must be that build, bit
+    # for bit
     rng = np.random.default_rng(911)
     K = ConeProduct([factor, cones.nonneg(1)])
     for _ in range(5):
         z = cones.sample_product(K, rng, interior=True)
         beta = sample_dual_interior(K, rng)
         tau, kappa = rng.uniform(0.5, 2.0, size=2)
-        p2, W = _proximity(K, z, beta, tau, kappa, K.nu)
+        point = _point(K, K.dual(), z, beta, tau, kappa, _no_steps())
+        assert point.z is z and point.beta is beta
+        assert (point.tau, point.kappa) == (tau, kappa)
         mu = (float(z @ beta) + tau * kappa) / (K.nu + 1.0)
+        assert point.mu == mu
         fresh = _BlockHessian(K, z, mu)
+        W = point.W
         assert_array_equal(W.grad, fresh.grad)
         assert_array_equal(W.H, fresh.H)
         assert_array_equal(W.L, fresh.L)
         e = beta + mu * fresh.grad
         want = float(e @ fresh.solve(e)) / mu + (tau * kappa / mu - 1.0) ** 2
-        assert p2 == want
+        assert point.prox2 == want
+
+
+def test_point_is_none_for_each_way_a_point_fails(monkeypatch):
+    K = ConeProduct([cones.soc(3), cones.nonneg(2), cones.exp_cone()])
+    Kd = K.dual()
+    rng = np.random.default_rng(915)
+    z = cones.sample_product(K, rng, interior=True)
+    beta = sample_dual_interior(K, rng)
+    calls = []
+    real = cones.barrier_value_grad_hess
+
+    def counted(f, zf):
+        calls.append(f.kind)
+        return real(f, zf)
+
+    monkeypatch.setattr(cones, "barrier_value_grad_hess", counted)
+    metrics = _no_steps()
+    assert _point(K, Kd, z, beta, 1.0, 1.0, metrics) is not None
+    assert metrics["hessian_builds"] == 1
+    assert calls == [cones.SOC, cones.NONNEG, cones.EXP]
+
+    # the exponential factor, the last group, moved onto its boundary,
+    # where mu stays positive
+    z_out = z.copy()
+    z_out[-1] = 0.0
+    assert float(z_out @ beta) + 1.0 > 0.0
+    beta_out = beta.copy()
+    beta_out[0] = -1.0
+    huge = 1e300 * np.ones_like(z)
+    failures = [
+        (z, beta, 0.0, 1.0, False),
+        (z, beta, -1.0, 1.0, False),
+        (z, beta, 1.0, 0.0, False),
+        (z, beta, 1.0, -1.0, False),
+        (z, beta, np.nan, 1.0, False),
+        (z, beta_out, 1.0, 1.0, False),
+        (z, beta, 1.0, np.inf, False),
+        (huge * z, huge * beta, 1.0, 1.0, False),
+        # only z outside K begins a Hessian build, which the barrier of
+        # the last group ends
+        (z_out, beta, 1.0, 1.0, True),
+    ]
+    for zf, bf, tau, kappa, built in failures:
+        calls.clear()
+        metrics = _no_steps()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _point(K, Kd, zf, bf, tau, kappa, metrics) is None
+        assert metrics["hessian_builds"] == built
+        assert calls == ([cones.SOC, cones.NONNEG, cones.EXP] if built else [])
 
 
 def _one_problem():
