@@ -10,10 +10,22 @@ carries until the integer part is fixed.
 A node LP's final simplex tableau is its children's warm start, under the
 warm-start contract stated in simplex.py: each open node keeps its
 parent's tableau, and every node LP is posed on the one A array given to
-solve_milp.  The root starts from the tableau passed as warm, when there
-is one, and is solved cold otherwise; the root's final tableau comes back
-with the result.  Children of nodes without an optimal LP are solved
-cold.
+solve_milp.  Children of nodes without an optimal LP are solved cold.
+
+One tree serves a sequence of MILPs in which each one tightens the last:
+the integer columns and their boxes stay, and a later MILP is an earlier
+one with rows and columns added, its objective unchanged on the old
+columns, and right-hand sides and bounds moved only so as to shrink the
+feasible set (outer approximation appends cut rows with their slacks,
+raises the objective row's right-hand side and raises lower bounds).  The
+result's leaves are every node not proven infeasible: the nodes pruned by
+bound and the integer-feasible ones, each with its own final tableau and
+LP bound, and the nodes still open, each with its parent's.  A later MILP
+resumes from them, since a node proven infeasible stays infeasible and a
+leaf's bound stays a lower bound over its box.  A leaf's tableau is its
+warm start through simplex.py's bordered start when the new A borders the
+array the tableau was made on; otherwise its LP is solved cold.  A fresh
+search is the one leaf holding the whole box, so both run the same loop.
 
 A deadline on the time.monotonic clock is checked before each node LP;
 once it has passed the search stops with status time_limit, whose lower
@@ -22,7 +34,7 @@ bound is the least bound among the nodes not yet solved.
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,9 +55,10 @@ class MilpResult:
 
     status is optimal, infeasible, unbounded or time_limit.  nodes counts
     the node LPs solved, one per node, and pivots their simplex iterations.
-    root is the root LP's final tableau when that LP is optimal, the warm
-    start of a later MILP that borders this one, and root_pivots the root
-    LP's simplex iterations.
+    leaves are the search's nodes not proven infeasible, each a tuple
+    (bound, tie-breaker, lower bounds, upper bounds, tableau): the warm
+    start of a later MILP that tightens this one (see the module
+    docstring), which reads the bounds of the integer columns only.
     """
 
     status: str
@@ -55,8 +68,7 @@ class MilpResult:
     nodes: int = 0
     ray: np.ndarray = None
     pivots: int = 0
-    root: object = None
-    root_pivots: int = 0
+    leaves: list = field(default_factory=list)
 
 
 def _most_fractional(x, int_idx):
@@ -74,8 +86,9 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
 
     deadline, a time.monotonic() value, stops the search with status
     time_limit before the first node LP that would start after it.  warm,
-    the root tableau (MilpResult.root) of an earlier MILP, is the root
-    LP's warm start, used as simplex.py's warm-start contract allows.
+    the leaves (MilpResult.leaves) of an earlier MILP that this one
+    tightens, resumes that search; each leaf's integer box is laid over
+    lb and ub.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
@@ -88,15 +101,25 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
             raise UnboundedInteger("integer variable %d needs finite bounds" % j)
 
     best_x, best_obj = None, np.inf
-    # open nodes: (parent bound, tie-breaker, lower, upper, parent tableau)
-    heap = [(-np.inf, 0, lb.copy(), ub.copy(), warm)]
-    counter = 1
-    nodes = pivots = root_pivots = 0
-    root = None
+    # open nodes: (bound, tie-breaker, lower, upper, tableau), the leaves
+    # of an earlier search, whose integer boxes are laid over lb and ub,
+    # and the children of this one
+    if warm is None:
+        warm = [(-np.inf, 0, lb, ub, None)]
+    heap = []
+    for bound, tie, llb, lub, tab in warm:
+        nlb, nub = lb.copy(), ub.copy()
+        nlb[int_idx] = np.maximum(lb[int_idx], llb[int_idx])
+        nub[int_idx] = np.minimum(ub[int_idx], lub[int_idx])
+        heap.append((bound, tie, nlb, nub, tab))
+    heapq.heapify(heap)
+    counter = 1 + max((node[1] for node in heap), default=0)
+    leaves = []
+    nodes = pivots = 0
 
     def result(status, **fields):
-        return MilpResult(status, nodes=nodes, pivots=pivots, root=root,
-                          root_pivots=root_pivots, **fields)
+        return MilpResult(status, nodes=nodes, pivots=pivots,
+                          leaves=leaves + heap, **fields)
 
     def snap(x):
         out = x.copy()
@@ -106,8 +129,9 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
 
     while heap:
         node = heapq.heappop(heap)
-        bound, _, nlb, nub, warm = node
-        if bound >= best_obj - _REL_GAP * (1.0 + abs(best_obj)):
+        bound, tie, nlb, nub, tab = node
+        cutoff = best_obj - _REL_GAP * (1.0 + abs(best_obj))
+        if bound >= cutoff:
             # everything left on the heap is at least this bound
             heapq.heappush(heap, node)
             break
@@ -115,23 +139,25 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
             continue
         if deadline is not None and time.monotonic() > deadline:
             # best-bound order: no open node has a bound below this one's
+            heapq.heappush(heap, node)
             return result(TIME_LIMIT, lower_bound=bound)
         # nodes counts the node LPs solved
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise NumericFailure("branch and bound node limit exceeded")
-        res = solve_lp(LpProblem(A, b, c, nlb, nub), warm=warm)
+        res = solve_lp(LpProblem(A, b, c, nlb, nub), warm=tab)
         pivots += res.iterations
-        if nodes == 1:
-            root, root_pivots = res.basis, res.iterations
         if res.status == INFEASIBLE:
             continue
         x = res.x
         node_bound = res.obj if res.status == OPTIMAL else -np.inf
-        if node_bound >= best_obj - _REL_GAP * (1.0 + abs(best_obj)):
+        leaf = (node_bound, tie, nlb, nub, res.basis)
+        if node_bound >= cutoff:
+            leaves.append(leaf)
             continue
         j = _most_fractional(x, int_idx)
         if j < 0:
+            leaves.append(leaf)
             if res.status == UNBOUNDED:
                 # integer bounds are finite, so the ray lives in the
                 # continuous part; the feasible point extends to an

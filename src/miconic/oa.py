@@ -16,9 +16,11 @@ bound unchanged is a fixed point: the next one would repeat it forever.
 Instances whose fibers admit no dual certificates end there, and the
 driver reports an assumption failure rather than loop on.
 
-Each MILP is the previous one plus the new cut rows, so its array borders
-the previous MILP's, and MILP k+1's root LP starts warm from MILP k's root
-tableau under the warm-start contract stated in simplex.py.
+Each MILP is the previous one plus the new cut rows, a raised objective
+row and raised lower bounds, so it tightens the previous one in the sense
+of milp.py, and MILP k+1 resumes MILP k's search tree from its leaves:
+one tree serves the whole run, while each OA iteration still solves one
+MILP to optimality and so keeps the fixed-point rule above.
 """
 
 import itertools
@@ -94,8 +96,8 @@ class OaState:
     incumbent_z: np.ndarray = None
     # the unit vectors of the pool's cuts, keyed by cone factor index
     _units: dict = field(default_factory=dict)
-    # the last MILP's root tableau, the next MILP's root warm start
-    root: object = None
+    # the last MILP's leaves, where the next MILP resumes its search
+    leaves: list = None
 
 
 @dataclass
@@ -216,8 +218,8 @@ def _milp_data(program, state):
     the pool's cut rows in pool order, each with its slack column in the
     same order.  The pool only grows and the objective row, once there,
     stays, so each MILP's array is the leading block of the next one's,
-    which borders it with the new cut rows and their slacks; the next
-    MILP's root LP then starts from this one's root basis.
+    which borders it with the new cut rows and their slacks; each leaf
+    tableau this MILP hands on is then a warm start for the next one.
     """
     m, nx, nz = program.num_rows, program.num_integer, program.num_conic
     z_lb = np.full(nz, -np.inf)
@@ -294,7 +296,7 @@ def oa_solve(program, config=None):
             "milp_value": None,
             "milp_nodes": None,
             "milp_pivots": None,
-            "milp_root_pivots": None,
+            "milp_leaves": None,
             "assignment": None,
             "subproblem_status": None,
             "subproblem_value": None,
@@ -360,7 +362,7 @@ def _iterate(program, state, record, deadline):
     A, b, c, lb, ub, int_idx = _milp_data(program, state)
     try:
         mres = solve_milp(A, b, c, lb, ub, int_idx, deadline=deadline,
-                          warm=state.root)
+                          warm=state.leaves)
     except NumericFailure as err:
         return ASSUMPTION_FAILURE, (
             "MILP relaxation could not be solved: %s" % err
@@ -368,8 +370,8 @@ def _iterate(program, state, record, deadline):
     record["milp_status"] = mres.status
     record["milp_nodes"] = mres.nodes
     record["milp_pivots"] = mres.pivots
-    record["milp_root_pivots"] = mres.root_pivots
-    state.root = mres.root
+    record["milp_leaves"] = len(mres.leaves)
+    state.leaves = mres.leaves
     if mres.status == TIME_LIMIT:
         state.z_lower = max(state.z_lower, float(mres.lower_bound))
         return TIME_LIMIT, None

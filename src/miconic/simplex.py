@@ -34,8 +34,9 @@ from the earlier problem's, but the new A must be one of two arrays:
   of one new row, the i-th column of the i-th row.  The old columns keep
   their rests, the new slacks enter the basis, the new artificials rest
   at zero, and the basis inverse is factored afresh.  Outer approximation
-  solves each MILP's root this way from the previous MILP's root, whose
-  array the new cut rows border.
+  resumes each MILP's search tree this way: every leaf the previous MILPs
+  handed on carries a tableau on an earlier array, which the new cut rows
+  border.
 
 Tightening bounds keeps the basis dual feasible, and so do new rows with
 basic slacks; the final primal pass, which ends every solve, mends

@@ -489,6 +489,21 @@ def test_cli_trace_has_one_record_per_iteration(tmp_path, capsys):
     assert {"milp_status", "lower_bound", "upper_bound"} <= set(records[0])
 
 
+def test_cli_trace_counts_the_leaves_each_milp_hands_on(tmp_path, capsys):
+    # an optimal MILP hands on at least its incumbent's node; the ball's
+    # last MILP is infeasible and hands on none
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = _run(
+        ["solve", str(INSTANCE_DIR / "empty_ball_naive_4.model"),
+         "--trace", str(trace), "--no-timing"], capsys)
+    assert code == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert "milp_root_pivots" not in records[0]
+    assert [r["milp_leaves"] > 0 for r in records] == (
+        [True] * (len(records) - 1) + [False])
+    assert records[-1]["milp_status"] == "infeasible"
+
+
 @pytest.mark.parametrize(
     "model", ["trimloss_toy.model", "empty_ball_naive_4.model"])
 def test_cli_trace_bounds_are_in_model_units(model, tmp_path, capsys):

@@ -322,7 +322,7 @@ def _assert_matches_cold(prob, res):
 def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch):
     # the ball trees, then every MILP of the OA runs on the first ten
     # programs of the oracle corpus and on the aggregated balls, whose
-    # MILPs after the first start their roots from the last MILP's root
+    # MILPs after the first resume the last MILP's leaves
     seen = _lp_recorder(monkeypatch)
     for n in range(2, 7):
         solve_milp(*_ball_milp(n))
@@ -338,27 +338,130 @@ def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch):
             _assert_matches_cold(prob, res)
 
 
-def test_each_oa_milp_after_the_first_starts_its_root_warm(monkeypatch):
+def test_resuming_a_tightened_milp_matches_the_enumeration_oracle():
+    # each round appends a row a.x >= a.x* + 1/2 with its slack, which
+    # cuts off the last optimum x*, and resumes the last round's leaves
+    rng = np.random.default_rng(331)
+    rounds = 0
+    for _ in range(60):
+        A, b, c, lb, ub, int_idx = random_instance(rng)
+        res = solve_milp(A, b, c, lb, ub, int_idx)
+        for _ in range(3):
+            if res.status != OPTIMAL:
+                break
+            a = np.round(rng.standard_normal(A.shape[1]), 1)
+            A = np.block([[A, np.zeros((A.shape[0], 1))], [a, -1.0]])
+            b = np.append(b, a @ res.x + 0.5)
+            c, lb = np.append(c, 0.0), np.append(lb, 0.0)
+            ub = np.append(ub, np.inf)
+            res = solve_milp(A, b, c, lb, ub, int_idx, warm=res.leaves)
+            want_status, want_obj = oracle_milp(A, b, c, lb, ub, int_idx)
+            assert res.status == want_status
+            if want_status == OPTIMAL:
+                assert_allclose(res.obj, want_obj, rtol=1e-6, atol=1e-6)
+            rounds += 1
+    assert rounds > 60
+
+
+def _oa_milp_recorder(monkeypatch):
+    """Record each OA MILP as (args, warm, result, node LPs)."""
     seen = _lp_recorder(monkeypatch)
-    roots = []
+    milps = []
 
-    def recording_milp(*args, **kwargs):
-        roots.append(len(seen))
-        return solve_milp(*args, **kwargs)
+    def recording(*args, **kwargs):
+        first = len(seen)
+        res = solve_milp(*args, **kwargs)
+        milps.append((args, kwargs.get("warm"), res, seen[first:]))
+        return res
 
-    monkeypatch.setattr(oa, "solve_milp", recording_milp)
+    monkeypatch.setattr(oa, "solve_milp", recording)
+    return milps
+
+
+def test_each_oa_milp_resumes_the_previous_milps_leaves(monkeypatch):
+    milps = _oa_milp_recorder(monkeypatch)
+    resumed = 0
     for n in range(2, 5):
-        roots.clear()
-        out = oa.oa_solve(
-            emit_conic(instances.empty_ball_model(n, "naive"))[0])
-        assert out.iterations == len(roots) > 2
-        for i, (record, first) in enumerate(zip(out.trace, roots)):
-            _, warm, res = seen[first]
-            assert record["milp_root_pivots"] == res.iterations > 0
-            # the start is the previous MILP's root tableau
-            assert res.warm == (i > 0) == (warm is not None)
-            if i:
-                assert warm is seen[roots[i - 1]][2].basis
+        milps.clear()
+        prog = emit_conic(instances.empty_ball_model(n, "naive"))[0]
+        out = oa.oa_solve(prog)
+        nx = prog.num_integer
+        assert out.iterations == len(milps) > 2
+        for i, (_, warm, res, lps) in enumerate(milps):
+            assert out.trace[i]["milp_leaves"] == len(res.leaves)
+            if i == 0:
+                assert warm is None
+                continue
+            # the start is the previous MILP's leaves, the very list
+            assert warm is milps[i - 1][2].leaves
+            tableaux = {id(leaf[4]) for leaf in warm if leaf[4] is not None}
+            boxes = [(leaf[2][:nx], leaf[3][:nx]) for leaf in warm]
+            for prob, given, lp in lps:
+                # every node lies in a leaf's box: the root box is posed
+                # again only while an integral root LP left it a leaf
+                lo, hi = prob.lb[:nx], prob.ub[:nx]
+                assert any(np.all(lo >= blo) and np.all(hi <= bhi)
+                           for blo, bhi in boxes)
+                # and no LP starts cold
+                assert given is not None
+                if id(given) in tableaux:
+                    assert lp.warm
+                    resumed += 1
+    assert resumed > 20
+
+
+def _resumed_programs():
+    """The aggregated balls n=2..5, disk, trimloss and the first ten
+    programs of the seed-2024 oracle corpus."""
+    progs = [emit_conic(instances.empty_ball_model(n, "naive"))[0]
+             for n in range(2, 6)]
+    progs += [emit_conic(instances.disk_model())[0],
+              emit_conic(instances.trimloss_model())[0]]
+    rng = np.random.default_rng(2024)
+    progs += [instances.random_feasible_program(rng) for _ in range(10)]
+    return progs
+
+
+def test_a_resumed_milp_matches_a_fresh_tree(monkeypatch):
+    milps = _oa_milp_recorder(monkeypatch)
+    for prog in _resumed_programs():
+        oa.oa_solve(prog)
+    monkeypatch.undo()
+    resumed = stopped = 0
+    for args, warm, res, _ in milps:
+        fresh = solve_milp(*args)
+        assert res.status == fresh.status
+        if fresh.status != OPTIMAL:
+            continue
+        tol = 1e-9 * (1.0 + abs(fresh.obj))
+        assert abs(res.obj - fresh.obj) <= tol
+        assert res.lower_bound <= fresh.obj + tol
+        if warm is None or res.nodes < 2:
+            continue
+        resumed += 1
+        # a clock that ticks once per node LP stops the resumed search
+        # after half of its node LPs
+        clock = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+        k = res.nodes // 2
+        cut = solve_milp(*args, warm=warm, deadline=next(clock) + k + 0.5)
+        monkeypatch.undo()
+        assert cut.status == milp.TIME_LIMIT and cut.nodes == k
+        assert cut.lower_bound <= fresh.obj + tol
+        stopped += 1
+    assert resumed == stopped > 20
+
+
+def test_oa_on_the_aggregated_balls_solves_few_node_lps():
+    # one tree for the whole run: a fresh tree per OA iteration solves
+    # 1,424 node LPs here
+    nodes = 0
+    for n in range(2, 6):
+        prog = emit_conic(instances.empty_ball_model(n, "naive"))[0]
+        out = oa.oa_solve(prog)
+        assert out.status == INFEASIBLE
+        nodes += sum(record["milp_nodes"] for record in out.trace)
+    assert nodes <= 300
 
 
 # --------------------------------------------- deadlines and pivot counts
@@ -389,6 +492,11 @@ def test_a_deadline_mid_search_leaves_a_valid_lower_bound(monkeypatch):
         res = solve_milp(A, b, c, lb, ub, int_idx, deadline=start + k + 0.5)
         assert res.status == milp.TIME_LIMIT and res.nodes == k
         assert res.lower_bound <= want_obj + 1e-9
+        # the stopped search hands on its leaves, and resuming them
+        # finishes it
+        rest = solve_milp(A, b, c, lb, ub, int_idx, warm=res.leaves)
+        assert rest.status == OPTIMAL
+        assert_allclose(rest.obj, want_obj, rtol=1e-6, atol=1e-6)
         stopped += 1
     assert stopped > 5
 
