@@ -1,4 +1,12 @@
-"""The atom library: curvature, monotonicity, sign, value, and conic graph.
+"""The atom library: each atom is one record, and calling it applies it.
+
+An ``Atom`` record holds everything the analysis and the compiler ask of
+an atom: its curvature, its arity, its per-argument monotonicity
+``monotonicity(i, arg_signs)``, its sign ``sign(arg_signs)``, its value
+``evaluate(values, param)``, and its conic graph ``graph(builder, forms,
+param)``.  ``square(x)`` checks arity and parameter and returns an
+application that holds the record itself.  ``make_atom`` applies the atom
+that text names; nothing else resolves an atom by its name.
 
 Every atom carries an epigraph template over {NonNeg, SOC, RSOC, EXP, POW}
 factors only.  A convex atom's template emits constraints equivalent to
@@ -10,11 +18,12 @@ pin them to the argument forms with equality rows, so the projection onto
 
 import builtins
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 from . import cones
-from .errors import ArityError
+from .errors import ArityError, UnknownAtomError
 from .expr import (
-    ATOMS,
     CONCAVE,
     CONVEX,
     NEGATIVE,
@@ -23,50 +32,44 @@ from .expr import (
     NONINCREASING,
     POSITIVE,
     UNKNOWN_SIGN,
-    make_atom,
+    AtomApplication,
+    _wrap,
 )
 
 _SQRT2 = math.sqrt(2.0)
 
 
+@dataclass(frozen=True, eq=False)
 class Atom:
-    def __init__(self, name, curvature, min_arity, max_arity, monotonicity,
-                 sign, evaluate, graph, needs_param=False):
-        self.name = name
-        self.curvature = curvature
-        self.min_arity = min_arity
-        self.max_arity = max_arity
-        self._monotonicity = monotonicity
-        self._sign = sign
-        self._evaluate = evaluate
-        self.graph = graph
-        self.needs_param = needs_param
+    """One atom of the library; calling it applies it to arguments."""
 
-    def accepts_arity(self, n):
-        if n < self.min_arity:
-            return False
-        return self.max_arity is None or n <= self.max_arity
+    name: str
+    curvature: str
+    min_arity: int
+    max_arity: int  # None for any number of arguments
+    monotonicity: Callable
+    sign: Callable
+    evaluate: Callable
+    graph: Callable
+    needs_param: bool = False
 
-    def validate_param(self, param):
+    def __call__(self, *args, param=None):
+        """Apply the atom, checking arity and parameter."""
+        args = [_wrap(a) for a in args]
+        n = len(args)
+        if n < self.min_arity or (self.max_arity is not None
+                                  and n > self.max_arity):
+            raise ArityError(
+                f"atom {self.name!r} does not accept {n} argument(s)"
+            )
         if not self.needs_param:
             if param is not None:
                 raise ArityError(f"atom {self.name!r} takes no parameter")
-            return
-        if param is None or float(param) < 1.0:
+        elif param is None or float(param) < 1.0:
             raise ArityError(
                 f"atom {self.name!r} needs a numeric parameter >= 1"
             )
-
-    def monotonicity(self, i, arg_signs, param):
-        return self._monotonicity(i, arg_signs)
-
-    def sign(self, arg_signs, param):
-        return self._sign(arg_signs)
-
-    def evaluate(self, values, param):
-        if self.needs_param:
-            return self._evaluate(values, param)
-        return self._evaluate(values)
+        return AtomApplication(self, args, param)
 
 
 def _mono_even(i, arg_signs):
@@ -106,7 +109,7 @@ def _sign_max(arg_signs):
     return UNKNOWN_SIGN
 
 
-def _eval_entropy(values):
+def _eval_entropy(values, param):
     x = values[0]
     if x < 0.0:
         raise ValueError("entropy argument must be nonnegative")
@@ -115,19 +118,19 @@ def _eval_entropy(values):
     return -x * math.log(x)
 
 
-def _eval_geo_mean(values):
+def _eval_geo_mean(values, param):
     x, y = values
     if x < 0.0 or y < 0.0:
         raise ValueError("geo_mean arguments must be nonnegative")
     return math.sqrt(x * y)
 
 
-def _eval_logsumexp(values):
+def _eval_logsumexp(values, param):
     m = builtins.max(values)
     return m + math.log(sum(math.exp(v - m) for v in values))
 
 
-def _eval_inv_pos(values):
+def _eval_inv_pos(values, param):
     if values[0] <= 0.0:
         raise ValueError("inv_pos argument must be positive")
     return 1.0 / values[0]
@@ -234,86 +237,50 @@ def _graph_max(b, forms, param):
     return t
 
 
-def _register(atom):
-    ATOMS[atom.name] = atom
-    return atom
+abs = Atom("abs", CONVEX, 1, 1, _mono_even, _sign_positive,
+           lambda v, p: builtins.abs(v[0]), _graph_abs)
+square = Atom("square", CONVEX, 1, 1, _mono_even, _sign_positive,
+              lambda v, p: v[0] * v[0], _graph_square)
+sumsquares = Atom("sumsquares", CONVEX, 1, None, _mono_even, _sign_positive,
+                  lambda v, p: sum(x * x for x in v), _graph_sumsquares)
+norm2 = Atom("norm2", CONVEX, 1, None, _mono_even, _sign_positive,
+             lambda v, p: math.sqrt(sum(x * x for x in v)), _graph_norm2)
+geo_mean = Atom("geo_mean", CONCAVE, 2, 2, _mono_nondecreasing,
+                _sign_positive, _eval_geo_mean, _graph_geo_mean)
+exp = Atom("exp", CONVEX, 1, 1, _mono_nondecreasing, _sign_positive,
+           lambda v, p: math.exp(v[0]), _graph_exp)
+log = Atom("log", CONCAVE, 1, 1, _mono_nondecreasing, _sign_unknown,
+           lambda v, p: math.log(v[0]), _graph_log)
+entropy = Atom("entropy", CONCAVE, 1, 1, _mono_none, _sign_unknown,
+               _eval_entropy, _graph_entropy)
+logsumexp = Atom("logsumexp", CONVEX, 1, None, _mono_nondecreasing,
+                 _sign_unknown, _eval_logsumexp, _graph_logsumexp)
+_pow_rational = Atom("pow_rational", CONVEX, 1, 1, _mono_even,
+                     _sign_positive,
+                     lambda v, p: builtins.abs(v[0]) ** float(p),
+                     _graph_pow_rational, needs_param=True)
+inv_pos = Atom("inv_pos", CONVEX, 1, 1, _mono_nonincreasing, _sign_positive,
+               _eval_inv_pos, _graph_inv_pos)
+max = Atom("max", CONVEX, 1, None, _mono_nondecreasing, _sign_max,
+           lambda v, p: builtins.max(v), _graph_max)
 
-
-_register(Atom("abs", CONVEX, 1, 1, _mono_even, _sign_positive,
-               lambda v: builtins.abs(v[0]), _graph_abs))
-_register(Atom("square", CONVEX, 1, 1, _mono_even, _sign_positive,
-               lambda v: v[0] * v[0], _graph_square))
-_register(Atom("sumsquares", CONVEX, 1, None, _mono_even, _sign_positive,
-               lambda v: sum(x * x for x in v), _graph_sumsquares))
-_register(Atom("norm2", CONVEX, 1, None, _mono_even, _sign_positive,
-               lambda v: math.sqrt(sum(x * x for x in v)), _graph_norm2))
-_register(Atom("geo_mean", CONCAVE, 2, 2, _mono_nondecreasing,
-               _sign_positive, _eval_geo_mean, _graph_geo_mean))
-_register(Atom("exp", CONVEX, 1, 1, _mono_nondecreasing, _sign_positive,
-               lambda v: math.exp(v[0]), _graph_exp))
-_register(Atom("log", CONCAVE, 1, 1, _mono_nondecreasing, _sign_unknown,
-               lambda v: math.log(v[0]), _graph_log))
-_register(Atom("entropy", CONCAVE, 1, 1, _mono_none, _sign_unknown,
-               _eval_entropy, _graph_entropy))
-_register(Atom("logsumexp", CONVEX, 1, None, _mono_nondecreasing,
-               _sign_unknown, _eval_logsumexp, _graph_logsumexp))
-_register(Atom("pow_rational", CONVEX, 1, 1, _mono_even, _sign_positive,
-               lambda v, p: builtins.abs(v[0]) ** float(p),
-               _graph_pow_rational, needs_param=True))
-_register(Atom("inv_pos", CONVEX, 1, 1, _mono_nonincreasing, _sign_positive,
-               _eval_inv_pos, _graph_inv_pos))
-_register(Atom("max", CONVEX, 1, None, _mono_nondecreasing, _sign_max,
-               lambda v: builtins.max(v), _graph_max))
-
-
-def atom_library():
-    """All registered atoms."""
-    return list(ATOMS.values())
-
-
-def abs(x):
-    return make_atom("abs", [x])
-
-
-def square(x):
-    return make_atom("square", [x])
-
-
-def sumsquares(*xs):
-    return make_atom("sumsquares", xs)
-
-
-def norm2(*xs):
-    return make_atom("norm2", xs)
-
-
-def geo_mean(x, y):
-    return make_atom("geo_mean", [x, y])
-
-
-def exp(x):
-    return make_atom("exp", [x])
-
-
-def log(x):
-    return make_atom("log", [x])
-
-
-def entropy(x):
-    return make_atom("entropy", [x])
-
-
-def logsumexp(*xs):
-    return make_atom("logsumexp", xs)
+ATOMS = {atom.name: atom for atom in (
+    abs, square, sumsquares, norm2, geo_mean, exp, log, entropy, logsumexp,
+    _pow_rational, inv_pos, max)}
 
 
 def pow_rational(x, p):
-    return make_atom("pow_rational", [x], param=float(p))
+    return _pow_rational(x, param=float(p))
 
 
-def inv_pos(x):
-    return make_atom("inv_pos", [x])
+def atom_library():
+    """All atoms of the library."""
+    return list(ATOMS.values())
 
 
-def max(*xs):
-    return make_atom("max", xs)
+def make_atom(name, args, param=None):
+    """Apply the atom that text names."""
+    atom = ATOMS.get(name)
+    if atom is None:
+        raise UnknownAtomError(f"unknown atom {name!r}")
+    return atom(*args, param=param)

@@ -168,9 +168,10 @@ def main(argv=None):
     p_solve = sub.add_parser("solve", help="solve a model document or a "
                                            "standard-form instance")
     p_solve.add_argument("input")
-    p_solve.add_argument("--tol", type=float, default=1e-5)
-    p_solve.add_argument("--max-iters", type=int, default=1000)
-    p_solve.add_argument("--time-limit", type=float, default=None)
+    p_solve.add_argument("--tol", type=float, default=OaConfig.tol)
+    p_solve.add_argument("--max-iters", type=int, default=OaConfig.max_iters)
+    p_solve.add_argument("--time-limit", type=float,
+                         default=OaConfig.time_limit)
     p_solve.add_argument("--trace", default=None,
                          help="write one JSON record per iteration here")
     p_solve.add_argument("--oracle", action="store_true",

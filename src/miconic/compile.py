@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cones
 from .errors import DimensionMismatch, NotDcp, UnboundedInteger
-from .expr import CONSTANT, AffineCombination, Constant, _atom, postorder
+from .expr import CONSTANT, AffineCombination, Constant, postorder
 from .model import dcp_verify
 from .program import LinForm, ProgramBuilder, X_BLOCK, Z_BLOCK
 
@@ -121,7 +121,7 @@ class _Lowering:
         return self._lower_atom(e)
 
     def _lower_atom(self, e):
-        atom = _atom(e.name)
+        atom = e.atom
         forms = [self.memo[id(arg)] for arg in e.args]
         if e.curvature == CONSTANT and not any(f.terms for f in forms):
             try:

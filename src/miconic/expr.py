@@ -1,9 +1,11 @@
 """Expression trees with disciplined-convexity analysis.
 
 Expressions are immutable scalar trees built from variables, constants,
-affine combinations, and atom applications.  Curvature is established
-purely by composition rules over the atoms' declared curvature and
-per-argument monotonicity; no semantic convexity detection is attempted.
+affine combinations, and atom applications; comparing two builds a
+``Constraint``.  An application holds the atom record it applies (see
+atoms.py), and curvature is established purely by composition rules over
+that record's declared curvature and per-argument monotonicity; no
+semantic convexity detection is attempted.
 A small sign lattice (positive / negative / unknown), seeded from variable
 bounds, refines the monotonicity of even atoms like square and abs.  Each
 node computes its sign and curvature once, when it is built, from its
@@ -16,8 +18,6 @@ stack, so a pass takes one step per distinct node at any depth.
 """
 
 import numbers
-
-from .errors import ArityError, UnknownAtomError
 
 CONSTANT = "constant"
 AFFINE = "affine"
@@ -32,9 +32,6 @@ NO_MONOTONICITY = "none"
 POSITIVE = "positive"
 NEGATIVE = "negative"
 UNKNOWN_SIGN = "unknown"
-
-# populated by the atoms module at import time
-ATOMS = {}
 
 
 def _flip(curv):
@@ -98,21 +95,34 @@ class Expression:
         return _affine([1.0 / float(other)], [self], 0.0)
 
     def __le__(self, other):
-        from .model import Constraint
-
         return Constraint("ineq", self - _wrap(other))
 
     def __ge__(self, other):
-        from .model import Constraint
-
         return Constraint("ineq", _wrap(other) - self)
 
     def __eq__(self, other):
-        from .model import Constraint
-
         return Constraint("eq", self - _wrap(other))
 
     __hash__ = object.__hash__
+
+
+class Constraint:
+    """Normalized constraint: expr <= 0 (kind 'ineq') or expr = 0 ('eq')."""
+
+    def __init__(self, kind, expr):
+        if kind not in ("ineq", "eq"):
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        self.kind = kind
+        self.expr = expr
+
+    def __bool__(self):
+        raise TypeError(
+            "a constraint has no truth value; use model.add() to impose it"
+        )
+
+    def __repr__(self):
+        op = "<=" if self.kind == "ineq" else "=="
+        return f"Constraint({self.expr!r} {op} 0)"
 
 
 class Constant(Expression):
@@ -169,14 +179,16 @@ class AffineCombination(Expression):
 
 
 class AtomApplication(Expression):
-    def __init__(self, name, args, param=None):
-        self.name = name
+    """An atom record applied to arguments; build by calling the atom."""
+
+    def __init__(self, atom, args, param=None):
+        self.atom = atom
+        self.name = atom.name
         self.args = self.children = tuple(args)
         self.param = param
-        atom = _atom(name)
         arg_signs = [a.sign for a in self.args]
-        self.sign = atom.sign(arg_signs, param)
-        self.curvature = _compose(atom, self.args, arg_signs, param)
+        self.sign = atom.sign(arg_signs)
+        self.curvature = _compose(atom, self.args, arg_signs)
 
     def __repr__(self):
         return f"AtomApplication({self.name}, {len(self.args)} args)"
@@ -223,26 +235,7 @@ def _affine(coeffs, children, offset):
     return AffineCombination(out_c, out_k, offset)
 
 
-def _atom(name):
-    atom = ATOMS.get(name)
-    if atom is None:
-        raise UnknownAtomError(f"unknown atom {name!r}")
-    return atom
-
-
-def make_atom(name, args, param=None):
-    """Build an atom application, validating arity against the library."""
-    atom = _atom(name)
-    args = tuple(_wrap(a) for a in args)
-    if not atom.accepts_arity(len(args)):
-        raise ArityError(
-            f"atom {name!r} does not accept {len(args)} argument(s)"
-        )
-    atom.validate_param(param)
-    return AtomApplication(name, args, param)
-
-
-def _compose(atom, args, arg_signs, param):
+def _compose(atom, args, arg_signs):
     """Curvature of atom(args) provable by the composition rules."""
     arg_curvs = [a.curvature for a in args]
     if all(k == CONSTANT for k in arg_curvs):
@@ -251,7 +244,7 @@ def _compose(atom, args, arg_signs, param):
     for i, k in enumerate(arg_curvs):
         if k in (CONSTANT, AFFINE):
             continue
-        mono = atom.monotonicity(i, arg_signs, param)
+        mono = atom.monotonicity(i, arg_signs)
         if base == CONVEX:
             ok = (k == CONVEX and mono == NONDECREASING) or (
                 k == CONCAVE and mono == NONINCREASING
@@ -313,8 +306,8 @@ def evaluate(expr, values):
             for c, child in zip(node.coeffs, node.children):
                 v += c * value[id(child)]
         else:
-            v = _atom(node.name).evaluate(
-                [value[id(a)] for a in node.args], node.param)
+            v = node.atom.evaluate([value[id(a)] for a in node.args],
+                                   node.param)
         value[id(node)] = v
     return value[id(expr)]
 

@@ -10,30 +10,12 @@ from .expr import (
     UNKNOWN,
     AffineCombination,
     Constant,
+    Constraint,
     Variable,
     _wrap,
     curvature_of,
     variables_in,
 )
-
-
-class Constraint:
-    """Normalized constraint: expr <= 0 (kind 'ineq') or expr = 0 ('eq')."""
-
-    def __init__(self, kind, expr):
-        if kind not in ("ineq", "eq"):
-            raise ValueError(f"unknown constraint kind {kind!r}")
-        self.kind = kind
-        self.expr = expr
-
-    def __bool__(self):
-        raise TypeError(
-            "a constraint has no truth value; use model.add() to impose it"
-        )
-
-    def __repr__(self):
-        op = "<=" if self.kind == "ineq" else "=="
-        return f"Constraint({self.expr!r} {op} 0)"
 
 
 class DcpModel:

@@ -21,6 +21,7 @@ nesting depth are read and written without recursion.
 import re
 
 from . import expr as ex
+from .atoms import ATOMS, make_atom, pow_rational
 from .errors import ArityError, ModelSyntaxError, UnknownAtomError
 from .model import DcpModel
 
@@ -169,7 +170,7 @@ class _Parser:
                     if lead is None:
                         self._fail("%s needs a leading numeric %s"
                                    % (head.text, _LEAD[head.text]), lead_tok)
-                elif head.text not in _ARITY and head.text not in ex.ATOMS:
+                elif head.text not in _ARITY and head.text not in ATOMS:
                     raise UnknownAtomError("unknown atom %r" % head.text,
                                            head.line, head.col)
                 stack.append((head, lead, []))
@@ -193,7 +194,7 @@ class _Parser:
     def _build(self, head, lead, args):
         if head.text not in _ARITY:
             try:
-                return ex.make_atom(head.text, args)
+                return make_atom(head.text, args)
             except ArityError as err:
                 raise ArityError(str(err), head.line, head.col)
         minimum, maximum = _ARITY[head.text]
@@ -217,8 +218,8 @@ class _Parser:
         if head.text == "mul":
             return args[0] * lead
         try:
-            return ex.make_atom("pow_rational", args, param=lead)
-        except (UnknownAtomError, ArityError) as err:
+            return pow_rational(args[0], lead)
+        except ArityError as err:
             self._fail(str(err), head)
 
 

@@ -144,16 +144,8 @@ class ProgramBuilder:
         self._objective = LinForm()
 
     @property
-    def num_integer(self):
-        return len(self.x_lb)
-
-    @property
     def num_conic(self):
         return self._z_dim
-
-    @property
-    def num_rows(self):
-        return len(self._rows)
 
     def integer_column(self, lb, ub):
         self.x_lb.append(float(lb))

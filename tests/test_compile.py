@@ -6,9 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from miconic import atoms, cones
+from miconic.atoms import ATOMS
 from miconic.compile import emit_conic, recover_solution
 from miconic.errors import DimensionMismatch, NotDcp
-from miconic.expr import ATOMS, CONVEX, evaluate
+from miconic.expr import CONVEX, evaluate
 from miconic.ipm import ContinuousConicProblem, solve_continuous
 from miconic.model import DcpModel
 from miconic.oa import oa_solve
@@ -239,7 +240,7 @@ def _substitute(expr, mapping):
         )
     if isinstance(expr, AtomApplication):
         return AtomApplication(
-            expr.name,
+            expr.atom,
             [_substitute(a, mapping) for a in expr.args],
             expr.param,
         )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miconic import cones, instances
+from miconic import cli, cones, instances
 from miconic.cli import main
 from miconic.compile import emit_conic
 from miconic.conicio import read_conic, write_conic
@@ -22,6 +22,7 @@ from miconic.errors import (
     UnknownAtomError,
 )
 from miconic.modelio import _tokenize, parse_model, print_model
+from miconic.oa import INFEASIBLE, OaConfig, OaOutcome, oa_solve
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INSTANCE_DIR = ROOT / "instances"
@@ -474,6 +475,33 @@ def test_cli_oracle_agreement(capsys):
     assert result["oracle"]["agree"] is True
     assert result["objective"] == pytest.approx(result["oracle"]["objective"],
                                                 abs=1e-6)
+
+
+def test_cli_oracle_disagreement_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "brute_force_solve",
+                        lambda program: OaOutcome(INFEASIBLE))
+    code, out, _ = _run(
+        ["solve", str(INSTANCE_DIR / "disk.model"), "--oracle",
+         "--no-timing"], capsys)
+    assert code == 4
+    result = json.loads(out)
+    assert result["status"] == "optimal"
+    assert result["oracle"] == {"status": "infeasible", "objective": None,
+                                "agree": False}
+
+
+def test_cli_solve_defaults_are_oa_configs(monkeypatch, capsys):
+    configs = []
+
+    def recording(program, config):
+        configs.append(config)
+        return oa_solve(program, config)
+
+    monkeypatch.setattr(cli, "oa_solve", recording)
+    code, _, _ = _run(["solve", str(INSTANCE_DIR / "disk.model"),
+                       "--no-timing"], capsys)
+    assert code == 0
+    assert configs == [OaConfig()]
 
 
 def test_cli_trace_has_one_record_per_iteration(tmp_path, capsys):

@@ -340,27 +340,44 @@ def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch):
 
 def test_resuming_a_tightened_milp_matches_the_enumeration_oracle():
     # each round appends a row a.x >= a.x* + 1/2 with its slack, which
-    # cuts off the last optimum x*, and resumes the last round's leaves
+    # cuts off the last optimum x*, and resumes the last round's leaves;
+    # beside each round, a side round raises one integer's lower bound
+    # past the least upper bound a leaf has on it, which empties those
+    # leaves' boxes, and resumes the same leaves
+    def check(A, b, c, lb, ub, int_idx, leaves):
+        res = solve_milp(A, b, c, lb, ub, int_idx, warm=leaves)
+        want_status, want_obj = oracle_milp(A, b, c, lb, ub, int_idx)
+        assert res.status == want_status
+        if want_status == OPTIMAL:
+            assert_allclose(res.obj, want_obj, rtol=1e-6, atol=1e-6)
+        return res
+
     rng = np.random.default_rng(331)
-    rounds = 0
+    rounds = bound_rounds = emptied = 0
     for _ in range(60):
         A, b, c, lb, ub, int_idx = random_instance(rng)
         res = solve_milp(A, b, c, lb, ub, int_idx)
-        for _ in range(3):
-            if res.status != OPTIMAL:
+        for k in range(4):
+            if res.leaves:
+                top, j = min((min(leaf[3][j] for leaf in res.leaves), j)
+                             for j in int_idx)
+                if top < ub[j]:
+                    raised = lb.copy()
+                    raised[j] = top + 1.0
+                    emptied += sum(leaf[3][j] < raised[j]
+                                   for leaf in res.leaves)
+                    check(A, b, c, raised, ub, int_idx, res.leaves)
+                    bound_rounds += 1
+            if k == 3 or res.status != OPTIMAL:
                 break
             a = np.round(rng.standard_normal(A.shape[1]), 1)
             A = np.block([[A, np.zeros((A.shape[0], 1))], [a, -1.0]])
             b = np.append(b, a @ res.x + 0.5)
             c, lb = np.append(c, 0.0), np.append(lb, 0.0)
             ub = np.append(ub, np.inf)
-            res = solve_milp(A, b, c, lb, ub, int_idx, warm=res.leaves)
-            want_status, want_obj = oracle_milp(A, b, c, lb, ub, int_idx)
-            assert res.status == want_status
-            if want_status == OPTIMAL:
-                assert_allclose(res.obj, want_obj, rtol=1e-6, atol=1e-6)
+            res = check(A, b, c, lb, ub, int_idx, res.leaves)
             rounds += 1
-    assert rounds > 60
+    assert rounds > 60 and bound_rounds > 30 and emptied > bound_rounds
 
 
 def _oa_milp_recorder(monkeypatch):

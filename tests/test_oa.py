@@ -12,6 +12,7 @@ from miconic.errors import InvalidCut, TooLarge
 from miconic.ipm import (
     INFEASIBLE,
     OPTIMAL,
+    UNBOUNDED,
     ConicResult,
     ContinuousConicProblem,
     solve_continuous,
@@ -29,6 +30,7 @@ from miconic.oa import (
     brute_force_solve,
     oa_solve,
 )
+from miconic.modelio import parse_model
 from miconic.program import ConicProgram
 
 
@@ -428,6 +430,15 @@ def test_brute_force_single_assignment_matches_continuous_solve():
         prog.A_z, prog.b - prog.A_x @ np.array([2.0]), prog.c, prog.cones))
     assert rb.status == direct.status == OPTIMAL
     assert rb.obj == pytest.approx(direct.obj, abs=1e-12)
+
+
+def test_brute_force_reports_an_unbounded_fiber():
+    # OA's status on this model is a known defect, so only the oracle's
+    # exit is checked
+    prog, _ = emit_conic(parse_model("(var x) (min x)"))
+    rb = brute_force_solve(prog)
+    assert rb.status == UNBOUNDED
+    assert rb.lower_bound == rb.upper_bound == -np.inf
 
 
 def test_brute_force_all_fibers_infeasible():
