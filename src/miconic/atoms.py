@@ -65,7 +65,7 @@ class Atom:
         if not self.needs_param:
             if param is not None:
                 raise ArityError(f"atom {self.name!r} takes no parameter")
-        elif param is None or float(param) < 1.0:
+        elif param is None or not 1.0 <= float(param) < math.inf:
             raise ArityError(
                 f"atom {self.name!r} needs a numeric parameter >= 1"
             )

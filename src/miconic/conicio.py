@@ -11,8 +11,11 @@ entry lines; ``#`` starts a comment and blank lines separate sections::
     AZ             triplets "row col value"
     B              row count and sparse entries "i value"
 
-Floats are written with 17 significant digits so read(write(p)) is exact.
+Floats are written with 17 significant digits so read(write(p)) is exact;
+the reader rejects a number that is not finite.
 """
+
+import math
 
 import numpy as np
 
@@ -88,9 +91,12 @@ class _Reader:
         out = []
         for part, kind in zip(parts, kinds):
             try:
-                out.append(kind(part))
+                value = kind(part)
             except ValueError:
                 self.fail("bad %s entry %r" % (what, part))
+            if not math.isfinite(value):
+                self.fail("non-finite %s entry %r" % (what, part))
+            out.append(value)
         return out
 
 

@@ -453,7 +453,7 @@ def solve_continuous(prob):
     A, b, d_scale = _equilibrate(A0, b0)
 
     # drop dependent rows; inconsistent dependencies give an exact certificate
-    q, r, perm = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
+    r, perm = scipy.linalg.qr(A.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > max(m, n) * 1e-13 * (diag[0] if len(diag) else 1.0)))
     kept = np.sort(perm[:rank])

@@ -53,7 +53,9 @@ TIME_LIMIT = "time_limit"
 class MilpResult:
     """Outcome of branch and bound.
 
-    status is optimal, infeasible, unbounded or time_limit.  nodes counts
+    status is optimal, infeasible, unbounded or time_limit.  The entries
+    of x at the integer columns are exact integers, rounded from the LP
+    point, so a caller can read an assignment from them.  nodes counts
     the node LPs solved, one per node, and pivots their simplex iterations.
     leaves are the search's nodes not proven infeasible, each a tuple
     (bound, tie-breaker, lower bounds, upper bounds, tableau): the warm

@@ -2,19 +2,20 @@
 
 The driver alternates a MILP relaxation built from an accumulating pool of
 dual cuts with continuous conic subproblems on the integer assignments the
-MILP proposes.  A feasible subproblem contributes its dual certificate
-and a candidate incumbent, an infeasible one contributes its ray, and when
-neither certificate is available the driver separates the MILP point from
-each cone factor.  Every cut takes one path, the initial tangents, the
-root relaxation's dual and cuts given to add_cut included: it is split by
-cone factor, and each nonzero block is checked (or repaired) against its
-own dual factor only and pooled as a cut of its own, unless an earlier
-cut on that factor points the same way.  The MILP depends
-only on the cut pool and the lower bound, and every solve is
-deterministic, so an iteration that adds no cut and leaves the lower
-bound unchanged is a fixed point: the next one would repeat it forever.
-Instances whose fibers admit no dual certificates end there, and the
-driver reports an assumption failure rather than loop on.
+MILP proposes.  Every subproblem is posed by _root_relaxation or _fiber
+and read by _certificate: a feasible one contributes its dual certificate
+and a candidate incumbent, an infeasible one its ray, and when neither
+certificate is available the driver separates the MILP point from each
+cone factor.  Every cut takes one path, the initial tangents, the root
+relaxation's dual and cuts given to add_cut included: it is split by cone
+factor, and each nonzero block is checked (or repaired) against its own
+dual factor only and pooled as a cut of its own, unless an earlier cut on
+that factor points the same way.  The MILP depends only on the cut pool
+and the lower bound, and every solve is deterministic, so an iteration
+that adds no cut and leaves the lower bound unchanged is a fixed point:
+the next one would repeat it forever.  Instances whose fibers admit no
+dual certificates end there, and the driver reports an assumption failure
+rather than loop on.
 
 Each MILP is the previous one plus the new cut rows, a raised objective
 row and raised lower bounds, so it tightens the previous one in the sense
@@ -251,7 +252,7 @@ def _milp_data(program, state):
 def _root_relaxation(program):
     """Drop integrality: box the x columns with nonnegative pairs and solve.
 
-    Returns (status, objective, duals of original rows).
+    The result's lam is cut down to the duals of the program's own rows.
     """
     m, nx, nz = program.num_rows, program.num_integer, program.num_conic
     A = np.zeros((m + nx, 2 * nx + nz))
@@ -266,8 +267,25 @@ def _root_relaxation(program):
     pairs = (cones.nonneg(nx),) * 2 if nx else ()
     K = cones.ConeProduct(pairs + tuple(program.cones.factors))
     res = solve_continuous(ContinuousConicProblem(A, b, c, K))
-    lam = res.lam[:m] if res.lam is not None else None
-    return res.status, res.obj, lam
+    if res.lam is not None:
+        res.lam = res.lam[:m]
+    return res
+
+
+def _fiber(program, x):
+    """Solve the continuous subproblem of the integer assignment x."""
+    r = program.b - program.A_x @ x
+    return solve_continuous(
+        ContinuousConicProblem(program.A_z, r, program.c, program.cones)
+    )
+
+
+def _certificate(program, res):
+    """The dual vector a subproblem certifies: c - A_z'lam when res is
+    optimal, the ray -(A_z'lam) when it is infeasible."""
+    if res.status == OPTIMAL:
+        return program.c - program.A_z.T @ res.lam
+    return -(program.A_z.T @ res.lam)
 
 
 def _gap_closed(state):
@@ -333,18 +351,18 @@ def _initialize(program, state):
             beta = np.zeros(program.num_conic)
             beta[sl] = local
             _pool(state, _blocks(state, beta), INITIAL_RELAXATION, None)
-    root_status, root_obj, root_lam = _root_relaxation(program)
-    if root_status == INFEASIBLE:
+    root = _root_relaxation(program)
+    if root.status == INFEASIBLE:
         state.z_lower = np.inf
         return INFEASIBLE, None
-    if root_status == UNBOUNDED:
+    if root.status == UNBOUNDED:
         return ASSUMPTION_FAILURE, (
             "the continuous relaxation is unbounded, so no bounded "
             "polyhedral relaxation exists"
         )
-    if root_status == OPTIMAL:
-        state.z_lower = float(root_obj)
-        beta = program.c - program.A_z.T @ root_lam
+    if root.status == OPTIMAL:
+        state.z_lower = float(root.obj)
+        beta = _certificate(program, root)
         _pool(state, _blocks(state, beta), INITIAL_RELAXATION, None)
     # almost_optimal or numeric_failure: continue without a root cut
     return None
@@ -390,44 +408,37 @@ def _iterate(program, state, record, deadline):
     record["milp_value"] = float(mres.obj)
     state.z_lower = max(state.z_lower, float(mres.lower_bound))
     nx, nz = program.num_integer, program.num_conic
-    assignment = tuple(int(round(v)) for v in mres.x[:nx])
+    x = mres.x[:nx]
+    assignment = tuple(int(v) for v in x)
     record["assignment"] = list(assignment)
     if _gap_closed(state):
         return OPTIMAL, None
 
-    x_star = np.array([float(v) for v in assignment])
-    r = program.b - program.A_x @ x_star
-    sub = solve_continuous(
-        ContinuousConicProblem(program.A_z, r, program.c, program.cones)
-    )
+    sub = _fiber(program, x)
     record["subproblem_status"] = sub.status
-    if sub.status == OPTIMAL:
+    if sub.obj is not None and math.isfinite(sub.obj):
         record["subproblem_value"] = float(sub.obj)
-        beta = program.c - program.A_z.T @ sub.lam
-        _pool(state, _blocks(state, beta), SUBPROBLEM_DUAL, assignment)
-        if sub.obj < state.z_upper:
-            state.z_upper = float(sub.obj)
-            state.incumbent_x = x_star
-            state.incumbent_z = sub.z
-    elif sub.status == INFEASIBLE:
-        beta = -(program.A_z.T @ sub.lam)
-        _pool(state, _blocks(state, beta), INFEASIBILITY_RAY, assignment)
-    elif sub.status == UNBOUNDED:
+    if sub.status == UNBOUNDED:
         return ASSUMPTION_FAILURE, (
             "a fiber subproblem is unbounded below, so the instance "
             "has no finite optimum"
         )
+    if sub.status == OPTIMAL:
+        beta, provenance = _certificate(program, sub), SUBPROBLEM_DUAL
+        if sub.obj < state.z_upper:
+            state.z_upper = float(sub.obj)
+            state.incumbent_x, state.incumbent_z = x, sub.z
+    elif sub.status == INFEASIBLE:
+        beta, provenance = _certificate(program, sub), INFEASIBILITY_RAY
     else:
         # no certificate: separate the MILP point from each cone factor
-        if sub.obj is not None:
-            record["subproblem_value"] = float(sub.obj)
         z_milp = mres.x[nx : nx + nz]
-        beta = np.zeros(nz)
+        beta, provenance = np.zeros(nz), SEPARATION
         for f, sl in program.cones.slices():
             g = cones.separate(f, z_milp[sl])
             if g is not None:
                 beta[sl] = g
-        _pool(state, _blocks(state, beta), SEPARATION, assignment)
+    _pool(state, _blocks(state, beta), provenance, assignment)
 
     if _gap_closed(state):
         return OPTIMAL, None
@@ -450,62 +461,32 @@ def brute_force_solve(program):
     numeric_failure when any fiber came back without a certificate (the
     enumeration then proves nothing).
     """
-    nx = program.num_integer
-    ranges = []
-    for j in range(nx):
-        lo = int(math.ceil(program.L[j] - 1e-9))
-        hi = int(math.floor(program.U[j] + 1e-9))
-        if lo > hi:
-            return OaOutcome(
-                INFEASIBLE, lower_bound=np.inf, upper_bound=np.inf
-            )
-        ranges.append(range(lo, hi + 1))
-    total = 1
-    for r in ranges:
-        total *= len(r)
+    ranges = [range(int(math.ceil(lo - 1e-9)), int(math.floor(hi + 1e-9)) + 1)
+              for lo, hi in zip(program.L, program.U)]
+    total = math.prod(len(r) for r in ranges)
     if total > _GRID_LIMIT:
         raise TooLarge(
             "integer grid has %d points, above the limit of %d"
             % (total, _GRID_LIMIT)
         )
-
-    best = None
-    best_x = None
+    best = OaOutcome(INFEASIBLE, lower_bound=np.inf, upper_bound=np.inf)
     unresolved = 0
-    fibers = 0
-    for values in itertools.product(*ranges):
-        fibers += 1
-        x = np.array([float(v) for v in values])
-        r = program.b - program.A_x @ x
-        res = solve_continuous(
-            ContinuousConicProblem(program.A_z, r, program.c, program.cones)
-        )
+    for fibers, values in enumerate(itertools.product(*ranges), 1):
+        x = np.array(values, dtype=float)
+        res = _fiber(program, x)
         if res.status == UNBOUNDED:
             return OaOutcome(
                 UNBOUNDED, x=x, lower_bound=-np.inf, upper_bound=-np.inf,
                 iterations=fibers,
             )
-        if res.status == OPTIMAL:
-            if best is None or res.obj < best.obj:
-                best, best_x = res, x
-        elif res.status != INFEASIBLE:
+        if res.status == OPTIMAL and (best.obj is None or res.obj < best.obj):
+            obj = float(res.obj)
+            best = OaOutcome(OPTIMAL, x=x, z=res.z, obj=obj, lower_bound=obj,
+                             upper_bound=obj)
+        elif res.status not in (OPTIMAL, INFEASIBLE):
             unresolved += 1
+    best.iterations = total
     if unresolved:
-        out = OaOutcome(
-            NUMERIC_FAILURE, iterations=fibers,
-            diagnostic="%d fiber(s) returned no certificate" % unresolved,
-        )
-        if best is not None:
-            out.x, out.z, out.obj = best_x, best.z, float(best.obj)
-            out.upper_bound = float(best.obj)
-        return out
-    if best is None:
-        return OaOutcome(
-            INFEASIBLE, lower_bound=np.inf, upper_bound=np.inf,
-            iterations=fibers,
-        )
-    return OaOutcome(
-        OPTIMAL, x=best_x, z=best.z, obj=float(best.obj),
-        lower_bound=float(best.obj), upper_bound=float(best.obj),
-        iterations=fibers,
-    )
+        best.status, best.lower_bound = NUMERIC_FAILURE, -np.inf
+        best.diagnostic = "%d fiber(s) returned no certificate" % unresolved
+    return best

@@ -148,6 +148,13 @@ def test_atom_errors():
         make_atom("abs", [x], param=2.0)
 
 
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_pow_rational_rejects_a_non_finite_exponent(p):
+    x = DcpModel().variable("x")
+    with pytest.raises(ArityError):
+        atoms.pow_rational(x, p)
+
+
 def test_variable_declaration_errors():
     m = DcpModel()
     with pytest.raises(UnboundedInteger):

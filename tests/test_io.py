@@ -384,6 +384,39 @@ def test_bad_sparse_entry_is_rejected_in_its_section(section, old, new):
     assert str(err.value).startswith("section %s" % section)
 
 
+@pytest.mark.parametrize("section, old, new, cause", [
+    ("OBJ", "OBJ\n0\n", "OBJ\nnan\n", "non-finite objective offset"),
+    ("OBJ", "OBJ\n0\n1\n2 1", "OBJ\n0\n1\n2 inf",
+     "non-finite objective entry"),
+    ("VARX", "VARX\n1\n0 0 1", "VARX\n1\n0 0 inf",
+     "non-finite integer column"),
+    ("AX", "\nAX\n1\n0 0 1", "\nAX\n1\n0 0 -inf",
+     "non-finite matrix triplet"),
+    ("AZ", "\nAZ\n1\n0 0 1", "\nAZ\n1\n0 0 nan",
+     "non-finite matrix triplet"),
+    ("B", "B\n1 0", "B\n1 1\n0 nan", "non-finite rhs entry"),
+    ("B", "B\n1 0", "B\n1 1", "unexpected end of file"),
+    ("VARX", "VARX\n1\n0 0 1", "VARX\n1\n0 0", "expected 3 field(s)"),
+    ("AZ", "\nAZ\n1\n0 0 1", "\nAZ\n1\n0 0 x", "bad matrix triplet"),
+    ("OBJ", "OBJ\n0\n1\n2 1", "OBJ\n0\n-1\n2 1", "negative count"),
+    ("VER", "B\n1 0", "B\n1 0\nVER\n1", "duplicate section"),
+    ("VARZ", "VARZ\n1\nrsoc 3\n\nAX\n1\n0 0 1\n\nAZ\n1\n0 0 1\n\nB\n1 0\n",
+     "VARZ\n2\nrsoc 3\n", "unexpected end of file in cone list"),
+    ("VARZ", "VARZ\n1\nrsoc 3", "VARZ\n1\nrsoc", "cone lines are"),
+    ("B", "B\n1 0", "B\n-1 0", "negative count in B header"),
+], ids=["obj-offset-nan", "obj-entry-inf", "varx-bound-inf", "ax-inf",
+        "az-nan", "b-nan", "end-of-file", "field-count", "unparsable",
+        "negative-count", "duplicate-section", "end-of-cone-list",
+        "cone-line", "negative-b-count"])
+def test_malformed_text_is_rejected_in_its_section(section, old, new, cause):
+    text = _pathology_text()
+    assert old in text
+    with pytest.raises(FormatError) as err:
+        read_conic(text.replace(old, new))
+    assert str(err.value).startswith("section %s" % section)
+    assert cause in str(err.value)
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -557,6 +590,33 @@ def test_cli_rejects_malformed_input(tmp_path, capsys):
     assert err
     code, _, _ = _run(["solve", str(tmp_path / "missing.model")], capsys)
     assert code == 2
+
+
+def test_cli_sniffs_the_format_past_leading_comments(tmp_path, capsys):
+    doc = tmp_path / "commented.model"
+    doc.write_text("; the disk model\n\n"
+                   + (INSTANCE_DIR / "disk.model").read_text())
+    argv = ["solve", "--no-timing"]
+    code, commented, _ = _run(argv + [str(doc)], capsys)
+    assert code == 0
+    _, direct, _ = _run(argv + [str(INSTANCE_DIR / "disk.model")], capsys)
+    assert commented == direct
+
+
+def test_cli_rejects_an_empty_file(tmp_path, capsys):
+    empty = tmp_path / "empty.model"
+    empty.write_text("")
+    code, out, err = _run(["solve", str(empty)], capsys)
+    assert code == 2 and not out
+    assert "file is empty" in err
+
+
+def test_cli_check_rejects_a_non_finite_exponent(tmp_path, capsys):
+    doc = tmp_path / "pow.model"
+    doc.write_text("(var x -1 1) (min (pow inf x))\n")
+    code, out, err = _run(["check", str(doc)], capsys)
+    assert code == 2 and not out
+    assert "needs a numeric parameter >= 1" in err
 
 
 def test_cli_rejects_a_solve_setting_out_of_range(capsys):

@@ -30,6 +30,7 @@ from miconic.oa import (
     brute_force_solve,
     oa_solve,
 )
+from miconic.milp import MilpResult, solve_milp
 from miconic.modelio import parse_model
 from miconic.program import ConicProgram
 
@@ -367,6 +368,33 @@ def test_time_limit_reaches_inside_branch_and_bound(monkeypatch):
     assert 0 < record["milp_nodes"] < 511
     assert record["milp_pivots"] >= record["milp_nodes"]
     assert res.lower_bound == record["lower_bound"] < np.inf
+
+
+def test_infeasible_milp_after_an_incumbent_keeps_it(monkeypatch):
+    # valid cuts cannot cut off a feasible point, so the second MILP being
+    # infeasible is a failed assumption; the run keeps what it has proven
+    prog, _ = emit_conic(instances.trimloss_model())
+    first = oa_solve(prog, OaConfig(max_iters=1))
+    assert first.x is not None
+    calls = []
+
+    def second_infeasible(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            return MilpResult(INFEASIBLE, lower_bound=np.inf)
+        return solve_milp(*args, **kwargs)
+
+    monkeypatch.setattr(oa, "solve_milp", second_infeasible)
+    res = oa_solve(prog)
+    assert res.status == ASSUMPTION_FAILURE
+    assert res.diagnostic == (
+        "MILP relaxation infeasible while an incumbent exists")
+    assert res.iterations == 2
+    assert np.array_equal(res.x, first.x) and np.array_equal(res.z, first.z)
+    assert res.obj == res.upper_bound == first.upper_bound
+    assert res.lower_bound == first.lower_bound
+    assert res.lower_bound == pytest.approx(7.3137086, abs=1e-6)
+    assert res.upper_bound == pytest.approx(8.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("factor", [cones.Cone(cones.EXPDUAL, 3),
