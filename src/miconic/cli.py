@@ -173,7 +173,9 @@ def main(argv=None):
     p_solve.add_argument("--time-limit", type=float,
                          default=OaConfig.time_limit)
     p_solve.add_argument("--trace", default=None,
-                         help="write one JSON record per iteration here")
+                         help="write one JSON record per iteration here "
+                              "(none when the run ends at its root "
+                              "relaxation, with 0 iterations)")
     p_solve.add_argument("--oracle", action="store_true",
                          help="cross-check against brute-force enumeration")
     p_solve.add_argument("--no-timing", action="store_true",

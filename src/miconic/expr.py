@@ -17,6 +17,7 @@ model (evaluating, listing variables, lowering, printing) iterates
 stack, so a pass takes one step per distinct node at any depth.
 """
 
+import math
 import numbers
 
 CONSTANT = "constant"
@@ -125,9 +126,16 @@ class Constraint:
         return f"Constraint({self.expr!r} {op} 0)"
 
 
+def _finite(value, what):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (what, value))
+    return value
+
+
 class Constant(Expression):
     def __init__(self, value):
-        self.value = float(value)
+        self.value = _finite(value, "a constant")
         self.sign = POSITIVE if self.value >= 0.0 else NEGATIVE
         self.curvature = CONSTANT
 
@@ -154,9 +162,9 @@ class Variable(Expression):
 
 class AffineCombination(Expression):
     def __init__(self, coeffs, children, offset):
-        self.coeffs = tuple(float(c) for c in coeffs)
+        self.coeffs = tuple(_finite(c, "a coefficient") for c in coeffs)
         self.children = tuple(children)
-        self.offset = float(offset)
+        self.offset = _finite(offset, "an offset")
         if len(self.coeffs) != len(self.children):
             raise ValueError("coefficient and child counts differ")
         lo_ok = self.offset >= 0.0

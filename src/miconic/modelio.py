@@ -10,14 +10,16 @@ A document is a sequence of items::
 where EXPR is a name, a number, an arithmetic form ``(add e...)``,
 ``(sub a b)``, ``(mul K e)``, a parametrized power ``(pow P e)``, or an
 atom application ``(ATOM e...)`` resolved against the atom library.
-Numbers accept ``inf``/``-inf`` so one-sided variable bounds survive a
-round trip.  ``;`` starts a comment that runs to the end of the line.
+A variable bound may be ``inf``/``-inf``, so one-sided bounds survive a
+round trip; every number inside an expression must be finite.  ``;``
+starts a comment that runs to the end of the line.
 
 The reader keeps an explicit stack of open forms and the printer builds
 each distinct node's text once, children first, so documents of any
 nesting depth are read and written without recursion.
 """
 
+import math
 import re
 
 from . import expr as ex
@@ -152,6 +154,13 @@ class _Parser:
                        % (what, tok.text), tok)
         return value
 
+    def _finite(self, value, tok):
+        # inf is a number only as a variable bound; pow_rational rejects
+        # a non-finite exponent itself
+        if not math.isfinite(value):
+            self._fail("expected a finite number, found %r" % tok.text, tok)
+        return value
+
     def _parse_expr(self, names):
         # open forms, innermost last: (head token, leading number, args)
         stack = []
@@ -170,6 +179,8 @@ class _Parser:
                     if lead is None:
                         self._fail("%s needs a leading numeric %s"
                                    % (head.text, _LEAD[head.text]), lead_tok)
+                    if head.text == "mul":
+                        self._finite(lead, lead_tok)
                 elif head.text not in _ARITY and head.text not in ATOMS:
                     raise UnknownAtomError("unknown atom %r" % head.text,
                                            head.line, head.col)
@@ -182,7 +193,7 @@ class _Parser:
             else:
                 value = _as_number(tok)
                 if value is not None:
-                    node = ex.Constant(value)
+                    node = ex.Constant(self._finite(value, tok))
                 elif tok.text in names:
                     node = names[tok.text]
                 else:
@@ -208,18 +219,19 @@ class _Parser:
                    len(args)),
                 head.line, head.col,
             )
-        if head.text == "add":
-            out = args[0]
-            for term in args[1:]:
-                out = out + term
-            return out
-        if head.text == "sub":
-            return args[0] - args[1]
-        if head.text == "mul":
-            return args[0] * lead
         try:
+            if head.text == "add":
+                out = args[0]
+                for term in args[1:]:
+                    out = out + term
+                return out
+            if head.text == "sub":
+                return args[0] - args[1]
+            if head.text == "mul":
+                return args[0] * lead
             return pow_rational(args[0], lead)
-        except ArityError as err:
+        except (ArityError, ValueError) as err:
+            # ValueError: finite numbers whose sum or product overflows
             self._fail(str(err), head)
 
 

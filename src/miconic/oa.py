@@ -17,6 +17,13 @@ the next one would repeat it forever.  Instances whose fibers admit no
 dual certificates end there, and the driver reports an assumption failure
 rather than loop on.
 
+The root relaxation and each MILP are relaxations of the program, so
+their optimal values are lower bounds.  One rule ends the run early: a
+relaxation optimum that is feasible for the program (_feasible) becomes
+the incumbent, at the lower bound, so the gap closes there.  An integral
+root then ends the run before any MILP, and a MILP point in K ends its
+iteration before the fiber of its assignment is solved.
+
 Each MILP is the previous one plus the new cut rows, a raised objective
 row and raised lower bounds, so it tightens the previous one in the sense
 of milp.py, and MILP k+1 resumes MILP k's search tree from its leaves:
@@ -34,6 +41,7 @@ import numpy as np
 from . import cones
 from .errors import InvalidCut, NumericFailure, TooLarge
 from .ipm import (
+    EPS_OPT,
     INFEASIBLE,
     NUMERIC_FAILURE,
     OPTIMAL,
@@ -288,6 +296,39 @@ def _certificate(program, res):
     return -(program.A_z.T @ res.lam)
 
 
+def _feasible(program, x, z):
+    """x rounded when (x, z) is feasible for the program, else None.
+
+    x must be integral within 1e-6 and its rounding inside [L, U]; the
+    rows must hold at the rounded x and z must lie in K, both at the
+    tolerances of ipm._validate_optimal.  Rounding moves the rows by
+    A_x (x_round - x), so they are checked after it.
+    """
+    if not (np.isfinite(x).all() and np.isfinite(z).all()):
+        return None
+    xr = np.round(x)
+    if np.any(np.abs(x - xr) > 1e-6):
+        return None
+    if np.any(xr < program.L) or np.any(xr > program.U):
+        return None
+    b = program.b
+    res = program.A_x @ xr + program.A_z @ z - b
+    if np.abs(res).max(initial=0.0) > EPS_OPT * (
+            1.0 + np.abs(b).max(initial=0.0)):
+        return None
+    if not cones.member_product(
+            program.cones, z, EPS_OPT * (1.0 + np.abs(z).max(initial=0.0))):
+        return None
+    return xr
+
+
+def _offer(state, x, z, obj):
+    """Make (x, z) the incumbent when its value obj beats the current one."""
+    if obj < state.z_upper:
+        state.z_upper = float(obj)
+        state.incumbent_x, state.incumbent_z = x, z
+
+
 def _gap_closed(state):
     if not np.isfinite(state.z_upper):
         return False
@@ -344,7 +385,9 @@ def oa_solve(program, config=None):
 def _initialize(program, state):
     """Seed the pool with tangent cuts and the root relaxation's dual cut.
 
-    Returns (status, diagnostic) when the root relaxation ends the run.
+    Returns (status, diagnostic) when the root relaxation ends the run:
+    it is infeasible or unbounded, or its optimum is feasible for the
+    program (its x is L plus the first nx entries of its z).
     """
     for f, sl in program.cones.slices():
         for local in cones.tangents(f):
@@ -364,12 +407,20 @@ def _initialize(program, state):
         state.z_lower = float(root.obj)
         beta = _certificate(program, root)
         _pool(state, _blocks(state, beta), INITIAL_RELAXATION, None)
+        nx = program.num_integer
+        z = root.z[2 * nx :]
+        x = _feasible(program, program.L + root.z[:nx], z)
+        if x is not None:
+            _offer(state, x, z, program.c @ z)
+            if _gap_closed(state):
+                return OPTIMAL, None
     # almost_optimal or numeric_failure: continue without a root cut
     return None
 
 
 def _iterate(program, state, record, deadline):
-    """One OA iteration: the MILP, then the fiber of its assignment.
+    """One OA iteration: the MILP, then, unless its point is feasible and
+    closes the gap, the fiber of its assignment.
 
     Fills the record's MILP and subproblem fields and returns (status,
     diagnostic) when the run ends in this iteration, else None.  The MILP
@@ -408,9 +459,11 @@ def _iterate(program, state, record, deadline):
     record["milp_value"] = float(mres.obj)
     state.z_lower = max(state.z_lower, float(mres.lower_bound))
     nx, nz = program.num_integer, program.num_conic
-    x = mres.x[:nx]
+    x, z_milp = mres.x[:nx], mres.x[nx : nx + nz]
     assignment = tuple(int(v) for v in x)
     record["assignment"] = list(assignment)
+    if _feasible(program, x, z_milp) is not None:
+        _offer(state, x, z_milp, program.c @ z_milp)
     if _gap_closed(state):
         return OPTIMAL, None
 
@@ -425,14 +478,11 @@ def _iterate(program, state, record, deadline):
         )
     if sub.status == OPTIMAL:
         beta, provenance = _certificate(program, sub), SUBPROBLEM_DUAL
-        if sub.obj < state.z_upper:
-            state.z_upper = float(sub.obj)
-            state.incumbent_x, state.incumbent_z = x, sub.z
+        _offer(state, x, sub.z, sub.obj)
     elif sub.status == INFEASIBLE:
         beta, provenance = _certificate(program, sub), INFEASIBILITY_RAY
     else:
         # no certificate: separate the MILP point from each cone factor
-        z_milp = mres.x[nx : nx + nz]
         beta, provenance = np.zeros(nz), SEPARATION
         for f, sl in program.cones.slices():
             g = cones.separate(f, z_milp[sl])

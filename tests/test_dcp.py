@@ -155,6 +155,21 @@ def test_pow_rational_rejects_a_non_finite_exponent(p):
         atoms.pow_rational(x, p)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_expressions_reject_a_non_finite_number(value):
+    x = DcpModel().variable("x")
+    with pytest.raises(ValueError, match="constant"):
+        Constant(value)
+    with pytest.raises(ValueError, match="coefficient"):
+        AffineCombination([value], [x], 0.0)
+    with pytest.raises(ValueError, match="offset"):
+        AffineCombination([1.0], [x], value)
+    with pytest.raises(ValueError):
+        x * value
+    with pytest.raises(ValueError):
+        x + value
+
+
 def test_variable_declaration_errors():
     m = DcpModel()
     with pytest.raises(UnboundedInteger):

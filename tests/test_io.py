@@ -89,6 +89,19 @@ def test_integer_variable_requires_bounds():
         parse_model("(var x int) (min x)")
 
 
+@pytest.mark.parametrize("text, col", [
+    ("(var x 0 1) (min x) (le x inf)", 27),
+    ("(var x 0 1) (min (mul inf x))", 23),
+    ("(var x 0 1) (min (add x -inf))", 25),
+    # finite numbers whose product overflows: reported at the form
+    ("(var x 0 1) (min (mul 1e200 (mul 1e200 x)))", 19),
+])
+def test_a_non_finite_number_in_an_expression_reports_position(text, col):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_power_form_round_trips():
     m = parse_model("(var x 1 4) (min (pow 3 x))")
     text = print_model(m)
@@ -550,6 +563,19 @@ def test_cli_trace_has_one_record_per_iteration(tmp_path, capsys):
     assert {"milp_status", "lower_bound", "upper_bound"} <= set(records[0])
 
 
+def test_cli_trace_is_empty_for_a_run_that_ends_at_its_root(tmp_path,
+                                                            capsys):
+    # the disk model's root relaxation is integral, so no MILP is solved
+    trace = tmp_path / "trace.jsonl"
+    code, out, _ = _run(
+        ["solve", str(INSTANCE_DIR / "disk.model"),
+         "--trace", str(trace), "--no-timing"], capsys)
+    assert code == 0
+    result = json.loads(out)
+    assert result["status"] == "optimal" and result["iterations"] == 0
+    assert trace.read_text() == ""
+
+
 def test_cli_trace_counts_the_leaves_each_milp_hands_on(tmp_path, capsys):
     # an optimal MILP hands on at least its incumbent's node; the ball's
     # last MILP is infeasible and hands on none
@@ -617,6 +643,18 @@ def test_cli_check_rejects_a_non_finite_exponent(tmp_path, capsys):
     code, out, err = _run(["check", str(doc)], capsys)
     assert code == 2 and not out
     assert "needs a numeric parameter >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("text", ["(var x 0 1) (min x) (le x inf)",
+                                  "(var x 0 1) (min (mul inf x))"])
+def test_cli_rejects_a_non_finite_number_in_an_expression(
+        tmp_path, capsys, command, text):
+    doc = tmp_path / "inf.model"
+    doc.write_text(text + "\n")
+    code, out, err = _run([command, str(doc)], capsys)
+    assert code == 2 and not out
+    assert "expected a finite number, found 'inf'" in err
 
 
 def test_cli_rejects_a_solve_setting_out_of_range(capsys):

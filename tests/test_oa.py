@@ -39,6 +39,12 @@ def _state(K):
     return OaState(cones=K, tol=1e-5)
 
 
+def _corpus(seed, index):
+    rng = np.random.default_rng(seed)
+    return [instances.random_feasible_program(rng)
+            for _ in range(index + 1)][index]
+
+
 def _agreement(ro, rb, rtol=1e-5):
     if ro.status != rb.status:
         return False
@@ -223,23 +229,24 @@ def test_unattained_dual_fiber_reports_assumption_failure():
 
 def test_uncertified_fiber_failure_names_the_subproblem_exit(monkeypatch):
     # a one-iteration IPM certifies no fiber, so OA separates the MILP
-    # point until no cut is left; iteration 7 leaves the MILP unchanged
-    # (iteration 6's warm root ends one ulp higher than iteration 5's, so
-    # the lower bound still moved there)
+    # point of seed-2024 corpus program 8 until no cut is left; iteration
+    # 3 leaves the MILP unchanged (iteration 2's warm root ends one ulp
+    # higher than iteration 1's, so the lower bound still moved there)
     monkeypatch.setattr(ipm, "_MAX_ITERS", 1)
-    res = oa_solve(emit_conic(instances.disk_model())[0])
+    res = oa_solve(_corpus(2024, 8))
     assert res.status == ASSUMPTION_FAILURE
-    assert res.iterations == 7
+    assert res.iterations == 3
     assert res.trace[-1]["new_cuts"] == 0
     assert res.diagnostic.startswith(
-        "integer assignment [2] added no cut and left the lower bound "
+        "integer assignment [2, 2] added no cut and left the lower bound "
         "unchanged")
     assert res.diagnostic.endswith(": iteration limit of 1 reached")
 
 
 def test_zero_certificate_cycle_without_incumbent_is_caught(monkeypatch):
     # every fiber after the root answers infeasible with a zero ray, which
-    # adds no cut; with no incumbent the run must still stop at once
+    # adds no cut; with no incumbent the run must still stop at once.
+    # trimloss's first MILP point lies outside K, so its fiber is solved
     calls = []
 
     def zero_certificate(prob):
@@ -250,12 +257,12 @@ def test_zero_certificate_cycle_without_incumbent_is_caught(monkeypatch):
                            obj=np.inf)
 
     monkeypatch.setattr(oa, "solve_continuous", zero_certificate)
-    res = oa_solve(emit_conic(instances.disk_model())[0],
+    res = oa_solve(emit_conic(instances.trimloss_model())[0],
                    OaConfig(max_iters=50))
     assert res.status == ASSUMPTION_FAILURE
     assert res.iterations == 1
     assert res.trace[-1]["new_cuts"] == 0
-    assert "[2]" in res.diagnostic
+    assert "[1, 1]" in res.diagnostic
     assert "infeasible" in res.diagnostic
 
 
@@ -287,6 +294,11 @@ def _trace_instances():
 def test_bounds_are_monotone_along_the_trace():
     for prog in _trace_instances():
         res = oa_solve(prog)
+        if not res.trace:
+            # the run ended at its root relaxation, before any iteration
+            assert res.iterations == 0
+            assert res.lower_bound <= res.upper_bound + 1e-9
+            continue
         lows = [rec["lower_bound"] for rec in res.trace]
         ups = [rec["upper_bound"] for rec in res.trace]
         for a, b in zip(lows, lows[1:]):
@@ -428,6 +440,73 @@ def test_continuous_only_program():
     assert res.obj == pytest.approx(2.0, abs=1e-7)
 
 
+# ------------------------------------------- a feasible relaxation point
+
+
+def _cone_program(L):
+    # x in [L, 3], x + z0 = 3 and z1 = 1 with z in the second-order cone
+    return ConicProgram(
+        c=np.array([1.0, 0.0, 0.0]),
+        A_x=np.array([[1.0], [0.0]]),
+        A_z=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        b=np.array([3.0, 1.0]),
+        L=np.array([L]),
+        U=np.array([3.0]),
+        cones=cones.ConeProduct((cones.soc(3),)),
+    )
+
+
+def test_feasible_accepts_an_integral_point_in_its_box_rows_and_cone():
+    # rows are checked at the rounded x: x + z0 = 3 holds after rounding
+    x = oa._feasible(_cone_program(0.0), np.array([1.0 + 5e-7]),
+                     np.array([2.0, 1.0, 0.0]))
+    assert x is not None and np.array_equal(x, [1.0])
+
+
+@pytest.mark.parametrize("L, x, z", [
+    (0.0, 1.0 + 1e-5, [2.0 - 1e-5, 1.0, 0.0]),  # x off-integral
+    (2.0, 1.0, [2.0, 1.0, 0.0]),                # x below its box [2, 3]
+    # x + z0 = 3 holds exactly before rounding; rounding x moves the row
+    # by 5e-7, above the 1e-7 * (1 + 3) tolerance
+    (0.0, 1.0 + 5e-7, [2.0 - 5e-7, 1.0, 0.0]),
+    (0.0, 1.0, [2.0, 1.0, 3.0]),                # z outside the cone
+], ids=["off-integral", "outside-box", "rows-after-rounding", "outside-K"])
+def test_feasible_rejects_a_point_the_program_does_not_admit(L, x, z):
+    assert oa._feasible(_cone_program(L), np.array([x]),
+                        np.array(z)) is None
+
+
+def test_an_integral_root_ends_the_run_before_any_milp():
+    prog = _corpus(2024, 0)
+    res = oa_solve(prog)
+    assert res.status == OPTIMAL
+    assert res.iterations == 0 and res.trace == []
+    assert np.array_equal(res.x, np.round(res.x))
+    assert _agreement(res, brute_force_solve(prog))
+
+
+def test_a_milp_point_in_k_ends_its_iteration_without_the_fiber(monkeypatch):
+    # seed-2024 corpus program 20: the first MILP's point lies in K, so
+    # the run solves the root relaxation and no fiber
+    prog = _corpus(2024, 20)
+    calls = []
+
+    def counting(prob):
+        calls.append(prob)
+        return solve_continuous(prob)
+
+    monkeypatch.setattr(oa, "solve_continuous", counting)
+    res = oa_solve(prog)
+    assert res.status == OPTIMAL and res.iterations == 1
+    (record,) = res.trace
+    assert record["subproblem_status"] is None
+    assert record["subproblem_value"] is None
+    # the root relaxation and no fiber: one call fewer than an iteration
+    # that solves its fiber
+    assert len(calls) == res.iterations
+    assert _agreement(res, brute_force_solve(prog))
+
+
 # ------------------------------------------------------------ brute force
 
 
@@ -506,6 +585,18 @@ def test_halved_row_of_corpus_program_31_stays_optimal():
     assert res.obj + prog.obj_offset == pytest.approx(-0.70273, abs=1e-5)
     rb = brute_force_solve(prog)
     assert _agreement(res, rb)
+
+
+def test_seed_42_corpus_program_38_is_optimal_at_its_root():
+    # its first MILP's root LP still fails in the simplex (see
+    # test_false_rays_outnumbering_the_columns_end_the_solve); OA ends at
+    # the integral root before building that MILP
+    prog = _corpus(42, 38)
+    res = oa_solve(prog)
+    assert res.status == OPTIMAL, res.diagnostic
+    assert res.iterations == 0
+    assert res.obj == pytest.approx(-1.2891758, abs=1e-6)
+    assert _agreement(res, brute_force_solve(prog))
 
 
 def test_random_corpus_oa_agrees_with_brute_force():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from miconic import instances, milp, oa, simplex
+from miconic import instances, oa, simplex
+from miconic.errors import NumericFailure
 from miconic.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpResult, solve_lp
 
 
@@ -448,24 +449,30 @@ def test_false_ray_through_a_nearly_singular_basis_is_not_unbounded():
     assert res.obj == pytest.approx(b[8], abs=1e-8)
 
 
-def test_repeated_false_rays_fall_back_to_blands_rule(monkeypatch):
-    # the same root LP, cold and unscaled: its nearly singular bases yield
-    # false ray after false ray, each barring one column, and without a
-    # switch to Bland's rule it took 646 pivots and 288 false rays
-    rng = np.random.default_rng(2024)
-    programs = [instances.random_feasible_program(rng) for _ in range(32)]
-    pivots = []
+def _first_milp_root_lp(seed, count, index):
+    # the root LP of the first OA MILP of a corpus program, as
+    # oa._initialize and oa._milp_data build it; solve_milp solves it cold
+    rng = np.random.default_rng(seed)
+    prog = [instances.random_feasible_program(rng) for _ in range(count)][index]
+    state = oa.OaState(cones=prog.cones, tol=1e-5)
+    oa._initialize(prog, state)
+    A, b, c, lb, ub, _ = oa._milp_data(prog, state)
+    return prog, LpProblem(A, b, c, lb, ub)
 
-    def counting(prob, warm=None):
-        res = solve_lp(prob, warm=warm)
-        pivots.append(res.iterations)
-        return res
 
-    monkeypatch.setattr(milp, "solve_lp", counting)
-    res = oa.oa_solve(programs[31])
-    assert pivots[0] <= 100
+def test_repeated_false_rays_fall_back_to_blands_rule():
+    # program 31's root LP of the test above, cold and with its row not
+    # halved: its nearly singular bases yield false ray after false ray,
+    # each barring one column, and without a switch to Bland's rule it
+    # took 646 pivots and 288 false rays
+    prog, prob = _first_milp_root_lp(2024, 32, 31)
+    res = solve_lp(prob)
+    assert res.iterations <= 100
     assert res.status == OPTIMAL
-    assert res.obj == pytest.approx(-0.70273, abs=1e-5)
+    # OA now ends at this program's integral root, before that MILP
+    out = oa.oa_solve(prog)
+    assert out.status == OPTIMAL and out.iterations == 0
+    assert out.obj == pytest.approx(-0.70273, abs=1e-5)
 
 
 def test_false_rays_outnumbering_the_columns_end_the_solve(monkeypatch):
@@ -473,9 +480,9 @@ def test_false_rays_outnumbering_the_columns_end_the_solve(monkeypatch):
     # cold) reaches a basis so near singular that two columns swap with a
     # false ray every two pivots, and the solve once ran on to the
     # iteration cap.  The phase now stops at the 30th false ray, one more
-    # than its extended array's 29 columns
-    rng = np.random.default_rng(42)
-    programs = [instances.random_feasible_program(rng) for _ in range(39)]
+    # than its extended array's 29 columns.  OA ends at this program's
+    # integral root, so the LP is posed directly
+    _, prob = _first_milp_root_lp(42, 39, 38)
     false_rays = []
     real = simplex._ray_holds
 
@@ -486,7 +493,8 @@ def test_false_rays_outnumbering_the_columns_end_the_solve(monkeypatch):
         return holds
 
     monkeypatch.setattr(simplex, "_ray_holds", spy)
-    oa.oa_solve(programs[38])
+    with pytest.raises(NumericFailure, match="false rays outnumber columns"):
+        solve_lp(prob)
     assert false_rays == [29] * 30
 
 
