@@ -9,14 +9,16 @@ power cone POW(a) = {(x, y, z) : |z| <= x^a * y^(1-a), x >= 0, y >= 0}.
 Each family is one object in a table keyed by kind, holding its dimension
 rule, barrier parameter and dual kind, and every operation on it:
 membership, the strict-interior test, separation, a canonical interior
-point, the barrier, two samplers, and the tangent cuts that start an outer
-approximation.  A Cone looks its family up once, when it is made, and the
-module functions below dispatch through it.
+point, the barrier and its third directional derivative, two samplers, and
+the tangent cuts that start an outer approximation.  A Cone looks its
+family up once, when it is made, and the module functions below dispatch
+through it.
 
-Membership, the interior test, the barrier and the samplers take one point
-or a stack along the last axis.  A ConeProduct groups its factors by (kind,
-dim, alpha), the orthant's coordinates as NONNEG(1) rows of one group, so
-a solver makes one call per group instead of one per factor.
+Membership, the interior test, the barrier, its third derivative and the
+samplers take one point or a stack along the last axis.  A ConeProduct
+groups its factors by (kind, dim, alpha), the orthant's coordinates as
+NONNEG(1) rows of one group, so a solver makes one call per group instead
+of one per factor.
 
 NONNEG, SOC and RSOC are self-dual.  The duals of EXP and POW are linear
 images of them: p = (u, v, w) is in EXPDUAL iff (-v, -u, e*w) is in EXP,
@@ -191,6 +193,26 @@ def _log_row(f, df, d2f, g, h):
         for i in range(3) for j in range(3)]
 
 
+def _log_third(f, df, d2f, d3f, d, t):
+    # third derivative along d, d of -log f + l for three coordinates, from
+    # f's gradient and Hessian, d3f = f'''[d, d] and t = l'''[d, d] of the
+    # separable l.  With u = f'd/f and v = d'f''d/f it is
+    # (2u f''d + (v - 2u^2) f' - f'''[d, d]) / f, which divides by f once:
+    # a form over f^3 underflows near the boundary
+    hd = [d2f[i][0] * d[0] + d2f[i][1] * d[1] + d2f[i][2] * d[2]
+          for i in range(3)]
+    u = (df[0] * d[0] + df[1] * d[1] + df[2] * d[2]) / f
+    w = (hd[0] * d[0] + hd[1] * d[1] + hd[2] * d[2]) / f - 2.0 * u * u
+    return [(2.0 * u * hd[i] + w * df[i] - d3f[i]) / f + t[i]
+            for i in range(3)]
+
+
+def _log_third_1(d, x):
+    # (-log x)'''[d, d] = -2 d^2 / x^3, as ratios to x
+    r = d / x
+    return -2.0 * r * r / x
+
+
 @lru_cache(maxsize=None)
 def _quadratic_hessian(kind, dim):
     # 2Q for SOC's or RSOC's s = z'Qz; z 2Q is s's gradient, exactly
@@ -208,6 +230,16 @@ def _quadratic_barrier(cone, z, s):
     return _neg_log(s, z @ d2s, d2s)
 
 
+def _quadratic_third(cone, z, s, d):
+    # the third derivative along d, d of -log s for SOC's or RSOC's s, a
+    # stack at a time: _log_third's form with s's third derivative 0
+    d2s = _quadratic_hessian(cone.kind, cone.dim)
+    ds, hd, s = z @ d2s, d @ d2s, s[..., None]
+    u = (ds * d).sum(axis=-1, keepdims=True) / s
+    w = (hd * d).sum(axis=-1, keepdims=True) / s - 2.0 * u * u
+    return (2.0 * u * hd + w * ds) / s
+
+
 class _Family:
     """A cone family: its rules and operations on a factor of that family.
 
@@ -216,7 +248,9 @@ class _Family:
     returns an outer normal of any length.  sample draws boundary-reaching
     or strictly interior points.  interior holds a canonical interior
     point's leading entries and the value of the rest, with max-abs 1.  A
-    family without a barrier has no barrier or tangents.  nu is the barrier
+    family without a barrier has no barrier, barrier_third or tangents.
+    barrier_third(cone, z, d) is the barrier's third derivative at z along
+    d twice, F'''(z)[d, d], a stack of z's shape.  nu is the barrier
     parameter, None for one per coordinate."""
 
     kind = dual_kind = None
@@ -259,6 +293,9 @@ class _Nonneg(_Family):
         hess = (1.0 / z**2)[..., None] * np.eye(cone.dim)
         return -np.log(z).sum(axis=-1), -1.0 / z, hess
 
+    def barrier_third(self, cone, z, d):
+        return _log_third_1(d, z)
+
     def sample(self, cone, rng, scale, interior, shape):
         if interior:
             return rng.uniform(0.2, 2.0, size=shape + (cone.dim,)) * scale
@@ -285,9 +322,15 @@ class _Soc(_Family):
         nx = float(np.linalg.norm(p[1:]))
         return np.r_[1.0, -p[1:] / nx if nx > 0.0 else np.zeros(cone.dim - 1)]
 
-    def barrier(self, cone, z):
+    def quadratic(self, z):
         t = z[..., 0]
-        return _quadratic_barrier(cone, z, t * t - _dot(z[..., 1:]))
+        return t * t - _dot(z[..., 1:])
+
+    def barrier(self, cone, z):
+        return _quadratic_barrier(cone, z, self.quadratic(z))
+
+    def barrier_third(self, cone, z, d):
+        return _quadratic_third(cone, z, self.quadratic(z), d)
 
     def sample(self, cone, rng, scale, interior, shape):
         x = rng.standard_normal(shape + (cone.dim - 1,)) * scale
@@ -324,9 +367,14 @@ class _Rsoc(_Family):
     def separate(self, cone, p):
         return _rsoc_rotate(_SOC.separate(cone, _rsoc_rotate(p)))
 
+    def quadratic(self, z):
+        return 2.0 * z[..., 0] * z[..., 1] - _dot(z[..., 2:])
+
     def barrier(self, cone, z):
-        s = 2.0 * z[..., 0] * z[..., 1] - _dot(z[..., 2:])
-        return _quadratic_barrier(cone, z, s)
+        return _quadratic_barrier(cone, z, self.quadratic(z))
+
+    def barrier_third(self, cone, z, d):
+        return _quadratic_third(cone, z, self.quadratic(z), d)
 
     def sample(self, cone, rng, scale, interior, shape):
         return _rsoc_rotate(_SOC.sample(cone, rng, scale, interior, shape))
@@ -355,6 +403,10 @@ class _ThreeCoordinate(_Family):
     def barrier(self, cone, z):
         out = _rowwise(self.point_barrier, z, cone)
         return out[..., 0], out[..., 1:4], out[..., 4:].reshape(z.shape + (3,))
+
+    def barrier_third(self, cone, z, d):
+        return _rowwise(self.point_third, np.concatenate((z, d), axis=-1),
+                        cone)
 
 
 class _Exp(_ThreeCoordinate):
@@ -397,19 +449,31 @@ class _Exp(_ThreeCoordinate):
         # Remaining violations have y < 0 or z < 0; cut on the worse one.
         return np.array([0.0, 0.0, 1.0] if z < y else [0.0, 1.0, 0.0])
 
-    def point_barrier(self, x, y, z, cone):
-        # -log psi - log y - log z with psi = y log(z/y) - x
-        if y <= 0.0 or z <= 0.0:
-            raise NotInterior("exp barrier domain violated")
+    def psi(self, x, y, z):
+        # psi = y log(z/y) - x with its gradient and Hessian, for y, z > 0
         lzy = math.log(z / y)
-        psi = y * lzy - x
-        if psi <= 0.0:
-            raise NotInterior("exp barrier domain violated")
         d2psi = ((0.0, 0.0, 0.0), (0.0, -1.0 / y, 1.0 / z),
                  (0.0, 1.0 / z, -y / z**2))
+        return y * lzy - x, (-1.0, lzy - 1.0, y / z), d2psi
+
+    def point_barrier(self, x, y, z, cone):
+        # -log psi - log y - log z
+        if y <= 0.0 or z <= 0.0:
+            raise NotInterior("exp barrier domain violated")
+        psi, dpsi, d2psi = self.psi(x, y, z)
+        if psi <= 0.0:
+            raise NotInterior("exp barrier domain violated")
         return [-math.log(psi) - math.log(y) - math.log(z)] + _log_row(
-            psi, (-1.0, lzy - 1.0, y / z), d2psi, (0.0, -1.0 / y, -1.0 / z),
+            psi, dpsi, d2psi, (0.0, -1.0 / y, -1.0 / z),
             (0.0, 1.0 / y**2, 1.0 / z**2))
+
+    def point_third(self, x, y, z, dx, dy, dz, cone):
+        # psi's third derivative along d twice is
+        # (0, dy^2/y^2 - dz^2/z^2, 2 dz (y dz/z - dy) / z^2)
+        ry, rz = dy / y, dz / z
+        d3psi = (0.0, ry * ry - rz * rz, 2.0 * rz * (y * rz - dy) / z)
+        return _log_third(*self.psi(x, y, z), d3psi, (dx, dy, dz), (
+            0.0, _log_third_1(dy, y), _log_third_1(dz, z)))
 
     def sample(self, cone, rng, scale, interior, shape):
         y_low, z_range = (0.2, (1.2, 3.0)) if interior else (0.05, (1.0, 2.0))
@@ -466,23 +530,44 @@ class _Pow(_ThreeCoordinate):
         b2 = (1.0 - alpha) * math.exp(alpha * (math.log(xs) - math.log(ys)))
         return np.array([b1, b2, -math.copysign(1.0, z)])
 
-    def point_barrier(self, x, y, z, cone):
-        # -log phi - (1-a) log x - a log y with phi = x^2a y^(2-2a) - z^2
-        a = cone.alpha
-        if x <= 0.0 or y <= 0.0:
-            raise NotInterior("pow barrier domain violated")
+    def phi(self, x, y, z, a):
+        # xa = x^2a y^(2-2a), and phi = xa - z^2 with its gradient and
+        # Hessian, for x, y > 0
         xa = math.exp(2.0 * a * math.log(x) + 2.0 * (1.0 - a) * math.log(y))
-        phi = xa - z * z
-        if phi <= 0.0:
-            raise NotInterior("pow barrier domain violated")
         c = 4.0 * a * (1.0 - a) * xa / (x * y)
         d2phi = ((2.0 * a * (2.0 * a - 1.0) * xa / x**2, c, 0.0),
                  (c, 2.0 * (1.0 - a) * (1.0 - 2.0 * a) * xa / y**2, 0.0),
                  (0.0, 0.0, -2.0))
+        dphi = (2.0 * a * xa / x, 2.0 * (1.0 - a) * xa / y, -2.0 * z)
+        return xa, xa - z * z, dphi, d2phi
+
+    def point_barrier(self, x, y, z, cone):
+        # -log phi - (1-a) log x - a log y
+        a = cone.alpha
+        if x <= 0.0 or y <= 0.0:
+            raise NotInterior("pow barrier domain violated")
+        _, phi, dphi, d2phi = self.phi(x, y, z, a)
+        if phi <= 0.0:
+            raise NotInterior("pow barrier domain violated")
         val = -math.log(phi) - (1.0 - a) * math.log(x) - a * math.log(y)
         return [val] + _log_row(
-            phi, (2.0 * a * xa / x, 2.0 * (1.0 - a) * xa / y, -2.0 * z), d2phi,
+            phi, dphi, d2phi,
             (-(1.0 - a) / x, -a / y, 0.0), ((1.0 - a) / x**2, a / y**2, 0.0))
+
+    def point_third(self, x, y, z, dx, dy, dz, cone):
+        # xa = x^A y^B, A = ea = 2a and B = eb = 2 - 2a, has d'xa''d = xa h
+        # along d, with rx = dx/x, ry = dy/y, g = A rx + B ry and
+        # h = g^2 - A rx^2 - B ry^2; its derivative in x is
+        # A xa/x (h - 2 rx (g - rx)), and in y likewise
+        a = cone.alpha
+        xa, *phi = self.phi(x, y, z, a)
+        ea, eb, rx, ry = 2.0 * a, 2.0 - 2.0 * a, dx / x, dy / y
+        g = ea * rx + eb * ry
+        h = g * g - ea * rx * rx - eb * ry * ry
+        d3phi = (ea * xa / x * (h - 2.0 * rx * (g - rx)),
+                 eb * xa / y * (h - 2.0 * ry * (g - ry)), 0.0)
+        return _log_third(*phi, d3phi, (dx, dy, dz), (
+            (1.0 - a) * _log_third_1(dx, x), a * _log_third_1(dy, y), 0.0))
 
     def sample(self, cone, rng, scale, interior, shape, surface=(1.0, 1.0)):
         # z below the surface at (x, y), or POWDUAL's w at (u/a, v/(1-a))
@@ -618,6 +703,14 @@ def barrier_value_grad_hess(cone, z):
     (value, gradient, hessian), stacked as z is; raises NotInterior unless
     every point is strictly inside the cone."""
     return cone.family.barrier(cone, _check_dim(cone, z))
+
+
+def barrier_third(cone, z, d):
+    """The barrier's third derivative at interior point z along d twice,
+    F'''(z)[d, d], stacked as z and d are.  z is not tested, and where the
+    term overflows it is not finite."""
+    return cone.family.barrier_third(cone, _check_dim(cone, z),
+                                     _check_dim(cone, d))
 
 
 def tangents(cone):

@@ -355,6 +355,23 @@ def test_barrier_hessian_matches_finite_differences(cone):
 
 
 @pytest.mark.parametrize("cone", ALL_PRIMAL, ids=str)
+def test_barrier_third_derivative_matches_finite_differences(cone):
+    # F'''(z)[d, d] of a stack against central differences of the Hessian
+    # along d, point by point, to 1e-6 of the largest entry
+    rng = np.random.default_rng(29)
+    z = np.array([cones.sample_interior(cone, rng) for _ in range(8)])
+    d = rng.standard_normal(z.shape)
+    third = cones.barrier_third(cone, z, d)
+    assert third.shape == z.shape
+    h = 1e-6
+    for p, q, t in zip(z, d, third):
+        hp = cones.barrier_value_grad_hess(cone, p + h * q)[2]
+        hm = cones.barrier_value_grad_hess(cone, p - h * q)[2]
+        fd = (hp - hm) @ q / (2.0 * h)
+        assert np.abs(t - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("cone", ALL_PRIMAL, ids=str)
 def test_barrier_log_homogeneity(cone):
     # F(tau z) = F(z) - nu log tau, grad F(z) . z = -nu, H(z) z = -grad F(z)
     rng = np.random.default_rng(23)

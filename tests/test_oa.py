@@ -245,14 +245,15 @@ def test_uncertified_fiber_failure_names_the_subproblem_exit(monkeypatch):
 
 def test_zero_certificate_cycle_without_incumbent_is_caught(monkeypatch):
     # every fiber after the root answers infeasible with a zero ray, which
-    # adds no cut; with no incumbent the run must still stop at once.
-    # trimloss's first MILP point lies outside K, so its fiber is solved
-    calls = []
+    # adds no cut; with no incumbent the run must still stop at the first
+    # fiber that also leaves the lower bound where it was, since the next
+    # MILP would repeat its iteration.  The root is solved as it is
+    root = []
 
     def zero_certificate(prob):
-        calls.append(prob)
-        if len(calls) == 1:
-            return solve_continuous(prob)
+        if not root:
+            root.append(solve_continuous(prob))
+            return root[0]
         return ConicResult(INFEASIBLE, lam=np.zeros(prob.A.shape[0]),
                            obj=np.inf)
 
@@ -260,9 +261,14 @@ def test_zero_certificate_cycle_without_incumbent_is_caught(monkeypatch):
     res = oa_solve(emit_conic(instances.trimloss_model())[0],
                    OaConfig(max_iters=50))
     assert res.status == ASSUMPTION_FAILURE
-    assert res.iterations == 1
-    assert res.trace[-1]["new_cuts"] == 0
-    assert "[1, 1]" in res.diagnostic
+    # the lower bound before each iteration: the root's value, then the
+    # bound each record ends with
+    before = [root[0].obj] + [r["lower_bound"] for r in res.trace]
+    stop = next(r for r in res.trace if r["subproblem_status"] is not None
+                and r["lower_bound"] == before[r["iteration"] - 1])
+    assert res.iterations == stop["iteration"] == len(res.trace)
+    assert stop["new_cuts"] == 0
+    assert str(stop["assignment"]) in res.diagnostic
     assert "infeasible" in res.diagnostic
 
 

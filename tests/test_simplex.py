@@ -1,6 +1,8 @@
 """Simplex checks against a brute-force vertex enumeration oracle."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,27 +451,46 @@ def test_false_ray_through_a_nearly_singular_basis_is_not_unbounded():
     assert res.obj == pytest.approx(b[8], abs=1e-8)
 
 
-def _first_milp_root_lp(seed, count, index):
+def _first_milp_root_lp(name):
     # the root LP of the first OA MILP of a corpus program, as
-    # oa._initialize and oa._milp_data build it; solve_milp solves it cold
-    rng = np.random.default_rng(seed)
-    prog = [instances.random_feasible_program(rng) for _ in range(count)][index]
-    state = oa.OaState(cones=prog.cones, tol=1e-5)
-    oa._initialize(prog, state)
-    A, b, c, lb, ub, _ = oa._milp_data(prog, state)
-    return prog, LpProblem(A, b, c, lb, ub)
+    # oa._initialize and oa._milp_data built it and solve_milp solves it
+    # cold.  Its path through the false rays hangs on the last bits of the
+    # root relaxation's cut, so the LP is kept as data, each float in hex,
+    # which round-trips exactly
+    path = Path(__file__).with_name("data") / "first_milp_root_lps.json"
+    lp = json.loads(path.read_text())[name]
+    return LpProblem(*(np.vectorize(float.fromhex, otypes=[float])(lp[key])
+                       for key in ("A", "b", "c", "lb", "ub")))
 
 
-def test_repeated_false_rays_fall_back_to_blands_rule():
-    # program 31's root LP of the test above, cold and with its row not
+def _count_false_rays(monkeypatch):
+    # the column count of each ray the simplex finds false, in order
+    false_rays = []
+    real = simplex._ray_holds
+
+    def spy(A, c, ray):
+        holds = real(A, c, ray)
+        if not holds:
+            false_rays.append(A.shape[1])
+        return holds
+
+    monkeypatch.setattr(simplex, "_ray_holds", spy)
+    return false_rays
+
+
+def test_repeated_false_rays_fall_back_to_blands_rule(monkeypatch):
+    # seed-2024 corpus program 31's root LP, cold and with its row not
     # halved: its nearly singular bases yield false ray after false ray,
-    # each barring one column, and without a switch to Bland's rule it
-    # took 646 pivots and 288 false rays
-    prog, prob = _first_milp_root_lp(2024, 32, 31)
-    res = solve_lp(prob)
+    # each barring one column, and without a switch to Bland's rule, which
+    # the second false ray makes, it took 646 pivots and 288 false rays
+    false_rays = _count_false_rays(monkeypatch)
+    res = solve_lp(_first_milp_root_lp("seed2024_program31"))
+    assert len(false_rays) >= 2
     assert res.iterations <= 100
     assert res.status == OPTIMAL
-    # OA now ends at this program's integral root, before that MILP
+    # OA ends at this program's integral root, before that MILP
+    rng = np.random.default_rng(2024)
+    prog = [instances.random_feasible_program(rng) for _ in range(32)][31]
     out = oa.oa_solve(prog)
     assert out.status == OPTIMAL and out.iterations == 0
     assert out.obj == pytest.approx(-0.70273, abs=1e-5)
@@ -482,19 +503,9 @@ def test_false_rays_outnumbering_the_columns_end_the_solve(monkeypatch):
     # iteration cap.  The phase now stops at the 30th false ray, one more
     # than its extended array's 29 columns.  OA ends at this program's
     # integral root, so the LP is posed directly
-    _, prob = _first_milp_root_lp(42, 39, 38)
-    false_rays = []
-    real = simplex._ray_holds
-
-    def spy(A, c, ray):
-        holds = real(A, c, ray)
-        if not holds:
-            false_rays.append(A.shape[1])
-        return holds
-
-    monkeypatch.setattr(simplex, "_ray_holds", spy)
+    false_rays = _count_false_rays(monkeypatch)
     with pytest.raises(NumericFailure, match="false rays outnumber columns"):
-        solve_lp(prob)
+        solve_lp(_first_milp_root_lp("seed42_program38"))
     assert false_rays == [29] * 30
 
 
