@@ -59,18 +59,13 @@ def _load_program(path):
         text = handle.read()
     for raw in text.splitlines():
         line = raw.split(";", 1)[0].split("#", 1)[0].strip()
-        if not line:
-            continue
         if line.startswith("("):
             model = parse_model(text)
             program, _ = emit_conic(model)
             return program
-        if line.split()[0] == "VER":
+        if line:
+            # sections may come in any order; the reader names a bad one
             return read_conic(text)
-        raise MiconicError(
-            "%s: cannot tell the input format (model documents start with "
-            "'(', instance files with a VER section)" % path
-        )
     raise MiconicError("%s: file is empty" % path)
 
 

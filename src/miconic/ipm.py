@@ -18,6 +18,9 @@ second-order term t, from the barrier's third derivative along d
 (cones.barrier_third), and the trial at step alpha is x + alpha d +
 alpha^2 t.  On the 60-program benchmark corpus this took the interior-point
 iterations from 1,292 to 773 and the centering steps from 383 to 96.
+Each right-hand side is solved once on the factored system, with no
+iterative refinement; the validators below judge every point a solve
+returns.
 
 One function judges every point, the start, each trial and each rescaled
 point: it returns the point's record with mu, the block Hessian and the
@@ -385,18 +388,6 @@ def _hsde_loop(A, b, c, K, Kd):
         d2 = (sigma - 1.0) * r_d - beta - sigma * mu * W.grad
         d3 = (sigma - 1.0) * r_g - kappa + sigma * mu / tau
         dz, dlam, dtau = solve_reduced(d1, d2, d3)
-        for _ in range(2):
-            # iterative refinement keeps the direction accurate when the
-            # scaled Hessian is badly conditioned near convergence
-            e1 = d1 - (A @ dz - b * dtau)
-            e2 = d2 - (-(A.T @ dlam) + c * dtau + W.H @ dz)
-            e3 = d3 - (float(b @ dlam) - float(c @ dz) + wtau * dtau)
-            if (
-                np.abs(e1).max(initial=0.0) + np.abs(e2).max(initial=0.0) + abs(e3)
-            ) < 1e-11 * (1.0 + np.abs(d2).max(initial=0.0)):
-                break
-            cz, cl, ct = solve_reduced(e1, e2, e3)
-            dz, dlam, dtau = dz + cz, dlam + cl, dtau + ct
         dbeta = -beta - sigma * mu * W.grad - W.H @ dz
         dkappa = -kappa + sigma * mu / tau - wtau * dtau
 
@@ -443,9 +434,6 @@ def _hsde_loop(A, b, c, K, Kd):
                 break
             continue
         stalls = 0
-        if not centering and alpha < 0.05:
-            # poor predictor progress: recenter before trying again
-            force_center = True
         # the accepted trial's record is the next iterate, bit for bit
         point, lam = trial, lam + alpha * dlam + alpha * alpha * tlam
 

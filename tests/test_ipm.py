@@ -356,6 +356,64 @@ def test_iteration_limit_returns_the_best_almost_optimal_point(monkeypatch):
                                  res.lam, ipm.EPS_ALMOST) is not None
 
 
+# the validators called directly on small orthant programs; each
+# parametrization holds one accepted input and rejections that no solve in
+# this suite reaches
+
+_ORTHANT = ConeProduct([cones.nonneg(2)])
+
+
+@pytest.mark.parametrize("z, lam, accepted", [
+    ([1.0, 1.0], [1.0], True),
+    ([np.nan, 1.0], [1.0], False),
+    ([1.0, 1.0], [np.inf], False),
+    # the rows, objectives and dual hold; z is outside the orthant
+    ([2.5, -0.5], [1.0], False),
+], ids=["certified", "non-finite-z", "non-finite-lam", "z-outside-K"])
+def test_validate_optimal(z, lam, accepted):
+    # min z0 + z1 s.t. z0 + z1 = 2: every feasible point is optimal, lam = 1
+    A, b, c = np.array([[1.0, 1.0]]), np.array([2.0]), np.array([1.0, 1.0])
+    cand = ipm._validate_optimal(A, b, c, _ORTHANT, _ORTHANT.dual(),
+                                 np.array(z), np.array(lam), ipm.EPS_OPT)
+    assert (cand is not None) == accepted
+
+
+@pytest.mark.parametrize("a11, b, lam, accepted", [
+    # A'lam = 0: lam certifies through its pairing alone
+    (1.0, [1.0, 0.0], [1.0, -1.0], True),
+    (1.0, [0.0, 1.0], [1.0, -1.0], False),
+    # A'lam = (0, -1e-13) takes the same branch, but scaling lam to unit
+    # pairing makes A'lam 1e-4, above the tolerance
+    (1.0 + 1e-13, [1e-9, 0.0], [1.0, -1.0], False),
+    (1.0, [1.0, 0.0], [np.nan, -1.0], False),
+], ids=["row-space", "row-space-bad-pairing", "row-space-after-scaling",
+        "non-finite-lam"])
+def test_validate_infeasible(a11, b, lam, accepted):
+    A = np.array([[1.0, 1.0], [1.0, a11]])
+    lam_n = ipm._validate_infeasible(A, np.array(b), _ORTHANT.dual(),
+                                     np.array(lam), ipm.EPS_OPT)
+    assert (lam_n is not None) == accepted
+    if accepted:
+        assert float(np.array(b) @ lam_n) == 1.0
+
+
+@pytest.mark.parametrize("z, accepted", [
+    ([2.0, 2.0, 0.0], True),
+    ([np.inf, 1.0, 0.0], False),
+    ([0.0, 0.0, 0.0], False),
+    # in the kernel and descending, but outside the orthant
+    ([1.0, 1.0, -1.0], False),
+], ids=["ray", "non-finite-z", "zero-ray", "outside-K"])
+def test_validate_unbounded(z, accepted):
+    # min -z0 - z1 s.t. z0 = z1 over R^3_+ is unbounded along (1, 1, 0)
+    A, c = np.array([[1.0, -1.0, 0.0]]), np.array([-1.0, -1.0, 0.0])
+    K = ConeProduct([cones.nonneg(3)])
+    ray = ipm._validate_unbounded(A, c, K, np.array(z), ipm.EPS_OPT)
+    assert (ray is not None) == accepted
+    if accepted:
+        assert ray.tolist() == [1.0, 1.0, 0.0]
+
+
 def test_empty_z_block():
     prob = ContinuousConicProblem(np.zeros((1, 0)), [0.0], [], ConeProduct([]))
     assert solve_continuous(prob).status == OPTIMAL

@@ -8,7 +8,7 @@ import pytest
 
 from miconic import cones, instances, ipm, oa
 from miconic.compile import emit_conic, recover_solution
-from miconic.errors import InvalidCut, TooLarge
+from miconic.errors import InvalidCut, NumericFailure, TooLarge
 from miconic.ipm import (
     INFEASIBLE,
     OPTIMAL,
@@ -415,6 +415,30 @@ def test_infeasible_milp_after_an_incumbent_keeps_it(monkeypatch):
     assert res.upper_bound == pytest.approx(8.0, abs=1e-6)
 
 
+def test_unsolvable_milp_after_an_incumbent_keeps_it(monkeypatch):
+    # a MILP the simplex cannot solve ends the run with what it has proven
+    prog, _ = emit_conic(instances.trimloss_model())
+    first = oa_solve(prog, OaConfig(max_iters=1))
+    assert first.x is not None
+    calls = []
+
+    def second_unsolvable(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NumericFailure("simplex false rays outnumber columns")
+        return solve_milp(*args, **kwargs)
+
+    monkeypatch.setattr(oa, "solve_milp", second_unsolvable)
+    res = oa_solve(prog)
+    assert res.status == ASSUMPTION_FAILURE
+    assert res.diagnostic == ("MILP relaxation could not be solved: "
+                              "simplex false rays outnumber columns")
+    assert res.iterations == 2
+    assert np.array_equal(res.x, first.x) and np.array_equal(res.z, first.z)
+    assert res.obj == res.upper_bound == first.upper_bound
+    assert res.lower_bound == first.lower_bound
+
+
 @pytest.mark.parametrize("factor", [cones.Cone(cones.EXPDUAL, 3),
                                     cones.Cone(cones.POWDUAL, 3, 0.3)])
 def test_program_rejects_a_dual_cone_kind(factor):
@@ -476,7 +500,10 @@ def test_feasible_accepts_an_integral_point_in_its_box_rows_and_cone():
     # by 5e-7, above the 1e-7 * (1 + 3) tolerance
     (0.0, 1.0 + 5e-7, [2.0 - 5e-7, 1.0, 0.0]),
     (0.0, 1.0, [2.0, 1.0, 3.0]),                # z outside the cone
-], ids=["off-integral", "outside-box", "rows-after-rounding", "outside-K"])
+    (0.0, np.nan, [2.0, 1.0, 0.0]),
+    (0.0, 1.0, [2.0, np.inf, 0.0]),
+], ids=["off-integral", "outside-box", "rows-after-rounding", "outside-K",
+        "non-finite-x", "non-finite-z"])
 def test_feasible_rejects_a_point_the_program_does_not_admit(L, x, z):
     assert oa._feasible(_cone_program(L), np.array([x]),
                         np.array(z)) is None
