@@ -44,8 +44,6 @@ def _json_safe(value):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (np.floating, float)):

@@ -22,10 +22,10 @@ Each right-hand side is solved once on the factored system, with no
 iterative refinement; the validators below judge every point a solve
 returns.
 
-One function judges every point, the start, each trial and each rescaled
-point: it returns the point's record with mu, the block Hessian and the
-proximity, or None.  An accepted trial's record is the next iterate as it
-is, so its Hessian is never built again.
+One function judges every point, the start and each trial: it returns
+the point's record with mu, the block Hessian and the proximity, or None.
+An accepted trial's record is the next iterate as it is, so its Hessian is
+never built again.
 
 The problems are small, so the linear algebra is dense.  The block-diagonal
 barrier Hessian of a point is one matrix with one Cholesky factor, as is
@@ -43,11 +43,11 @@ so a returned certificate never relies on solver internals:
   infeasible  lam with -A'lam in K* and b.lam > 0
   unbounded   ray in K with A ray = 0 and c.ray < 0
 
-If no certificate reaches the target tolerance the best candidate within a
-looser tolerance is reported as almost optimal, otherwise the solve is a
-numeric failure.  Preprocessing removes dependent rows (producing an exact
-infeasibility certificate when they are inconsistent) and short-circuits
-problems whose rows already determine z completely.
+A solve that reaches none of the three is a numeric failure, and its
+diagnostic names the exit: the start, the Schur complement, the line
+search or the iteration limit.  Preprocessing removes dependent rows
+(producing an exact infeasibility certificate when they are inconsistent)
+and short-circuits problems whose rows already determine z completely.
 """
 
 from dataclasses import dataclass, field
@@ -61,13 +61,11 @@ from . import cones
 from .errors import NotInterior
 
 OPTIMAL = "optimal"
-ALMOST_OPTIMAL = "almost_optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERIC_FAILURE = "numeric_failure"
 
 EPS_OPT = 1e-7
-EPS_ALMOST = 1e-5
 EPS_PAIRING = 1e-8
 
 _MAX_ITERS = 400
@@ -106,15 +104,14 @@ def _no_steps():
 class ConicResult:
     """Solve outcome with its certificate vectors.
 
-    For optimal/almost_optimal: z, obj, lam (c - A'lam in K*).  For
-    infeasible: lam with -A'lam in K* and b.lam > 0, scaled so that either
-    max|A'lam| = 1 or b.lam = 1.  For unbounded: ray with max|ray| = 1.
-    iterations counts interior-point iterations run, and metrics counts
-    their predictor and centering steps, the trial points of their line
-    searches and the block Hessian builds begun, also those the barrier
-    ends at a z outside K; all are 0 when preprocessing settled the
-    problem.  For almost_optimal and numeric_failure, diagnostic names the
-    exit that ended the iterations.
+    For optimal: z, obj, lam (c - A'lam in K*).  For infeasible: lam with
+    -A'lam in K* and b.lam > 0, scaled so that either max|A'lam| = 1 or
+    b.lam = 1.  For unbounded: ray with max|ray| = 1.  iterations counts
+    interior-point iterations run, and metrics counts their predictor and
+    centering steps, the trial points of their line searches and the block
+    Hessian builds begun, also those the barrier ends at a z outside K; all
+    are 0 when preprocessing settled the problem.  For numeric_failure,
+    diagnostic names the exit that ended the iterations.
     """
 
     status: str
@@ -311,32 +308,22 @@ def _hsde_loop(A, b, c, K, Kd):
     metrics = _no_steps()
     z = np.concatenate([cones.interior_point(f) for f in K.factors])
     point = _point(K, Kd, z, -_barrier_grad(K, z), 1.0, 1.0, metrics)
+    if point is None:
+        return ConicResult(NUMERIC_FAILURE, metrics=metrics, diagnostic=(
+            "barrier Hessian not formed at the starting point"))
     lam = np.zeros(m)
-
-    best_almost = None
-    stalls = 0
-    force_center = False
-    it = 0
 
     why = "iteration limit of %d reached" % _MAX_ITERS
     for it in range(1, _MAX_ITERS + 1):
-        # only the start and a rescaled point can lack a record
-        if point is None:
-            why = "barrier Hessian not formed at the current point"
-            break
         z, beta, tau, kappa, mu, W, prox2 = point
-        # offer scaled candidates to the validators first; every check is
-        # monotone in its tolerance, so only a point that passes the loose
-        # one can pass the tight one
+        # offer scaled candidates to the validators first
         if tau > 1e-300:
-            zs, ls = z / tau, lam / tau
-            cand = _validate_optimal(A, b, c, K, Kd, zs, ls, EPS_ALMOST)
+            cand = _validate_optimal(A, b, c, K, Kd, z / tau, lam / tau,
+                                     EPS_OPT)
             if cand is not None:
-                best_almost = cand
-                if _validate_optimal(A, b, c, K, Kd, zs, ls, EPS_OPT):
-                    zc, lc, obj = cand
-                    return ConicResult(OPTIMAL, z=zc, obj=obj, lam=lc,
-                                       iterations=it, metrics=metrics)
+                zc, lc, obj = cand
+                return ConicResult(OPTIMAL, z=zc, obj=obj, lam=lc,
+                                   iterations=it, metrics=metrics)
         lc = _validate_infeasible(A, b, Kd, lam, EPS_OPT)
         if lc is not None:
             return ConicResult(INFEASIBLE, lam=lc, obj=np.inf,
@@ -348,10 +335,9 @@ def _hsde_loop(A, b, c, K, Kd):
 
         # predictor-corrector: re-centre until the point is inside the
         # narrow neighbourhood, then take a pure predictor step from it
-        centering = prox2 > _NARROW or force_center
+        centering = prox2 > _NARROW
         sigma = 1.0 if centering else 0.0
         metrics["centering_steps" if centering else "predictor_steps"] += 1
-        force_center = False
 
         r_p = A @ z - b * tau
         r_d = -(A.T @ lam) + c * tau - beta
@@ -426,30 +412,11 @@ def _hsde_loop(A, b, c, K, Kd):
                 break
             alpha *= 0.8
         else:
-            # the point stays, and the next step re-centres it
-            stalls += 1
-            force_center = True
-            if stalls >= 3:
-                why = "3 straight line searches stalled"
-                break
-            continue
-        stalls = 0
+            why = "line search stalled"
+            break
         # the accepted trial's record is the next iterate, bit for bit
         point, lam = trial, lam + alpha * dlam + alpha * alpha * tlam
 
-        big = max(point.tau, point.kappa,
-                  *(float(np.abs(v).max(initial=0.0))
-                    for v in (point.z, point.beta, lam)))
-        if big > 1e10:
-            s = 1.0 / big
-            lam = lam * s
-            point = _point(K, Kd, point.z * s, point.beta * s, point.tau * s,
-                           point.kappa * s, metrics)
-
-    if best_almost is not None:
-        zc, lc, obj = best_almost
-        return ConicResult(ALMOST_OPTIMAL, z=zc, obj=obj, lam=lc,
-                           iterations=it, metrics=metrics, diagnostic=why)
     return ConicResult(NUMERIC_FAILURE, iterations=it, metrics=metrics,
                        diagnostic=why)
 

@@ -414,7 +414,7 @@ def _initialize(program, state):
             _offer(state, x, z, program.c @ z)
             if _gap_closed(state):
                 return OPTIMAL, None
-    # almost_optimal or numeric_failure: continue without a root cut
+    # numeric_failure: continue without a root cut
     return None
 
 
@@ -469,14 +469,13 @@ def _iterate(program, state, record, deadline):
 
     sub = _fiber(program, x)
     record["subproblem_status"] = sub.status
-    if sub.obj is not None and math.isfinite(sub.obj):
-        record["subproblem_value"] = float(sub.obj)
     if sub.status == UNBOUNDED:
         return ASSUMPTION_FAILURE, (
             "a fiber subproblem is unbounded below, so the instance "
             "has no finite optimum"
         )
     if sub.status == OPTIMAL:
+        record["subproblem_value"] = float(sub.obj)
         beta, provenance = _certificate(program, sub), SUBPROBLEM_DUAL
         _offer(state, x, sub.z, sub.obj)
     elif sub.status == INFEASIBLE:

@@ -338,6 +338,34 @@ def test_dcp_verify_blames_the_shallowest_offending_node():
     ]
 
 
+def test_dcp_verify_rejects_entropy_of_a_convex_argument():
+    # entropy is concave with no monotonicity, so no rule covers it over a
+    # convex argument
+    m = DcpModel()
+    x = m.variable("x", lb=0.0, ub=2.0)
+    expr = atoms.entropy(atoms.square(x))
+    assert curvature_of(expr) == UNKNOWN
+    m.minimize(x)
+    m.add(-expr <= 1)
+    assert dcp_verify(m).violations == [
+        "constraint[0]: expression is unknown where convex or affine is "
+        "required, at constraint[0].term[0] (composition through atom "
+        "'entropy' is not covered by the rules)",
+    ]
+
+
+def test_reflected_subtraction_and_division_are_affine():
+    m = DcpModel()
+    y = m.variable("y", lb=-8.0, ub=8.0)
+    left, quarter = 2 - y, y / 4
+    assert curvature_of(left) == AFFINE and curvature_of(quarter) == AFFINE
+    m.minimize(left)
+    m.add(quarter <= 1)
+    assert dcp_verify(m).ok
+    assert evaluate(left, {y: 3.0}) == -1.0
+    assert evaluate(quarter, {y: 3.0}) == 0.75
+
+
 def _running_max(m, first, n):
     """max(...max(max(first, x1), x2)..., x{n-1}) over new variables."""
     e = first

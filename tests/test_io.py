@@ -495,6 +495,19 @@ def test_cli_compile_then_solve_matches_direct_solve(tmp_path, capsys):
     assert direct == via_file
 
 
+def test_cli_compile_onto_a_directory_leaves_no_temporary_file(
+        tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out, err = _run(
+        ["compile", str(INSTANCE_DIR / "disk.model"), "-o", str(target)],
+        capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert not list(target.iterdir())
+
+
 def test_cli_check_compile_and_solve_agree_on_a_constant_atom(
     tmp_path, capsys,
 ):
