@@ -125,20 +125,11 @@ def _integer_box(rng, nx):
     return L, U
 
 
-def random_feasible_program(rng):
-    """A random program that is feasible with strong duality throughout.
-
-    b is chosen so one integer assignment admits a strictly interior z,
-    and c = A_z'y + s with s interior to the dual cone, which makes every
-    feasible fiber bounded and dual-attained; oa_solve and
-    brute_force_solve must then agree.
-    """
-    K = _random_cones(rng)
-    nz = K.dim
-    nx = int(rng.integers(1, 4))
+def _feasible(rng, K, nx):
+    """random_feasible_program's construction over K with nx integers."""
     m = int(rng.integers(1, 4))
     A_x = rng.normal(size=(m, nx))
-    A_z = rng.normal(size=(m, nz))
+    A_z = rng.normal(size=(m, K.dim))
     L, U = _integer_box(rng, nx)
     x0 = np.array(
         [float(rng.integers(int(L[j]), int(U[j]) + 1)) for j in range(nx)]
@@ -147,9 +138,37 @@ def random_feasible_program(rng):
     b = A_x @ x0 + A_z @ z0
     y = rng.normal(size=m)
     c = A_z.T @ y + cones.sample_product(K.dual(), rng, interior=True)
-    return ConicProgram(
-        c=c, A_x=A_x, A_z=A_z, b=b, L=L, U=U, cones=K
-    )
+    return ConicProgram(c=c, A_x=A_x, A_z=A_z, b=b, L=L, U=U, cones=K)
+
+
+def _infeasible(rng, K, nx):
+    """random_infeasible_program's construction over K with nx integers."""
+    m = int(rng.integers(2, 4))
+    lam = rng.normal(size=m)
+    lam /= np.linalg.norm(lam)
+    beta0 = cones.sample_product(K.dual(), rng, interior=True)
+    R = rng.normal(size=(m, K.dim))
+    A_z = R - np.outer(lam, lam @ R + beta0)
+    P = rng.normal(size=(m, nx))
+    A_x = P - np.outer(lam, lam @ P)
+    b_r = rng.normal(size=m)
+    b = b_r - lam * float(lam @ b_r) + lam * float(rng.uniform(0.5, 2.0))
+    L, U = _integer_box(rng, nx)
+    c = rng.normal(size=K.dim)
+    return ConicProgram(c=c, A_x=A_x, A_z=A_z, b=b, L=L, U=U, cones=K)
+
+
+def random_feasible_program(rng):
+    """A random program that is feasible with strong duality throughout.
+
+    b is chosen so one integer assignment admits a strictly interior z,
+    and c = A_z'y + s with s interior to the dual cone, which makes every
+    feasible fiber bounded and dual-attained; oa_solve and
+    brute_force_solve must then agree.  Draws of size zero take no random
+    numbers, so with no integer columns this is
+    random_continuous_feasible.
+    """
+    return _feasible(rng, _random_cones(rng), int(rng.integers(1, 4)))
 
 
 def random_continuous_feasible(rng):
@@ -158,13 +177,8 @@ def random_continuous_feasible(rng):
     b is the image of an interior point and c is interior-dual shifted,
     so both the primal and the dual have strictly feasible points.
     """
-    K = _random_cones(rng)
-    m = int(rng.integers(1, 4))
-    A = rng.normal(size=(m, K.dim))
-    z0 = cones.sample_product(K, rng, interior=True)
-    y = rng.normal(size=m)
-    c = A.T @ y + cones.sample_product(K.dual(), rng, interior=True)
-    return ContinuousConicProblem(A, A @ z0, c, K)
+    p = _feasible(rng, _random_cones(rng), 0)
+    return ContinuousConicProblem(p.A_z, p.b, p.c, p.cones)
 
 
 def random_continuous_infeasible(rng):
@@ -173,17 +187,8 @@ def random_continuous_infeasible(rng):
     Built so a multiplier lam has -A'lam interior to the dual cone and
     lam.b > 0, which rules out any conic solution of A z = b.
     """
-    K = _random_cones(rng)
-    m = int(rng.integers(2, 4))
-    lam = rng.normal(size=m)
-    lam /= np.linalg.norm(lam)
-    beta0 = cones.sample_product(K.dual(), rng, interior=True)
-    R = rng.normal(size=(m, K.dim))
-    A = R - np.outer(lam, lam @ R + beta0)
-    b_r = rng.normal(size=m)
-    b = b_r - lam * float(lam @ b_r) + lam * float(rng.uniform(0.5, 2.0))
-    c = rng.normal(size=K.dim)
-    return ContinuousConicProblem(A, b, c, K)
+    p = _infeasible(rng, _random_cones(rng), 0)
+    return ContinuousConicProblem(p.A_z, p.b, p.c, p.cones)
 
 
 def random_infeasible_program(rng):
@@ -191,23 +196,7 @@ def random_infeasible_program(rng):
 
     Built backwards from a Farkas certificate: a multiplier lam with
     -A_z'lam interior to the dual cone, A_x orthogonal to lam, and
-    lam.b > 0, so no fiber admits any conic solution.
+    lam.b > 0, so no fiber admits any conic solution.  With no integer
+    columns this is random_continuous_infeasible.
     """
-    K = _random_cones(rng)
-    nz = K.dim
-    nx = int(rng.integers(1, 3))
-    m = int(rng.integers(2, 4))
-    lam = rng.normal(size=m)
-    lam /= np.linalg.norm(lam)
-    beta0 = cones.sample_product(K.dual(), rng, interior=True)
-    R = rng.normal(size=(m, nz))
-    A_z = R - np.outer(lam, lam @ R + beta0)
-    P = rng.normal(size=(m, nx))
-    A_x = P - np.outer(lam, lam @ P)
-    b_r = rng.normal(size=m)
-    b = b_r - lam * float(lam @ b_r) + lam * float(rng.uniform(0.5, 2.0))
-    L, U = _integer_box(rng, nx)
-    c = rng.normal(size=nz)
-    return ConicProgram(
-        c=c, A_x=A_x, A_z=A_z, b=b, L=L, U=U, cones=K
-    )
+    return _infeasible(rng, _random_cones(rng), int(rng.integers(1, 3)))

@@ -132,7 +132,8 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
     while heap:
         node = heapq.heappop(heap)
         bound, tie, nlb, nub, tab = node
-        cutoff = best_obj - _REL_GAP * (1.0 + abs(best_obj))
+        cutoff = (np.inf if best_x is None
+                  else best_obj - _REL_GAP * (1.0 + abs(best_obj)))
         if bound >= cutoff:
             # everything left on the heap is at least this bound
             heapq.heappush(heap, node)

@@ -6,11 +6,13 @@ MILP proposes.  Every subproblem is posed by _root_relaxation or _fiber
 and read by _certificate: a feasible one contributes its dual certificate
 and a candidate incumbent, an infeasible one its ray, and when neither
 certificate is available the driver separates the MILP point from each
-cone factor.  Every cut takes one path, the initial tangents, the root
-relaxation's dual and cuts given to add_cut included: it is split by cone
-factor, and each nonzero block is checked (or repaired) against its own
-dual factor only and pooled as a cut of its own, unless an earlier cut on
-that factor points the same way.  The MILP depends only on the cut pool
+cone factor.  Every cut enters the pool as (factor, block) pairs: the
+initial tangents and separation vectors are made one factor at a time,
+and the root relaxation's dual, each fiber's certificate and cuts given
+to add_cut are split by factor (_blocks).  Each block takes one path
+(_block): it is checked (or repaired) against its own dual factor only
+and pooled as a cut of its own, unless an earlier cut on that factor
+points the same way.  The MILP depends only on the cut pool
 and the lower bound, and every solve is deterministic, so an iteration
 that adds no cut and leaves the lower bound unchanged is a fixed point:
 the next one would repeat it forever.  Instances whose fibers admit no
@@ -41,12 +43,12 @@ import numpy as np
 from . import cones
 from .errors import InvalidCut, NumericFailure, TooLarge
 from .ipm import (
-    EPS_OPT,
     INFEASIBLE,
     NUMERIC_FAILURE,
     OPTIMAL,
     UNBOUNDED,
     ContinuousConicProblem,
+    primal_feasible,
     solve_continuous,
 )
 from .milp import TIME_LIMIT, solve_milp
@@ -148,24 +150,24 @@ def _onto_dual(f, block):
     return None
 
 
+def _block(f, raw):
+    """raw scaled to max-abs 1, put on the dual of factor f (_onto_dual) and
+    scaled to max-abs 1 again, or None beyond repair."""
+    block = _onto_dual(f, raw / float(np.max(np.abs(raw))))
+    return None if block is None else block / float(np.max(np.abs(block)))
+
+
 def _blocks(state, beta):
-    """(factor index, block) for each cone factor whose block exceeds
-    1e-12 of beta's max-abs, in factor order; none when beta is zero or
-    not finite.  Each block is scaled to max-abs 1 and put on its dual
-    factor (_onto_dual), or is None beyond repair.  The dual of a product
-    is the product of the duals, so the blocks imply beta."""
+    """(factor index, _block) for each cone factor whose block of beta
+    exceeds 1e-12 of beta's max-abs, in factor order; none when beta is
+    zero or not finite.  The dual of a product is the product of the
+    duals, so the blocks imply beta."""
     scale = float(np.max(np.abs(beta), initial=0.0))
     if not 0.0 < scale < np.inf:
         return []
     K = state.cones
-    out = []
-    for i in np.unique(K.factor_of[np.abs(beta) > 1e-12 * scale]).tolist():
-        f, sl = K.slices()[i]
-        block = _onto_dual(f, beta[sl] / float(np.max(np.abs(beta[sl]))))
-        if block is not None:
-            block = block / float(np.max(np.abs(block)))
-        out.append((i, block))
-    return out
+    hit = np.unique(K.factor_of[np.abs(beta) > 1e-12 * scale]).tolist()
+    return [(i, _block(K.factors[i], beta[K.slices()[i][1]])) for i in hit]
 
 
 def _pool(state, blocks, provenance, assignment):
@@ -231,26 +233,21 @@ def _milp_data(program, state):
     tableau this MILP hands on is then a warm start for the next one.
     """
     m, nx, nz = program.num_rows, program.num_integer, program.num_conic
+    betas = [cut.beta for cut in state.cuts]
+    cuts = np.array(betas).reshape(len(betas), nz)
+    single = np.count_nonzero(cuts, axis=1) == 1
     z_lb = np.full(nz, -np.inf)
-    rows, rhs = [], []
-    if np.isfinite(state.z_lower):
-        rows.append(program.c)
-        rhs.append(state.z_lower - 1e-6 * (1.0 + abs(state.z_lower)))
-    for cut in state.cuts:
-        nonzero = np.nonzero(cut.beta)[0]
-        if nonzero.size == 1:
-            z_lb[nonzero[0]] = 0.0
-        else:
-            rows.append(cut.beta)
+    z_lb[np.nonzero(cuts[single])[1]] = 0.0
+    top = [program.c] if np.isfinite(state.z_lower) else []
+    rows = np.vstack(top + [cuts[~single]])
     k = len(rows)
-    n = nx + nz + k
-    A = np.zeros((m + k, n))
+    A = np.zeros((m + k, nx + nz + k))
     A[:m, :nx] = program.A_x
     A[:m, nx : nx + nz] = program.A_z
-    for i, beta in enumerate(rows):
-        A[m + i, nx : nx + nz] = beta
-        A[m + i, nx + nz + i] = -1.0
-    b = np.concatenate([program.b, np.array(rhs), np.zeros(k - len(rhs))])
+    A[m:, nx : nx + nz] = rows
+    A[m:, nx + nz :] -= np.eye(k)  # -I; subtracting keeps its zeros +0.0
+    rhs = [state.z_lower - 1e-6 * (1.0 + abs(state.z_lower))] * len(top)
+    b = np.concatenate([program.b, rhs, np.zeros(k - len(top))])
     c = np.concatenate([np.zeros(nx), program.c, np.zeros(k)])
     lb = np.concatenate([program.L, z_lb, np.zeros(k)])
     ub = np.concatenate([program.U, np.full(nz + k, np.inf)])
@@ -299,9 +296,9 @@ def _certificate(program, res):
 def _feasible(program, x, z):
     """x rounded when (x, z) is feasible for the program, else None.
 
-    x must be integral within 1e-6 and its rounding inside [L, U]; the
-    rows must hold at the rounded x and z must lie in K, both at the
-    tolerances of ipm._validate_optimal.  Rounding moves the rows by
+    x must be integral within 1e-6 and its rounding inside [L, U], and
+    (x rounded, z) must pass ipm.primal_feasible, the rule an optimal
+    certificate's point passes.  Rounding moves the rows by
     A_x (x_round - x), so they are checked after it.
     """
     if not (np.isfinite(x).all() and np.isfinite(z).all()):
@@ -311,15 +308,8 @@ def _feasible(program, x, z):
         return None
     if np.any(xr < program.L) or np.any(xr > program.U):
         return None
-    b = program.b
-    res = program.A_x @ xr + program.A_z @ z - b
-    if np.abs(res).max(initial=0.0) > EPS_OPT * (
-            1.0 + np.abs(b).max(initial=0.0)):
-        return None
-    if not cones.member_product(
-            program.cones, z, EPS_OPT * (1.0 + np.abs(z).max(initial=0.0))):
-        return None
-    return xr
+    r = program.A_x @ xr + program.A_z @ z - program.b
+    return xr if primal_feasible(program.cones, r, program.b, z) else None
 
 
 def _offer(state, x, z, obj):
@@ -389,11 +379,10 @@ def _initialize(program, state):
     it is infeasible or unbounded, or its optimum is feasible for the
     program (its x is L plus the first nx entries of its z).
     """
-    for f, sl in program.cones.slices():
-        for local in cones.tangents(f):
-            beta = np.zeros(program.num_conic)
-            beta[sl] = local
-            _pool(state, _blocks(state, beta), INITIAL_RELAXATION, None)
+    tangents = [(i, _block(f, t))
+                for i, f in enumerate(program.cones.factors)
+                for t in cones.tangents(f)]
+    _pool(state, tangents, INITIAL_RELAXATION, None)
     root = _root_relaxation(program)
     if root.status == INFEASIBLE:
         state.z_lower = np.inf
@@ -476,18 +465,19 @@ def _iterate(program, state, record, deadline):
         )
     if sub.status == OPTIMAL:
         record["subproblem_value"] = float(sub.obj)
-        beta, provenance = _certificate(program, sub), SUBPROBLEM_DUAL
         _offer(state, x, sub.z, sub.obj)
-    elif sub.status == INFEASIBLE:
-        beta, provenance = _certificate(program, sub), INFEASIBILITY_RAY
+    if sub.status in (OPTIMAL, INFEASIBLE):
+        blocks = _blocks(state, _certificate(program, sub))
+        provenance = (SUBPROBLEM_DUAL if sub.status == OPTIMAL
+                      else INFEASIBILITY_RAY)
     else:
         # no certificate: separate the MILP point from each cone factor
-        beta, provenance = np.zeros(nz), SEPARATION
-        for f, sl in program.cones.slices():
+        blocks, provenance = [], SEPARATION
+        for i, (f, sl) in enumerate(program.cones.slices()):
             g = cones.separate(f, z_milp[sl])
             if g is not None:
-                beta[sl] = g
-    _pool(state, _blocks(state, beta), provenance, assignment)
+                blocks.append((i, _block(f, g)))
+    _pool(state, blocks, provenance, assignment)
 
     if _gap_closed(state):
         return OPTIMAL, None

@@ -371,7 +371,7 @@ def test_validate_optimal(z, lam, accepted):
     # min z0 + z1 s.t. z0 + z1 = 2: every feasible point is optimal, lam = 1
     A, b, c = np.array([[1.0, 1.0]]), np.array([2.0]), np.array([1.0, 1.0])
     cand = ipm._validate_optimal(A, b, c, _ORTHANT, _ORTHANT.dual(),
-                                 np.array(z), np.array(lam), ipm.EPS_OPT)
+                                 np.array(z), np.array(lam))
     assert (cand is not None) == accepted
 
 
@@ -388,7 +388,7 @@ def test_validate_optimal(z, lam, accepted):
 def test_validate_infeasible(a11, b, lam, accepted):
     A = np.array([[1.0, 1.0], [1.0, a11]])
     lam_n = ipm._validate_infeasible(A, np.array(b), _ORTHANT.dual(),
-                                     np.array(lam), ipm.EPS_OPT)
+                                     np.array(lam))
     assert (lam_n is not None) == accepted
     if accepted:
         assert float(np.array(b) @ lam_n) == 1.0
@@ -405,7 +405,7 @@ def test_validate_unbounded(z, accepted):
     # min -z0 - z1 s.t. z0 = z1 over R^3_+ is unbounded along (1, 1, 0)
     A, c = np.array([[1.0, -1.0, 0.0]]), np.array([-1.0, -1.0, 0.0])
     K = ConeProduct([cones.nonneg(3)])
-    ray = ipm._validate_unbounded(A, c, K, np.array(z), ipm.EPS_OPT)
+    ray = ipm._validate_unbounded(A, c, K, np.array(z))
     assert (ray is not None) == accepted
     if accepted:
         assert ray.tolist() == [1.0, 1.0, 0.0]

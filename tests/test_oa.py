@@ -1,5 +1,6 @@
 """Behavioral tests for the outer-approximation driver and brute force."""
 
+import dataclasses
 import itertools
 import time
 
@@ -183,6 +184,64 @@ def test_every_pool_cut_lies_on_exactly_one_factor():
         assert not np.any(cosines > 1.0 - 1e-10)
         total += len(res.cuts)
     assert total > 100
+
+
+def _milp_data_by_rows(program, state):
+    """_milp_data as a loop over the pool, one row at a time: the
+    reference its array assembly must match byte for byte."""
+    m, nx, nz = program.num_rows, program.num_integer, program.num_conic
+    z_lb = np.full(nz, -np.inf)
+    rows, rhs = [], []
+    if np.isfinite(state.z_lower):
+        rows.append(program.c)
+        rhs.append(state.z_lower - 1e-6 * (1.0 + abs(state.z_lower)))
+    for cut in state.cuts:
+        nonzero = np.nonzero(cut.beta)[0]
+        if nonzero.size == 1:
+            z_lb[nonzero[0]] = 0.0
+        else:
+            rows.append(cut.beta)
+    k = len(rows)
+    A = np.zeros((m + k, nx + nz + k))
+    A[:m, :nx] = program.A_x
+    A[:m, nx : nx + nz] = program.A_z
+    for i, beta in enumerate(rows):
+        A[m + i, nx : nx + nz] = beta
+        A[m + i, nx + nz + i] = -1.0
+    b = np.concatenate([program.b, rhs, np.zeros(k - len(rhs))])
+    c = np.concatenate([np.zeros(nx), program.c, np.zeros(k)])
+    lb = np.concatenate([program.L, z_lb, np.zeros(k)])
+    ub = np.concatenate([program.U, np.full(nz + k, np.inf)])
+    return A, b, c, lb, ub, list(range(nx))
+
+
+def test_milp_data_matches_the_row_by_row_reference():
+    # the empty pool, the pool after _initialize and after each of up to
+    # three iterations, each with and without the objective row
+    progs = [emit_conic(instances.empty_ball_model(3, "naive"))[0],
+             emit_conic(instances.trimloss_model())[0],
+             _no_conic_program(2.0)]
+    rng = np.random.default_rng(7)
+    progs += [instances.random_feasible_program(rng) for _ in range(6)]
+    folds = rows = 0
+    for prog in progs:
+        state = _state(prog.cones)
+        end = None
+        for step in range(5):
+            for st in (state, dataclasses.replace(state, z_lower=-np.inf)):
+                got = oa._milp_data(prog, st)
+                want = _milp_data_by_rows(prog, st)
+                for g, w in zip(got, want):
+                    assert np.shape(g) == np.shape(w)
+                    assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            nx, nz = prog.num_integer, prog.num_conic
+            folds += int(np.sum(got[3][nx : nx + nz] == 0.0))
+            rows += len(got[1]) - prog.num_rows
+            if end is not None:
+                break
+            end = (oa._initialize(prog, state) if step == 0
+                   else oa._iterate(prog, state, {}, None))
+    assert folds > 0 and rows > 0
 
 
 # --------------------------------------------------------- fixed instances
@@ -468,6 +527,31 @@ def test_continuous_only_program():
     res = oa_solve(prog)
     assert res.status == OPTIMAL
     assert res.obj == pytest.approx(2.0, abs=1e-7)
+
+
+def _no_conic_program(a):
+    # a x = 1 with x integer in [0, 2] and an empty cone product
+    return ConicProgram(
+        c=np.zeros(0),
+        A_x=np.array([[a]]),
+        A_z=np.zeros((1, 0)),
+        b=np.array([1.0]),
+        L=np.array([0.0]),
+        U=np.array([2.0]),
+        cones=cones.ConeProduct(()),
+    )
+
+
+@pytest.mark.parametrize("a, status, iterations", [
+    (1.0, OPTIMAL, 0),     # x = 1 solves the root, which is integral
+    (2.0, INFEASIBLE, 1),  # the root's x = 1/2 leaves one MILP, infeasible
+])
+def test_program_without_conic_columns(a, status, iterations):
+    # the MILP has no conic columns and no cut rows
+    res = oa_solve(_no_conic_program(a))
+    assert res.status == status and res.iterations == iterations
+    if status == OPTIMAL:
+        assert res.obj == 0.0 and res.x.tolist() == [1.0]
 
 
 # ------------------------------------------- a feasible relaxation point
