@@ -30,7 +30,7 @@ generated instances are seeded through them.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 import math
 
 import numpy as np
@@ -98,7 +98,8 @@ class ConeProduct:
     """An ordered product of cone factors covering a z-block.  Its
     dimension, barrier parameter, (factor, slice) pairs, the index of the
     factor holding each coordinate, and its groups are fixed when it is
-    made."""
+    made; its dual product and its interior-point start are made once,
+    when first used, so every solve over one product shares them."""
 
     factors: tuple
     dim: int = field(init=False, repr=False, compare=False)
@@ -137,8 +138,27 @@ class ConeProduct:
         return self._pairs
 
     def dual(self):
-        """The dual of each factor, in order; the groups line up with ours."""
+        """The dual of each factor, in order; the groups line up with ours.
+        Made on the first call and kept."""
+        return self._dual
+
+    @cached_property
+    def _dual(self):
         return ConeProduct(tuple(dual(f) for f in self.factors))
+
+    @cached_property
+    def start(self):
+        """The interior-point start (z0, -F'(z0)): z0 each factor's
+        canonical interior point and F the product's barrier, one barrier
+        call per group.  Made on the first use and kept, read-only."""
+        z = np.concatenate([interior_point(f) for f in self.factors])
+        grad = np.empty_like(z)
+        for g in self.groups:
+            grad[g.index] = barrier_value_grad_hess(
+                g.cone, g.stack(z))[1].ravel()
+        beta = -grad
+        z.flags.writeable = beta.flags.writeable = False
+        return z, beta
 
 
 def _pow_surface(a, b, alpha):

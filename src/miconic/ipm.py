@@ -248,14 +248,6 @@ class _BlockHessian:
         return _potrs(self.L, rhs, lower=1)[0]
 
 
-def _barrier_grad(K, z):
-    g = np.empty_like(z)
-    for grp in K.groups:
-        g[grp.index] = cones.barrier_value_grad_hess(
-            grp.cone, grp.stack(z))[1].ravel()
-    return g
-
-
 def _barrier_third(K, z, d):
     # F'''(z)[d, d] over the product, one call per group
     t = np.empty_like(z)
@@ -311,8 +303,8 @@ def _hsde_loop(A, b, c, K, Kd):
     """Run the embedding on a preprocessed full-row-rank system."""
     m, n = A.shape
     metrics = _no_steps()
-    z = np.concatenate([cones.interior_point(f) for f in K.factors])
-    point = _point(K, Kd, z, -_barrier_grad(K, z), 1.0, 1.0, metrics)
+    # the start's Hessian is built here, in every solve
+    point = _point(K, Kd, *K.start, 1.0, 1.0, metrics)
     if point is None:
         return ConicResult(NUMERIC_FAILURE, metrics=metrics, diagnostic=(
             "barrier Hessian not formed at the starting point"))

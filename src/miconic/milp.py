@@ -22,10 +22,14 @@ result's leaves are every node not proven infeasible: the nodes pruned by
 bound and the integer-feasible ones, each with its own final tableau and
 LP bound, and the nodes still open, each with its parent's.  A later MILP
 resumes from them, since a node proven infeasible stays infeasible and a
-leaf's bound stays a lower bound over its box.  A leaf's tableau is its
-warm start through simplex.py's bordered start when the new A borders the
-array the tableau was made on; otherwise its LP is solved cold.  A fresh
-search is the one leaf holding the whole box, so both run the same loop.
+leaf's bound stays a lower bound over its box.  A leaf's tableau is
+carried onto the new A by simplex.border when A borders the array the
+tableau was made on, and is its LP's warm start from there; otherwise
+its LP is solved cold.  The leaves of one earlier array share one
+bordering check and one extended array per call, so a resumed tree pays
+the check once per earlier array, and the carried inverse is extended,
+not factored.  A fresh search is the one leaf holding the whole box, so
+both run the same loop.
 
 A deadline on the time.monotonic clock is checked before each node LP;
 once it has passed the search stops with status time_limit, whose lower
@@ -39,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericFailure, UnboundedInteger
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, border,
+                      solve_lp)
 
 _INT_TOL = 1e-6
 # a node is pruned when its bound is within this relative gap of the incumbent
@@ -118,6 +123,8 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
     counter = 1 + max((node[1] for node in heap), default=0)
     leaves = []
     nodes = pivots = 0
+    # simplex.border's memo of the leaves' arrays, dropped on return
+    arrays = {}
 
     def result(status, **fields):
         return MilpResult(status, nodes=nodes, pivots=pivots,
@@ -148,6 +155,8 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise NumericFailure("branch and bound node limit exceeded")
+        if tab is not None and tab.source is not A:
+            tab = border(tab, A, arrays)
         res = solve_lp(LpProblem(A, b, c, nlb, nub), warm=tab)
         pivots += res.iterations
         if res.status == INFEASIBLE:

@@ -14,8 +14,11 @@ to add_cut are split by factor (_blocks).  Each block takes one path
 and pooled as a cut of its own, unless an earlier cut on that factor
 points the same way.  The MILP depends only on the cut pool
 and the lower bound, and every solve is deterministic, so an iteration
-that adds no cut and leaves the lower bound unchanged is a fixed point:
-the next one would repeat it forever.  Instances whose fibers admit no
+that adds no cut and leaves the lower bound where it was, up to a rise
+within the gap tolerance, is a fixed point: the next MILP differs from
+this one only in its objective row's right-hand side, which stays below
+its optimum, so the next iteration would repeat this one forever (a
+rise at rounding level is no progress).  Instances whose fibers admit no
 dual certificates end there, and the driver reports an assumption failure
 rather than loop on.
 
@@ -327,6 +330,14 @@ def _gap_closed(state):
     )
 
 
+def _stalled(state, lower):
+    """The lower bound rose from lower by no more than the gap tolerance,
+    state.tol (1 + |lower|); a rise from -inf is progress."""
+    if not np.isfinite(lower):
+        return state.z_lower == lower
+    return state.z_lower - lower <= state.tol * (1.0 + abs(lower))
+
+
 def oa_solve(program, config=None):
     """Globally solve a mixed-integer conic program by outer approximation."""
     cfg = config or OaConfig()
@@ -481,7 +492,7 @@ def _iterate(program, state, record, deadline):
 
     if _gap_closed(state):
         return OPTIMAL, None
-    if len(state.cuts) == pool and state.z_lower == lower:
+    if len(state.cuts) == pool and _stalled(state, lower):
         # the next MILP is this one, so OA would repeat this iteration
         why = "" if sub.diagnostic is None else ": %s" % sub.diagnostic
         return ASSUMPTION_FAILURE, (

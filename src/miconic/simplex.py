@@ -31,12 +31,17 @@ from the earlier problem's, but the new A must be one of two arrays:
   solves each child node this way from its parent's final tableau.
 * an array that borders A: more rows, A equal in value to its leading
   block, and each appended column zero above the old rows and the slack
-  of one new row, the i-th column of the i-th row.  The old columns keep
-  their rests, the new slacks enter the basis, the new artificials rest
-  at zero, and the basis inverse is factored afresh.  Outer approximation
-  resumes each MILP's search tree this way: every leaf the previous MILPs
-  handed on carries a tableau on an earlier array, which the new cut rows
-  border.
+  of one new row, the i-th column of the i-th row.  border carries the
+  tableau onto the new array first: the old columns keep their rests,
+  the new slacks enter the basis, the new artificials rest at zero, and
+  the basis inverse is the carried one extended by the block formula for
+  a bordered matrix, so no factorization runs and its age carries over.
+  The solve then starts from the carried tableau as from one on the very
+  same array.  Outer approximation resumes each MILP's search tree this
+  way: every leaf the previous MILPs handed on carries a tableau on an
+  earlier array, which the new cut rows border, and branch and bound
+  checks the bordering and builds the extended array once per earlier
+  array, not once per leaf.
 
 Tightening bounds keeps the basis dual feasible, and so do new rows with
 basic slacks; the final primal pass, which ends every solve, mends
@@ -452,17 +457,16 @@ def _farkas_holds(prob, y, margin):
     return np.isfinite(sup) and float(prob.b @ y) > sup + margin
 
 
-def _bordered_start(A, warm):
-    """The extended array, basis and rests of warm's final tableau carried
-    to A, or None when A does not border warm.source.
+def _bordering(A, warm):
+    """The extended array [A, diag(signs)] a tableau on warm.A carries to
+    A, or None when A does not border warm.source.
 
     A borders it when its leading block equals warm.source, its appended
     columns are zero above the new rows, and below them each holds one
     nonzero, in the row of its own index: the i-th new column is the slack
-    of the i-th new row.  Old structural columns keep their index and
-    rest, old artificial columns their rest and sign; the new slacks are
-    basic and the new artificials rest at zero.  The caller factors the
-    basis afresh.
+    of the i-th new row.  The old rows keep the signs of warm.A's
+    artificial columns and the new rows get +1.  The answer depends on
+    warm.A and A alone, so every tableau on one array shares it.
     """
     m0, n0 = warm.source.shape
     m, n = A.shape
@@ -475,15 +479,51 @@ def _bordered_start(A, warm):
             and np.count_nonzero(slacks) == k
             and np.all(np.diagonal(slacks) != 0.0)):
         return None
-    # where each column of warm.A sits in the bordered extended array
-    old = np.concatenate([np.arange(n0), np.arange(n, n + m0)])
     signs = np.ones(m)
     signs[:m0] = np.diagonal(warm.A[:, n0:])
+    return np.hstack([A, np.diag(signs)])
+
+
+def border(warm, A, arrays):
+    """warm, the final tableau of an optimal solve, carried onto A, an
+    array that borders warm.source (see _bordering), as a warm start posed
+    on A; None when A does not border it.
+
+    Old structural columns keep their index and rest, old artificial
+    columns their rest and sign; the new slacks are basic and the new
+    artificials rest at zero.  With the new slacks last, the basis is
+    [[B, 0], [R, S]]: B the old basis, R the new rows on its columns and
+    S the diagonal of the slacks.  So its inverse is
+    [[B^-1, 0], [-S^-1 R B^-1, S^-1]] (Koberstein 2005, ch. 3), built from
+    the carried inverse without a factorization, and the inverse's age
+    carries over with it.
+
+    arrays, a dict a caller keeps while it poses its LPs on the one array
+    A, holds the outcome of _bordering per carried extended array, so the
+    tableaus on one array share one check and one extended array.
+    """
+    # the entry keeps warm.A alive, so its id names it for the dict's life
+    if id(warm.A) not in arrays:
+        arrays[id(warm.A)] = warm.A, _bordering(A, warm)
+    ext = arrays[id(warm.A)][1]
+    if ext is None:
+        return None
+    m0, n0 = warm.source.shape
+    m, n = A.shape
+    # where each column of warm.A sits in the bordered extended array
+    old = np.concatenate([np.arange(n0), np.arange(n, n + m0)])
     status = np.full(n + m, _AT_LOWER)
     status[old] = warm.status
     status[n0:n] = _BASIC
-    basis = np.concatenate([old[warm.basis], np.arange(n0, n)])
-    return np.hstack([A, np.diag(signs)]), basis, status
+    kept = old[warm.basis]
+    s = np.diagonal(ext[m0:, n0:n])
+    Binv = np.zeros((m, m))
+    Binv[:m0, :m0] = warm.Binv
+    Binv[m0:, :m0] = (ext[m0:, kept] @ warm.Binv) / -s[:, None]
+    Binv[m0:, m0:] = np.diag(1.0 / s)
+    return _Tableau(A=ext, b=None, lb=None, ub=None,
+                    basis=np.concatenate([kept, np.arange(n0, n)]),
+                    status=status, Binv=Binv, age=warm.age, source=A)
 
 
 def _solve_warm(prob, warm):
@@ -496,15 +536,15 @@ def _solve_warm(prob, warm):
     # the very same array, whose extended array is never written and so
     # shared by every warm descendant of one solve; basis and rests are
     # copied, since pivots update them in place and a sibling node starts
-    # from the same parent.  A bordered array factors the kept basis
-    # afresh; any other array, even one of equal values, is solved cold
-    if prob.A is warm.source:
-        start = warm.A, warm.basis.copy(), warm.status.copy()
-    else:
-        start = _bordered_start(prob.A, warm)
-        if start is None:
+    # from the same parent.  A bordered array first has warm carried onto
+    # it (border); any other array, even one of equal values, is solved
+    # cold
+    if prob.A is not warm.source:
+        warm = border(warm, prob.A, {})
+        if warm is None:
             return None, 0
-    tab, c = _tableau(prob, *start, 0.0)
+    tab, c = _tableau(prob, warm.A, warm.basis.copy(), warm.status.copy(),
+                      0.0)
     # every nonbasic column must still rest on a bound it has
     st, has_lb, has_ub = tab.status, np.isfinite(tab.lb), np.isfinite(tab.ub)
     if (
@@ -513,11 +553,8 @@ def _solve_warm(prob, warm):
         or np.any((st == _FREE) & (has_lb | has_ub))
     ):
         return None, 0
+    tab.Binv, tab.age = warm.Binv.copy(), warm.age
     try:
-        if tab.A is warm.A:
-            tab.Binv, tab.age = warm.Binv.copy(), warm.age
-        else:
-            tab.refactor()
         y = _dual_phase(tab, c)
         if y is None:
             return _finish(prob, tab, c, warm=True), tab.iterations

@@ -16,7 +16,6 @@ from miconic.ipm import (
     UNBOUNDED,
     ContinuousConicProblem,
     ConicResult,
-    _barrier_grad,
     _BlockHessian,
     _no_steps,
     _point,
@@ -441,10 +440,10 @@ def test_block_hessian_solve_matches_checked_triangular_solves():
         z = cones.sample_product(K, rng, interior=True)
         mu = float(rng.uniform(0.1, 10.0))
         W = _BlockHessian(K, z, mu)
-        assert_array_equal(W.grad, _barrier_grad(K, z))
         outside = np.ones((K.dim, K.dim), dtype=bool)
         for f, sl in K.slices():
-            h = cones.barrier_value_grad_hess(f, z[sl])[2]
+            _, grad, h = cones.barrier_value_grad_hess(f, z[sl])
+            assert_allclose(W.grad[sl], grad, rtol=1e-12)
             assert_allclose(W.L[sl, sl], np.linalg.cholesky(mu * h),
                             rtol=1e-12)
             outside[sl, sl] = False
@@ -574,6 +573,36 @@ def test_accepted_trial_hessian_is_not_built_again(monkeypatch):
         # most one call per group
         assert res.metrics["hessian_builds"] == sum(map(bool, points))
         assert all(len(calls) <= groups for calls in points)
+
+
+def test_solves_over_one_product_share_its_start(monkeypatch):
+    # the start (z0, -F'(z0)) and the dual product are made once per cone
+    # product and kept read-only; each solve still builds the start's
+    # Hessian, so both solves count the same builds
+    made = []
+    real = cones.interior_point
+
+    def counted(f):
+        made.append(f)
+        return real(f)
+
+    monkeypatch.setattr(cones, "interior_point", counted)
+    prob = next(random_feasible_problems(507, 1))
+    K = prob.cones
+    first = solve_continuous(prob)
+    assert first.status == OPTIMAL and len(made) == len(K.factors)
+    z0, beta0 = K.start
+    again = solve_continuous(ContinuousConicProblem(prob.A, prob.b, prob.c, K))
+    assert len(made) == len(K.factors)
+    assert K.start[0] is z0 and K.start[1] is beta0 and K.dual() is K.dual()
+    assert not z0.flags.writeable and not beta0.flags.writeable
+    assert again.metrics == first.metrics
+    assert again.metrics["hessian_builds"] > again.iterations > 0
+    assert_array_equal(again.z, first.z)
+    for f, sl in K.slices():
+        assert_array_equal(z0[sl], real(f))
+        grad = cones.barrier_value_grad_hess(f, z0[sl])[1]
+        assert_allclose(beta0[sl], -grad, rtol=1e-12)
 
 
 @pytest.mark.parametrize("factor", [

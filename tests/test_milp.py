@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 import miconic.milp as milp
 from miconic import instances, oa, simplex
@@ -411,7 +412,9 @@ def test_each_oa_milp_resumes_the_previous_milps_leaves(monkeypatch):
                 continue
             # the start is the previous MILP's leaves, the very list
             assert warm is milps[i - 1][2].leaves
-            tableaux = {id(leaf[4]) for leaf in warm if leaf[4] is not None}
+            # a start that no node LP of this MILP returned is a leaf's
+            # tableau, carried onto this MILP's array
+            own = {id(lp.basis) for _, _, lp in lps}
             boxes = [(leaf[2][:nx], leaf[3][:nx]) for leaf in warm]
             for prob, given, lp in lps:
                 # every node lies in a leaf's box: the root box is posed
@@ -421,10 +424,42 @@ def test_each_oa_milp_resumes_the_previous_milps_leaves(monkeypatch):
                            for blo, bhi in boxes)
                 # and no LP starts cold
                 assert given is not None
-                if id(given) in tableaux:
-                    assert lp.warm
+                if id(given) not in own:
+                    assert given.source is prob.A and lp.warm
                     resumed += 1
     assert resumed > 20
+
+
+def test_a_resumed_milp_checks_each_earlier_array_once(monkeypatch):
+    # the leaves made on one earlier array share one bordering check and
+    # one extended array per MILP, however many of them are resumed
+    checked, carried, milps = [], [], []
+    real_check, real_border = simplex._bordering, simplex.border
+
+    def check(A, warm):
+        checked.append(id(warm.A))
+        return real_check(A, warm)
+
+    def border(warm, A, arrays):
+        carried.append(id(warm.A))
+        return real_border(warm, A, arrays)
+
+    def recording(*args, **kwargs):
+        checked.clear()
+        carried.clear()
+        res = solve_milp(*args, **kwargs)
+        milps.append((sorted(checked), sorted(set(carried)), len(carried)))
+        return res
+
+    monkeypatch.setattr(simplex, "_bordering", check)
+    monkeypatch.setattr(milp, "border", border)
+    monkeypatch.setattr(oa, "solve_milp", recording)
+    out = oa.oa_solve(emit_conic(instances.empty_ball_model(3, "naive"))[0])
+    assert out.status == INFEASIBLE and len(milps) == out.iterations
+    for checks, arrays, _ in milps:
+        assert checks == arrays
+    # fewer checks than carried leaves: some array served several
+    assert sum(n for *_, n in milps) > sum(len(c) for c, *_ in milps) > 0
 
 
 def _resumed_programs():
@@ -479,6 +514,50 @@ def test_oa_on_the_aggregated_balls_solves_few_node_lps():
         assert out.status == INFEASIBLE
         nodes += sum(record["milp_nodes"] for record in out.trace)
     assert nodes <= 300
+
+
+# ------------------------------------------ the node LPs against HiGHS
+
+# linprog's status codes for a solved LP, infeasible LP and unbounded LP
+_HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+def _census_programs():
+    """The extended balls n=2..6, the aggregated balls n=2..5, disk,
+    trimloss and the seed-2024 oracle corpus."""
+    progs = [emit_conic(instances.empty_ball_model(n, "extended"))[0]
+             for n in range(2, 7)]
+    progs += [emit_conic(instances.empty_ball_model(n, "naive"))[0]
+              for n in range(2, 6)]
+    progs += [emit_conic(instances.disk_model())[0],
+              emit_conic(instances.trimloss_model())[0]]
+    rng = np.random.default_rng(2024)
+    progs += [instances.random_feasible_program(rng) for _ in range(40)]
+    progs += [instances.random_infeasible_program(rng) for _ in range(20)]
+    return progs
+
+
+def test_every_oa_node_lp_agrees_with_highs(monkeypatch):
+    # HiGHS shares no code with the simplex, so it guards every start the
+    # node LPs take: cold, from the parent's inverse and bordered
+    seen = _lp_recorder(monkeypatch)
+    for prog in _census_programs():
+        oa.oa_solve(prog)
+    # a start that no node LP returned is a leaf's tableau carried onto a
+    # later MILP's array
+    own = {id(res.basis) for _, _, res in seen}
+    carried = 0
+    for prob, given, res in seen:
+        bounds = [(lo if np.isfinite(lo) else None,
+                   hi if np.isfinite(hi) else None)
+                  for lo, hi in zip(prob.lb, prob.ub)]
+        ref = linprog(prob.c, A_eq=prob.A, b_eq=prob.b, bounds=bounds,
+                      method="highs")
+        assert _HIGHS_STATUS[ref.status] == res.status
+        if res.status == OPTIMAL:
+            assert abs(res.obj - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+        carried += given is not None and id(given) not in own
+    assert len(seen) > 400 and carried > 150
 
 
 # --------------------------------------------- deadlines and pivot counts

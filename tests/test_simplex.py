@@ -740,6 +740,37 @@ def test_warm_start_on_a_bordered_array_matches_cold():
     assert n_pivoted > 80
 
 
+def test_a_bordered_start_extends_the_carried_inverse(monkeypatch):
+    # border builds [[B^-1, 0], [-S^-1 R B^-1, S^-1]] from the parent's
+    # inverse, keeps its age, and the warm solve factors nothing
+    refactors = []
+    real_refactor = simplex._Tableau.refactor
+
+    def refactor(tab):
+        refactors.append(1)
+        real_refactor(tab)
+
+    rng = np.random.default_rng(1414)
+    checked = 0
+    for _ in range(200):
+        parent = random_instance(rng)
+        first = solve_lp(parent)
+        if first.status != OPTIMAL:
+            continue
+        child = bordered(parent, rng, int(rng.integers(1, 4)), first.x)
+        tab = simplex.border(first.basis, child.A, {})
+        assert tab.source is child.A and tab.age == first.basis.age
+        want = np.linalg.inv(tab.A[:, tab.basis])
+        err = np.max(np.abs(tab.Binv - want)) / np.max(np.abs(want))
+        assert err <= 1e-12
+        monkeypatch.setattr(simplex._Tableau, "refactor", refactor)
+        assert solve_lp(child, warm=first.basis).warm
+        monkeypatch.undo()
+        checked += 1
+    assert checked > 150
+    assert not refactors
+
+
 def _bordered_pair():
     """An optimal parent LP and a two-row bordered child."""
     rng = np.random.default_rng(1415)
