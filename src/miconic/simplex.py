@@ -127,7 +127,8 @@ class _Tableau:
     must be posed on.  basis lists the basic columns, status gives every
     column's rest (at lower, at upper, free or basic), Binv is the inverse
     of the basis columns and age the product-form updates it has taken
-    since it was last refactored.
+    since it was last refactored.  Each update or refactor makes a new
+    Binv array and none is written in place, so tableaus may share one.
     """
 
     A: np.ndarray
@@ -158,8 +159,12 @@ class _Tableau:
             self.refactor()
             return
         row = self.Binv[leave] / wl
-        self.Binv -= np.outer(w, row)
-        self.Binv[leave] = row
+        # into a new array: Binv is never written in place, so a warm
+        # start shares it with the tableau it starts from
+        Binv = np.outer(w, row)
+        np.subtract(self.Binv, Binv, out=Binv)
+        Binv[leave] = row
+        self.Binv = Binv
         self.basis[leave] = enter
         self.age += 1
 
@@ -534,9 +539,10 @@ def _solve_warm(prob, warm):
     """
     # the carried inverse is of warm.A's basis columns, so it serves only
     # the very same array, whose extended array is never written and so
-    # shared by every warm descendant of one solve; basis and rests are
-    # copied, since pivots update them in place and a sibling node starts
-    # from the same parent.  A bordered array first has warm carried onto
+    # shared by every warm descendant of one solve, as is the inverse
+    # until a pivot replaces it; basis and rests are copied, since pivots
+    # update them in place and a sibling node starts from the same
+    # parent.  A bordered array first has warm carried onto
     # it (border); any other array, even one of equal values, is solved
     # cold
     if prob.A is not warm.source:
@@ -553,7 +559,7 @@ def _solve_warm(prob, warm):
         or np.any((st == _FREE) & (has_lb | has_ub))
     ):
         return None, 0
-    tab.Binv, tab.age = warm.Binv.copy(), warm.age
+    tab.Binv, tab.age = warm.Binv, warm.age
     try:
         y = _dual_phase(tab, c)
         if y is None:
