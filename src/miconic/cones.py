@@ -233,33 +233,6 @@ def _log_third_1(d, x):
     return -2.0 * r * r / x
 
 
-@lru_cache(maxsize=None)
-def _quadratic_hessian(kind, dim):
-    # 2Q for SOC's or RSOC's s = z'Qz; z 2Q is s's gradient, exactly
-    h = -2.0 * np.eye(dim)
-    h[:2, :2] = [[2.0, 0.0], [0.0, -2.0]] if kind == SOC else [[0, 2], [2, 0]]
-    h.flags.writeable = False  # shared by every call
-    return h
-
-
-def _quadratic_barrier(cone, z, s):
-    # -log s for SOC's or RSOC's s; s > 0 and z_0 > 0 put z inside
-    if not (s.min() > 0.0 and z[..., 0].min() > 0.0):
-        raise NotInterior("%s barrier domain violated" % cone.kind)
-    d2s = _quadratic_hessian(cone.kind, cone.dim)
-    return _neg_log(s, z @ d2s, d2s)
-
-
-def _quadratic_third(cone, z, s, d):
-    # the third derivative along d, d of -log s for SOC's or RSOC's s, a
-    # stack at a time: _log_third's form with s's third derivative 0
-    d2s = _quadratic_hessian(cone.kind, cone.dim)
-    ds, hd, s = z @ d2s, d @ d2s, s[..., None]
-    u = (ds * d).sum(axis=-1, keepdims=True) / s
-    w = (hd * d).sum(axis=-1, keepdims=True) / s - 2.0 * u * u
-    return (2.0 * u * hd + w * ds) / s
-
-
 class _Family:
     """A cone family: its rules and operations on a factor of that family.
 
@@ -325,10 +298,41 @@ class _Nonneg(_Family):
         return list(np.eye(cone.dim))
 
 
-class _Soc(_Family):
-    kind = dual_kind = SOC
+class _Quadratic(_Family):
+    """A family whose barrier is -log s for a quadratic form s = z'Qz: 2Q
+    has the leading 2x2 block head and -2I below it, and s > 0 with
+    z_0 > 0 puts z inside."""
+
     nu = 2
+
+    @lru_cache(maxsize=None)
+    def hessian(self, dim):
+        # 2Q, shared by every call; z 2Q is s's gradient, exactly
+        h = -2.0 * np.eye(dim)
+        h[:2, :2] = self.head
+        h.flags.writeable = False
+        return h
+
+    def barrier(self, cone, z):
+        s = self.quadratic(z)
+        if not (s.min() > 0.0 and z[..., 0].min() > 0.0):
+            raise NotInterior("%s barrier domain violated" % cone.kind)
+        d2s = self.hessian(cone.dim)
+        return _neg_log(s, z @ d2s, d2s)
+
+    def barrier_third(self, cone, z, d):
+        # a stack at a time: _log_third's form with s's third derivative 0
+        d2s = self.hessian(cone.dim)
+        ds, hd, s = z @ d2s, d @ d2s, self.quadratic(z)[..., None]
+        u = (ds * d).sum(axis=-1, keepdims=True) / s
+        w = (hd * d).sum(axis=-1, keepdims=True) / s - 2.0 * u * u
+        return (2.0 * u * hd + w * ds) / s
+
+
+class _Soc(_Quadratic):
+    kind = dual_kind = SOC
     min_dim = 2
+    head = ((2.0, 0.0), (0.0, -2.0))
     interior = ((1.0,), 0.0)
 
     def member(self, cone, p, tol):
@@ -346,12 +350,6 @@ class _Soc(_Family):
         t = z[..., 0]
         return t * t - _dot(z[..., 1:])
 
-    def barrier(self, cone, z):
-        return _quadratic_barrier(cone, z, self.quadratic(z))
-
-    def barrier_third(self, cone, z, d):
-        return _quadratic_third(cone, z, self.quadratic(z), d)
-
     def sample(self, cone, rng, scale, interior, shape):
         x = rng.standard_normal(shape + (cone.dim - 1,)) * scale
         if interior:
@@ -366,12 +364,12 @@ class _Soc(_Family):
                          for s in (1.0, -1.0)]
 
 
-class _Rsoc(_Family):
+class _Rsoc(_Quadratic):
     # Separation and sampling go through the rotation onto SOC; membership
     # and the barrier keep their own formulas, whose rounding results rely on.
     kind = dual_kind = RSOC
-    nu = 2
     min_dim = 3
+    head = ((0.0, 2.0), (2.0, 0.0))
     interior = ((1.0, 1.0), 0.0)
 
     def member(self, cone, p, tol):
@@ -389,12 +387,6 @@ class _Rsoc(_Family):
 
     def quadratic(self, z):
         return 2.0 * z[..., 0] * z[..., 1] - _dot(z[..., 2:])
-
-    def barrier(self, cone, z):
-        return _quadratic_barrier(cone, z, self.quadratic(z))
-
-    def barrier_third(self, cone, z, d):
-        return _quadratic_third(cone, z, self.quadratic(z), d)
 
     def sample(self, cone, rng, scale, interior, shape):
         return _rsoc_rotate(_SOC.sample(cone, rng, scale, interior, shape))

@@ -20,39 +20,38 @@ columns), the basis, every column's rest and the basis inverse.  Passing
 the tableau back with another problem re-optimizes by the bounded
 dual simplex method (Koberstein, *The dual simplex method*, 2005), then
 prices with c by the primal simplex.  b, c and the bounds may all differ
-from the earlier problem's, but the new A must be one of two arrays:
+from the earlier problem's, but A must be the very same array
+(prob.A is warm.source).  The solve starts from the carried inverse
+rather than a fresh factorization.  The extended array is never written,
+so every warm descendant of one solve shares it, and the inverse's age,
+the product-form updates since its last refactor, carries over too, so
+the refactor after 64 updates counts them along the whole chain of warm
+starts.  Branch and bound solves each child node this way from its
+parent's final tableau.
 
-* the very same A array (prob.A is warm.source).  The solve starts from a
-  copy of the carried inverse rather than a fresh factorization.  The
-  extended array is never written, so every warm descendant of one solve
-  shares it, and the inverse's age, the product-form updates since its
-  last refactor, carries over too, so the refactor after 64 updates
-  counts them along the whole chain of warm starts.  Branch and bound
-  solves each child node this way from its parent's final tableau.
-* an array that borders A: more rows, A equal in value to its leading
-  block, and each appended column zero above the old rows and the slack
-  of one new row, the i-th column of the i-th row.  border carries the
-  tableau onto the new array first: the old columns keep their rests,
-  the new slacks enter the basis, the new artificials rest at zero, and
-  the basis inverse is the carried one extended by the block formula for
-  a bordered matrix, so no factorization runs and its age carries over.
-  The solve then starts from the carried tableau as from one on the very
-  same array.  Outer approximation resumes each MILP's search tree this
-  way: every leaf the previous MILPs handed on carries a tableau on an
-  earlier array, which the new cut rows border, and branch and bound
-  checks the bordering and builds the extended array once per earlier
-  array, not once per leaf.
+A tableau reaches another array only through border, when that array
+borders its own: more rows, the old array equal in value to its leading
+block, and each appended column zero above the old rows and the slack of
+one new row, the i-th column of the i-th row.  The old columns keep their
+rests, the new slacks enter the basis, the new artificials rest at zero,
+and the basis inverse is the carried one extended by the block formula
+for a bordered matrix, so no factorization runs and its age carries
+over.  The result is posed on the new array, a warm start as above.
+Outer approximation resumes each MILP's search tree this way: every leaf
+the previous MILPs handed on carries a tableau on an earlier array,
+which the new cut rows border, and branch and bound checks the bordering
+and builds the extended array once per earlier array, not once per leaf.
 
 Tightening bounds keeps the basis dual feasible, and so do new rows with
 basic slacks; the final primal pass, which ends every solve, mends
 whatever dual infeasibility a start has.  Whenever the warm start cannot
-finish (a tableau from any other array, an equal copy of A included, a
+finish (a tableau on any other array, an equal copy of A included, a
 rest on a bound the problem lacks, singular refactor, iteration cap, or a
 certificate that fails its check) the solve falls back to the cold
 two-phase method.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,9 +136,8 @@ class _Tableau:
     ub: np.ndarray
     basis: np.ndarray
     status: np.ndarray
-    degenerate_pivots: int = 0
     iterations: int = 0
-    enterable: np.ndarray = field(default=None)
+    enterable: np.ndarray = None
     Binv: np.ndarray = None
     age: int = 0
     source: np.ndarray = None
@@ -151,8 +149,11 @@ class _Tableau:
             raise NumericFailure("singular simplex basis")
         self.age = 0
 
-    def pivot_basis(self, leave, enter, w):
-        """Replace basis[leave] by enter, updating Binv in product form."""
+    def pivot(self, leave, enter, w, rest):
+        """Replace basis[leave] by enter, w = Binv a_enter, updating Binv
+        in product form; the leaving column comes to rest at rest."""
+        self.status[self.basis[leave]] = rest
+        self.status[enter] = _BASIC
         wl = w[leave]
         if abs(wl) < 1e-13 or self.age >= 64:
             self.basis[leave] = enter
@@ -168,13 +169,9 @@ class _Tableau:
         self.basis[leave] = enter
         self.age += 1
 
-    def nonbasic_values(self):
-        return _rests(self.status, self.lb, self.ub)
-
     def values(self):
-        v = self.nonbasic_values()
-        rhs = self.b - self.A @ v
-        v[self.basis] = self.Binv @ rhs
+        v = _rests(self.status, self.lb, self.ub)
+        v[self.basis] = self.Binv @ (self.b - self.A @ v)
         return v
 
     def duals(self, c):
@@ -194,13 +191,16 @@ def _rests(status, lb, ub):
                     np.where(status == _AT_UPPER, ub, 0.0))
 
 
-def _choose_entering(tab, d, bland):
-    # a column enters downward from its upper bound, or free when d > 0
+def _choose_entering(tab, d, bland, barred):
+    # a column enters downward from its upper bound, or free when d > 0;
+    # barred columns are kept out as if their bounds were fixed
     st = tab.status
     down = (st == _AT_UPPER) | ((st == _FREE) & (d > _COST_TOL))
     sigma = np.where(down, -1.0, 1.0)
     score = -sigma * d
     score[~tab.enterable | (st == _BASIC)] = -np.inf
+    if barred:
+        score[barred] = -np.inf
     if bland:
         ok = score > _COST_TOL
         if not ok.any():
@@ -228,6 +228,8 @@ def _phase(tab, c, allow_unbounded):
     # barring one column; Bland's rule cannot cycle, but a basis that
     # stays near singular can, so more false rays than columns end it
     false_rays = 0
+    # this phase's run of degenerate pivots; a long one switches to Bland's
+    degenerate = 0
     while True:
         tab.iterations += 1
         if tab.iterations > _MAX_ITER:
@@ -235,10 +237,9 @@ def _phase(tab, c, allow_unbounded):
         x = tab.values()
         y = tab.duals(c)
         d = c - tab.A.T @ y
-        bland = tab.degenerate_pivots > bland_after or false_rays >= 2
-        pick = _choose_entering(tab, d, bland)
+        bland = degenerate > bland_after or false_rays >= 2
+        pick = _choose_entering(tab, d, bland, barred)
         if pick is None:
-            tab.enterable[barred] = True
             return OPTIMAL, x
         e, sigma = pick
         w = tab.Binv @ tab.A[:, e]
@@ -273,7 +274,6 @@ def _phase(tab, c, allow_unbounded):
             ray[e] = sigma
             ray[tab.basis] = -sigma * w
             if _ray_holds(tab.A, c, ray):
-                tab.enterable[barred] = True
                 return UNBOUNDED, ray
             # a false ray: Binv has drifted, or the basis is so near
             # singular that the column's reduced cost is rounding noise
@@ -283,24 +283,16 @@ def _phase(tab, c, allow_unbounded):
             if tab.age:
                 tab.refactor()
             else:
-                tab.enterable[e] = False
                 barred.append(e)
             continue
-        if t_best < 1e-9:
-            tab.degenerate_pivots += 1
-        else:
-            tab.degenerate_pivots = 0
-        if barred:
-            # the basis changes below, so barred columns may enter again
-            tab.enterable[barred] = True
-            barred.clear()
+        degenerate = degenerate + 1 if t_best < 1e-9 else 0
+        # the basis or a rest changes below: barred columns may enter again
+        barred.clear()
         if leave < 0:
             # entering variable flips to its opposite bound
             tab.status[e] = _AT_UPPER if sigma > 0 else _AT_LOWER
             continue
-        tab.status[e] = _BASIC
-        tab.status[tab.basis[leave]] = leave_hit
-        tab.pivot_basis(leave, e, w)
+        tab.pivot(leave, e, w, leave_hit)
 
 
 def _ray_holds(A, c, ray):
@@ -442,10 +434,8 @@ def _dual_phase(tab, c):
         bound = float(np.min((slack + _COST_TOL) / size))
         near = slack / size <= bound
         q = int(cand[near][np.argmax(size[near])])
-        leaving = tab.basis[r]
-        tab.status[leaving] = _AT_LOWER if s > 0 else _AT_UPPER
-        tab.status[q] = _BASIC
-        tab.pivot_basis(r, q, tab.Binv @ tab.A[:, q])
+        tab.pivot(r, q, tab.Binv @ tab.A[:, q],
+                  _AT_LOWER if s > 0 else _AT_UPPER)
 
 
 def _farkas_holds(prob, y, margin):
@@ -542,13 +532,11 @@ def _solve_warm(prob, warm):
     # shared by every warm descendant of one solve, as is the inverse
     # until a pivot replaces it; basis and rests are copied, since pivots
     # update them in place and a sibling node starts from the same
-    # parent.  A bordered array first has warm carried onto
-    # it (border); any other array, even one of equal values, is solved
+    # parent.  Any other array, even one of equal values or one that
+    # borders warm.source (border carries warm onto it first), is solved
     # cold
     if prob.A is not warm.source:
-        warm = border(warm, prob.A, {})
-        if warm is None:
-            return None, 0
+        return None, 0
     tab, c = _tableau(prob, warm.A, warm.basis.copy(), warm.status.copy(),
                       0.0)
     # every nonbasic column must still rest on a bound it has
@@ -577,9 +565,10 @@ def solve_lp(prob, warm=None):
     """Solve a bounded-variable LP by the simplex method.
 
     Without warm, runs the two-phase primal simplex.  With warm set to the
-    basis (the final tableau) of an optimal result, re-optimizes from it
-    under the warm-start contract of this module's docstring, and falls
-    back to the two-phase method when that does not finish.
+    basis (the final tableau) of an optimal result on the very same A, or
+    to such a tableau carried onto A by border, re-optimizes from it under
+    the warm-start contract of this module's docstring, and falls back to
+    the two-phase method when that does not finish.
     """
     if prob.A.shape[0] == 0:
         return _solve_box(prob)

@@ -236,19 +236,19 @@ def test_ball_trees_refactor_once_and_no_inverse_outlives_its_age_cap(
     # make 2^(n+1) - 1); the 64-update cap counts along each path
     refactors, ages = [], []
     real_refactor = simplex._Tableau.refactor
-    real_pivot = simplex._Tableau.pivot_basis
+    real_pivot = simplex._Tableau.pivot
 
     def refactor(tab):
         refactors.append(1)
         real_refactor(tab)
 
-    def pivot_basis(tab, leave, enter, w):
+    def pivot(tab, leave, enter, w, rest):
         ages.append(tab.age)
-        real_pivot(tab, leave, enter, w)
+        real_pivot(tab, leave, enter, w, rest)
         ages.append(tab.age)
 
     monkeypatch.setattr(simplex._Tableau, "refactor", refactor)
-    monkeypatch.setattr(simplex._Tableau, "pivot_basis", pivot_basis)
+    monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
     for n in range(2, 8):
         refactors.clear()
         res = solve_milp(*_ball_milp(n))

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from miconic import instances, oa, simplex
 from miconic.errors import NumericFailure
@@ -723,7 +726,9 @@ def test_warm_start_on_a_bordered_array_matches_cold():
         if first.status != OPTIMAL:
             continue
         child = bordered(parent, rng, int(rng.integers(1, 4)), first.x)
-        res = solve_lp(child, warm=first.basis)
+        # the parent's own tableau is posed on another array
+        assert not solve_lp(child, warm=first.basis).warm
+        res = solve_lp(child, warm=simplex.border(first.basis, child.A, {}))
         cold = solve_lp(child)
         assert res.warm and res.status == cold.status
         if res.status == OPTIMAL:
@@ -764,7 +769,8 @@ def test_a_bordered_start_extends_the_carried_inverse(monkeypatch):
         err = np.max(np.abs(tab.Binv - want)) / np.max(np.abs(want))
         assert err <= 1e-12
         monkeypatch.setattr(simplex._Tableau, "refactor", refactor)
-        assert solve_lp(child, warm=first.basis).warm
+        assert solve_lp(child, warm=simplex.border(first.basis, child.A,
+                                                   {})).warm
         monkeypatch.undo()
         checked += 1
     assert checked > 150
@@ -782,7 +788,7 @@ def _bordered_pair():
     first = solve_lp(parent)
     assert first.status == OPTIMAL
     child = bordered(parent, rng, 2, first.x)
-    assert solve_lp(child, warm=first.basis).warm
+    assert solve_lp(child, warm=simplex.border(first.basis, child.A, {})).warm
     return parent, first, child
 
 
@@ -824,6 +830,7 @@ def test_warm_start_on_an_array_that_does_not_border_solves_cold(edit):
     other = LpProblem(A, child.b, np.append(child.c, np.zeros(extra)),
                       np.append(child.lb, np.zeros(extra)),
                       np.append(child.ub, np.full(extra, np.inf)))
+    assert simplex.border(first.basis, A, {}) is None
     res = solve_lp(other, warm=first.basis)
     assert not res.warm
     _same_result(res, solve_lp(other))
@@ -834,6 +841,75 @@ def test_warm_start_on_an_array_with_fewer_rows_solves_cold():
     parent, _, child = _bordered_pair()
     grown = solve_lp(child)
     assert grown.status == OPTIMAL
+    assert simplex.border(grown.basis, parent.A, {}) is None
     res = solve_lp(parent, warm=grown.basis)
     assert not res.warm
     _same_result(res, solve_lp(parent))
+
+
+# ------------------------------------------------ every start against HiGHS
+
+# linprog's status codes for a solved LP, infeasible LP and unbounded LP,
+# as in test_milp.py
+_HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+def _random_bounded_lp(rng):
+    """A small LP with integer bounds, some infinite, and at times a
+    repeated row or two equal columns; half of them anchored at a box
+    point, so most of those are feasible."""
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+    A = np.round(rng.standard_normal((m, n)) * 2.0, 1)
+    if m > 1 and rng.uniform() < 0.2:
+        A[-1] = A[0]
+    if n > 1 and rng.uniform() < 0.2:
+        A[:, -1] = A[:, 0]
+    lo = rng.integers(-3, 1, size=n).astype(float)
+    hi = lo + rng.integers(0, 4, size=n)
+    c = np.round(rng.standard_normal(n) * 2.0, 1)
+    if rng.uniform() < 0.5:
+        b = A @ rng.uniform(lo, hi)
+    else:
+        b = np.round(rng.standard_normal(m) * 3.0, 1)
+    lb = np.where(rng.uniform(size=n) < 0.15, -np.inf, lo)
+    ub = np.where(rng.uniform(size=n) < 0.15, np.inf, hi)
+    return LpProblem(A, b, c, lb, ub)
+
+
+def _assert_agrees_with_highs(prob, res):
+    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+              for lo, hi in zip(prob.lb, prob.ub)]
+    ref = linprog(prob.c, A_eq=prob.A, b_eq=prob.b, bounds=bounds,
+                  method="highs")
+    assert _HIGHS_STATUS[ref.status] == res.status
+    if res.status == OPTIMAL:
+        assert abs(res.obj - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cold_warm_and_bordered_solves_agree_with_highs(seed):
+    # HiGHS shares no code with the simplex.  Each LP is solved cold; an
+    # optimal one is then re-solved warm from its tableau with one bound
+    # moved to the floor or ceiling of its optimal value, as branch and
+    # bound does, and through border with one or two cut rows appended
+    rng = np.random.default_rng(seed)
+    prob = _random_bounded_lp(rng)
+    first = solve_lp(prob)
+    _assert_agrees_with_highs(prob, first)
+    if first.status != OPTIMAL:
+        return
+    j = int(rng.integers(len(prob.c)))
+    # the bounds are integers, so the rounded value stays within them
+    xj = float(np.clip(first.x[j], prob.lb[j], prob.ub[j]))
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    if rng.uniform() < 0.5:
+        ub[j] = np.floor(xj)
+    else:
+        lb[j] = np.ceil(xj)
+    child = LpProblem(prob.A, prob.b, prob.c, lb, ub)
+    _assert_agrees_with_highs(child, solve_lp(child, warm=first.basis))
+    grown = bordered(prob, rng, int(rng.integers(1, 3)), first.x)
+    tab = simplex.border(first.basis, grown.A, {})
+    assert tab is not None
+    _assert_agrees_with_highs(grown, solve_lp(grown, warm=tab))
