@@ -1,9 +1,11 @@
 """Command-line entry points: check, compile, and solve.
 
-Results print as a single JSON object on stdout; exit codes are 0 for a
-clean run (check: DCP-valid), 1 for a failed check, 2 for input or format
-errors, 3 when the solver reports an assumption failure, and 4 when
-``--oracle`` finds a disagreement with brute-force enumeration.
+Results print as a single JSON object on stdout, and ``--trace`` writes one
+object per line.  Every value in them is a plain JSON value, converted once
+where it is built; a number that is not finite prints as null.  Exit codes
+are 0 for a clean run (check: DCP-valid), 1 for a failed check, 2 for input
+or format errors, 3 when the solver reports an assumption failure, and 4
+when ``--oracle`` finds a disagreement with brute-force enumeration.
 """
 
 import argparse
@@ -13,8 +15,6 @@ import os
 import sys
 import tempfile
 import time
-
-import numpy as np
 
 from .compile import emit_conic
 from .conicio import read_conic, write_conic
@@ -39,19 +39,6 @@ def _atomic_write(path, text):
         raise
 
 
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return value if math.isfinite(value) else None
-    return value
-
-
 def _load_program(path):
     with open(path) as handle:
         text = handle.read()
@@ -67,34 +54,29 @@ def _load_program(path):
     raise MiconicError("%s: file is empty" % path)
 
 
+def _read_model(path):
+    with open(path) as handle:
+        return parse_model(handle.read())
+
+
 def _cmd_check(args):
-    with open(args.model) as handle:
-        model = parse_model(handle.read())
-    report = dcp_verify(model)
+    report = dcp_verify(_read_model(args.model))
     print(json.dumps({"ok": report.ok, "violations": report.violations}))
     return 0 if report.ok else 1
 
 
 def _cmd_compile(args):
-    with open(args.model) as handle:
-        model = parse_model(handle.read())
-    program, _ = emit_conic(model)
+    program, _ = emit_conic(_read_model(args.model))
     _atomic_write(args.output, write_conic(program))
     return 0
 
 
 def _shifted(value, offset):
-    if value is None or not math.isfinite(value):
-        return None
-    return float(value) + offset
+    total = math.nan if value is None else float(value + offset)
+    return total if math.isfinite(total) else None
 
 
 _TRACE_VALUES = ("milp_value", "subproblem_value", "lower_bound", "upper_bound")
-
-
-def _trace_in_model_units(record, offset):
-    return {key: _shifted(value, offset) if key in _TRACE_VALUES else value
-            for key, value in record.items()}
 
 
 def _cmd_solve(args):
@@ -132,10 +114,11 @@ def _cmd_solve(args):
         if not agree:
             exit_code = 4
     if args.trace:
-        lines = [json.dumps(_json_safe(_trace_in_model_units(record, offset)))
-                 for record in res.trace]
-        _atomic_write(args.trace, "".join(line + "\n" for line in lines))
-    print(json.dumps(_json_safe(result)))
+        _atomic_write(args.trace, "".join(
+            json.dumps({key: _shifted(value, offset) if key in _TRACE_VALUES
+                        else value for key, value in record.items()}) + "\n"
+            for record in res.trace))
+    print(json.dumps(result))
     return exit_code
 
 

@@ -67,9 +67,8 @@ class _Reader:
         self.at = 0
         self.section = None
 
-    def fail(self, message, line=None):
-        raise FormatError(message, section=self.section,
-                          line=self.at if line is None else line)
+    def fail(self, message):
+        raise FormatError(message, section=self.section, line=self.at)
 
     def next_line(self):
         while self.at < len(self.lines):
@@ -100,9 +99,9 @@ class _Reader:
         return out
 
 
-def _read_count(r, what, minimum=0):
+def _read_count(r, what):
     (n,) = r.fields(1, (int,), what)
-    if n < minimum:
+    if n < 0:
         r.fail("negative count for %s" % what)
     return n
 

@@ -37,8 +37,8 @@ class LinForm:
         return LinForm({}, value)
 
     @staticmethod
-    def column(block, index, coeff=1.0):
-        return LinForm({(block, index): float(coeff)}, 0.0)
+    def column(block, index):
+        return LinForm({(block, index): 1.0}, 0.0)
 
     def _combine(self, other, sign):
         out = LinForm(self.terms, self.offset)

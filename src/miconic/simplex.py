@@ -408,10 +408,10 @@ def _dual_phase(tab, c):
         above = xB - tab.ub[tab.basis]
         viol = np.maximum(below, above)
         r = int(np.argmax(viol))
-        if not np.isfinite(viol[r]):
-            raise NumericFailure("non-finite basic value in dual simplex")
         if viol[r] <= _FEAS_TOL * (1.0 + abs(xB[r])):
             return None
+        if not np.isfinite(viol[r]):
+            raise NumericFailure("non-finite basic value in dual simplex")
         tab.iterations += 1
         if tab.iterations > cap:
             raise NumericFailure("dual simplex iteration limit")

@@ -705,6 +705,74 @@ def test_cli_checks_and_compiles_a_deeply_nested_model(tmp_path, capsys):
     assert len(program.cones.factors) == 2 * 600 + 599
 
 
+def _refuse_constant(token):
+    raise ValueError("%s is not a JSON number" % token)
+
+
+def _assert_strict_json(text):
+    # a numpy scalar would already have made json.dumps raise, and plain
+    # json.loads accepts NaN and Infinity, which strict JSON does not
+    for line in text.splitlines():
+        json.loads(line, parse_constant=_refuse_constant)
+
+
+def _assert_strict_run(argv, code, capsys, trace=None):
+    got, out, _ = _run(argv, capsys)
+    assert got == code, argv
+    _assert_strict_json(out)
+    if trace is not None:
+        _assert_strict_json(trace.read_text())
+
+
+@pytest.mark.parametrize("model", sorted(
+    path.name for path in INSTANCE_DIR.glob("*.model")))
+def test_cli_prints_strict_json_for_every_shipped_model(model, tmp_path,
+                                                        capsys):
+    path, compiled = str(INSTANCE_DIR / model), tmp_path / "compiled.conic"
+    trace = tmp_path / "trace.jsonl"
+    _assert_strict_run(["check", path], 0, capsys)
+    _assert_strict_run(["compile", path, "-o", str(compiled)], 0, capsys)
+    _assert_strict_run(["solve", path, "--no-timing", "--oracle",
+                        "--trace", str(trace)], 0, capsys, trace)
+    _assert_strict_run(["solve", str(compiled), "--no-timing",
+                        "--trace", str(trace)], 0, capsys, trace)
+
+
+def test_cli_prints_strict_json_on_every_exit(tmp_path, capsys):
+    # unbounded and infinite values, timed runs cut short, a failed check,
+    # an assumption failure, oracle disagreements and each input error
+    trace = tmp_path / "trace.jsonl"
+    duality = INSTANCE_DIR / "rsoc_duality_failure.conic"
+    free = tmp_path / "free.model"
+    free.write_text("(var x)\n(min x)\n")
+    ball = str(INSTANCE_DIR / "empty_ball_naive_4.model")
+    for argv, code in [([str(duality), "--no-timing", "--oracle"], 4),
+                       ([str(free), "--no-timing", "--oracle"], 4),
+                       ([ball, "--time-limit", "0"], 0),
+                       ([ball, "--max-iters", "3"], 0)]:
+        _assert_strict_run(["solve", *argv, "--trace", str(trace)], code,
+                           capsys, trace)
+    _assert_strict_run(["solve", str(duality), "--no-timing"], 3, capsys)
+    nonconvex = tmp_path / "nonconvex.model"
+    nonconvex.write_text("(var x 1 2) (min x) (le (log x) 0)\n")
+    _assert_strict_run(["check", str(nonconvex)], 1, capsys)
+    bad = tmp_path / "bad.model"
+    for text in ["(var x -1 1) (min (pow inf x))",
+                 "(var x 0 1) (min x) (le x inf)",
+                 "(var x 0 1) (min (mul inf x))"]:
+        bad.write_text(text + "\n")
+        for command in ("check", "solve"):
+            _assert_strict_run([command, str(bad)], 2, capsys)
+    nan = tmp_path / "nan.conic"
+    nan.write_text(duality.read_text().replace("\nAZ\n1\n0 0 1\n",
+                                               "\nAZ\n1\n0 0 nan\n"))
+    assert "0 0 nan" in nan.read_text()
+    for argv in (["solve", str(nan)],
+                 ["solve", str(INSTANCE_DIR / "disk.model"), "--tol", "-1"],
+                 ["solve", str(tmp_path / "missing.model")]):
+        _assert_strict_run(argv, 2, capsys)
+
+
 def test_module_entry_point_runs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
@@ -558,6 +560,84 @@ def test_every_oa_node_lp_agrees_with_highs(monkeypatch):
             assert abs(res.obj - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
         carried += given is not None and id(given) not in own
     assert len(seen) > 400 and carried > 150
+
+
+def _random_mixed_milp(rng):
+    """A MILP with 1-3 rows, 2-6 columns and 1-3 integer columns boxed in
+    [-2, 2]; some continuous bounds are infinite, and half of the
+    instances are anchored at a point of the box integral on int_idx."""
+    m, n = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+    int_idx = sorted(rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)),
+                                replace=False).tolist())
+    A = np.round(rng.standard_normal((m, n)) * 2.0, 1)
+    c = np.round(rng.standard_normal(n) * 2.0, 1)
+    lb = rng.integers(-2, 1, size=n).astype(float)
+    ub = lb + rng.integers(0, 3, size=n)
+    if rng.uniform() < 0.5:
+        x0 = rng.uniform(lb, ub)
+        x0[int_idx] = np.round(x0[int_idx])
+        b = A @ x0
+    else:
+        b = np.round(rng.standard_normal(m) * 3.0, 1)
+    free = np.ones(n, dtype=bool)
+    free[int_idx] = False
+    lb[free & (rng.uniform(size=n) < 0.15)] = -np.inf
+    ub[free & (rng.uniform(size=n) < 0.15)] = np.inf
+    return A, b, c, lb, ub, int_idx
+
+
+def _assert_agrees_with_enumeration(A, b, c, lb, ub, int_idx, res):
+    # linprog on each integer assignment's LP; scipy.optimize.milp is not
+    # the oracle, since with its default presolve it calls some feasible
+    # MILPs infeasible
+    want, best = INFEASIBLE, np.inf
+    for values in itertools.product(
+            *(range(int(lb[j]), int(ub[j]) + 1) for j in int_idx)):
+        flb, fub = lb.copy(), ub.copy()
+        flb[int_idx] = fub[int_idx] = values
+        bounds = [(lo if np.isfinite(lo) else None,
+                   hi if np.isfinite(hi) else None)
+                  for lo, hi in zip(flb, fub)]
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=bounds, method="highs")
+        status = _HIGHS_STATUS[ref.status]
+        if status == UNBOUNDED:
+            want = UNBOUNDED
+            break
+        if status == OPTIMAL:
+            want, best = OPTIMAL, min(best, ref.fun)
+    assert res.status == want
+    if want == OPTIMAL:
+        assert abs(res.obj - best) <= 1e-7 * max(1.0, abs(best))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fresh_and_resumed_milps_agree_with_enumeration(seed):
+    # a fresh solve; then, from its leaves, a solve with one continuous
+    # lower bound raised above its optimal value (at most to its upper
+    # bound), and one with a bordered row g.x - s = h appended that the
+    # optimum violates, as OA's cuts are
+    rng = np.random.default_rng(seed)
+    A, b, c, lb, ub, int_idx = _random_mixed_milp(rng)
+    res = solve_milp(A, b, c, lb, ub, int_idx)
+    _assert_agrees_with_enumeration(A, b, c, lb, ub, int_idx, res)
+    if res.status != OPTIMAL:
+        return
+    continuous = [j for j in range(len(c)) if j not in int_idx]
+    if continuous:
+        j = int(rng.choice(continuous))
+        raised = lb.copy()
+        raised[j] = min(ub[j], np.floor(res.x[j]) + 1.0)
+        _assert_agrees_with_enumeration(
+            A, b, c, raised, ub, int_idx,
+            solve_milp(A, b, c, raised, ub, int_idx, warm=res.leaves))
+    g = np.round(rng.standard_normal(len(c)), 1)
+    A = np.block([[A, np.zeros((len(b), 1))], [g, -1.0]])
+    b = np.append(b, g @ res.x + 0.5)
+    c, lb, ub = np.append(c, 0.0), np.append(lb, 0.0), np.append(ub, np.inf)
+    _assert_agrees_with_enumeration(
+        A, b, c, lb, ub, int_idx,
+        solve_milp(A, b, c, lb, ub, int_idx, warm=res.leaves))
 
 
 # --------------------------------------------- deadlines and pivot counts

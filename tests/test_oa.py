@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from miconic import cones, instances, ipm, oa
+from miconic import cones, instances, ipm, milp, oa, simplex
 from miconic.compile import emit_conic, recover_solution
 from miconic.errors import InvalidCut, NumericFailure, TooLarge
 from miconic.ipm import (
@@ -124,6 +124,13 @@ def test_cut_length_mismatch_is_rejected():
     st = _state(cones.ConeProduct((cones.nonneg(3),)))
     with pytest.raises(InvalidCut):
         add_cut(st, Cut(np.ones(4), SEPARATION))
+
+
+def test_cut_with_a_non_finite_entry_is_rejected():
+    st = _state(cones.ConeProduct((cones.nonneg(3),)))
+    with pytest.raises(InvalidCut, match="cut has non-finite entries"):
+        add_cut(st, Cut(np.array([1.0, np.nan, 0.0]), SEPARATION))
+    assert st.cuts == []
 
 
 def test_cut_on_one_factor_is_checked_against_that_factor_only(monkeypatch):
@@ -496,6 +503,19 @@ def test_unsolvable_milp_after_an_incumbent_keeps_it(monkeypatch):
     assert np.array_equal(res.x, first.x) and np.array_equal(res.z, first.z)
     assert res.obj == res.upper_bound == first.upper_bound
     assert res.lower_bound == first.lower_bound
+
+
+@pytest.mark.parametrize("module, cap, value, cause", [
+    (milp, "_NODE_LIMIT", 3, "branch and bound node limit exceeded"),
+    (simplex, "_MAX_ITER", 1, "simplex iteration limit")])
+def test_a_milp_the_solver_gives_up_on_names_its_layer(monkeypatch, module,
+                                                        cap, value, cause):
+    # the extended ball's first MILP needs 31 node LPs of several pivots
+    monkeypatch.setattr(module, cap, value)
+    prog, _ = emit_conic(instances.empty_ball_model(4, "extended"))
+    res = oa_solve(prog)
+    assert res.status == ASSUMPTION_FAILURE
+    assert res.diagnostic == "MILP relaxation could not be solved: " + cause
 
 
 @pytest.mark.parametrize("factor", [cones.Cone(cones.EXPDUAL, 3),

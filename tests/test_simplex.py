@@ -1,5 +1,6 @@
 """Simplex checks against a brute-force vertex enumeration oracle."""
 
+import copy
 import itertools
 import json
 from pathlib import Path
@@ -583,6 +584,23 @@ def test_numeric_failure_in_the_warm_solve_solves_cold(monkeypatch):
     res = solve_lp(child, warm=first.basis)
     assert spent[0] > 0
     _assert_handed_over(res, cold, spent[0])
+
+
+def test_warm_start_whose_basic_columns_are_all_free_stays_warm():
+    # min x1 s.t. x0 + x1 = 1 with x0 free and basic: the only basic value
+    # has no bound to violate, so the child with x1 <= 1 is solved warm
+    prob = LpProblem(np.array([[1.0, 1.0]]), [1.0], [0.0, 1.0],
+                     [-np.inf, 0.0], [np.inf, 2.0])
+    first = solve_lp(prob)
+    assert first.status == OPTIMAL and first.basis.basis.tolist() == [0]
+    child = _child(prob, [np.inf, 1.0])
+    res = solve_lp(child, warm=first.basis)
+    assert res.warm
+    assert res.status == OPTIMAL and res.obj == solve_lp(child).obj
+    # a basic value that is not a number still ends the warm start
+    broken = copy.copy(first.basis)
+    broken.Binv = np.full((1, 1), np.nan)
+    assert not solve_lp(child, warm=broken).warm
 
 
 def _assert_feasible_point(prob, res):
