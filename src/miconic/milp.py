@@ -34,8 +34,38 @@ both run the same loop.
 A deadline on the time.monotonic clock is checked before each node LP;
 once it has passed the search stops with status time_limit, whose lower
 bound is the least bound among the nodes not yet solved.
+
+gomory_rounds strengthens a MILP before its search with Gomory
+mixed-integer (GMI) rows (Gomory 1960; Balas, Ceria, Cornuejols & Natraj
+1996): up to _GMI_ROUNDS rounds, each solving the root LP warm from the
+last round and appending one row g.x - s = h, with its slack s >= 0,
+per cut read off the optimal tableau.  A GMI row holds at every integer
+point of the box, so the MILP keeps its integer-feasible points and its
+optimum, and the array with the rows borders the array without them;
+the search then starts from the last round's tableau.  A later MILP
+that tightens this one keeps the rows (outer approximation keeps them
+in every later MILP of its run), so its leaves resume.  The rows follow
+the numerical-safety rules of Cook, Dash, Fukasawa & Goycoolea
+("Numerically safe Gomory mixed-integer cuts", 2009), and a row that
+breaks one is dropped, never repaired:
+
+- rows are read only from a freshly factored basis, and only for integer
+  basic columns whose value lies more than _GMI_F0 from an integer;
+- a row with a nonzero entry on a free nonbasic column is refused;
+- a coefficient below _GMI_TINY of the row's largest is dropped by moving
+  the right-hand side by the term's largest value over its column's
+  bounds, and the row is refused when that column is unbounded that way;
+- a row whose largest coefficient exceeds _GMI_DYNAMISM times its least
+  is refused;
+- the right-hand side moves outward by _GMI_RELAX (1 + |h|).
+
+Each row is written over the columns the MILP had before the rounds,
+earlier rounds' slacks substituted by their rows: a row on an earlier
+GMI slack leaves a rounding residue on that unbounded column, enough to
+fail the Farkas check of a warm infeasible node LP and send it cold.
 """
 
+import dataclasses
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -50,6 +80,16 @@ _INT_TOL = 1e-6
 # a node is pruned when its bound is within this relative gap of the incumbent
 _REL_GAP = 1e-8
 _NODE_LIMIT = 1_000_000
+# Gomory mixed-integer rounds: the most rounds, the least distance of a
+# row's basic value from an integer, the size relative to the row's
+# largest coefficient below which a coefficient is dropped, the largest
+# ratio of a row's largest coefficient to its least, and the relative
+# outward shift of each right-hand side
+_GMI_ROUNDS = 10
+_GMI_F0 = 1e-4
+_GMI_TINY = 1e-9
+_GMI_DYNAMISM = 1e6
+_GMI_RELAX = 1e-9
 
 TIME_LIMIT = "time_limit"
 
@@ -194,3 +234,158 @@ def solve_milp(A, b, c, lb, ub, int_idx, deadline=None, warm=None):
         return result(INFEASIBLE, lower_bound=np.inf)
     return result(OPTIMAL, x=best_x, obj=best_obj,
                   lower_bound=min(lower, best_obj))
+
+
+@dataclass
+class GomoryRounds:
+    """The MILP with the rows of Gomory rounds appended, and its start.
+
+    A, b, c, lb and ub are the MILP given to gomory_rounds with one row
+    g.x - s = h per GMI row and its slack column s >= 0 appended, over the
+    columns the MILP had before the rounds.  warm is the start to hand
+    solve_milp: the one leaf of the whole box with the last round's
+    optimal tableau, [] when a round LP proved the box infeasible, or None
+    (a fresh search) when the rounds appended no row.  rounds counts the
+    rounds that appended rows, rows those rows, lps the round LPs posed
+    and pivots the simplex iterations of those that returned.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    warm: list = None
+    rounds: int = 0
+    rows: int = 0
+    lps: int = 0
+    pivots: int = 0
+
+
+def _gomory_rows(tab, int_idx, n0, G, H):
+    """The GMI rows (g, h), g.x >= h over the first n0 columns, read off
+    tab, the freshly factored final tableau of an optimal LP whose columns
+    past n0 are the slacks of earlier rows G x - s = H.
+
+    One product gives the tableau rows of every integer basic column
+    whose value lies more than _GMI_F0 from an integer.  Each nonbasic
+    column enters as its distance t >= 0 from the bound it rests on, an
+    integer one when the column is integer and that bound integral; a
+    fixed column drops, and a free one with a nonzero entry refuses the
+    row.  The cut sum(pi t) >= 1 is written in x and its slack terms
+    substituted by G and H, so it cuts the LP point off by 1.  A
+    coefficient below _GMI_TINY of the row's largest drops by moving h by
+    the term's largest value over its column's bounds, and the row is
+    refused when that is infinite, when the largest coefficient exceeds
+    _GMI_DYNAMISM times the least one left, or when anything is not
+    finite.  h then moves outward by _GMI_RELAX (1 + |h|).  A row that
+    fails a check is dropped, never repaired.
+    """
+    x = tab.values()
+    n = tab.source.shape[1]
+    basic = np.zeros(len(x), dtype=bool)
+    basic[tab.basis] = True
+    is_int = np.zeros(len(x), dtype=bool)
+    is_int[int_idx] = True
+    xB = x[tab.basis]
+    f0 = xB - np.floor(xB)
+    rows = np.flatnonzero(is_int[tab.basis] & (f0 > _GMI_F0)
+                          & (f0 < 1.0 - _GMI_F0))
+    if not len(rows):
+        return np.zeros((0, n0)), np.zeros(0)
+    cols = np.flatnonzero(~basic & (tab.lb < tab.ub))
+    xN, lbN, ubN = x[cols], tab.lb[cols], tab.ub[cols]
+    # t = x - lb at a lower bound, ub - x at an upper one
+    sign = np.where(xN == lbN, 1.0, -1.0)
+    free = (xN != lbN) & (xN != ubN)
+    a = (tab.Binv[rows] @ tab.A[:, cols]) * sign
+    f0 = f0[rows][:, None]
+    ok = ~np.any(free & (a != 0.0), axis=1)
+    fj = a - np.floor(a)
+    pi = np.where(is_int[cols] & (xN == np.round(xN)),
+                  np.minimum(fj / f0, (1.0 - fj) / (1.0 - f0)),
+                  np.where(a >= 0.0, a / f0, -a / (1.0 - f0)))
+    g = np.zeros((len(rows), len(x)))
+    g[:, cols] = pi * sign
+    # sum(pi t) >= 1 with each t written in x
+    h = 1.0 + g[:, cols] @ xN
+    # the slacks past n0 are G x - H
+    g, h = g[:, :n0] + g[:, n0:n] @ G, h + g[:, n0:n] @ H
+    big = np.max(np.abs(g), axis=1)
+    ok &= np.isfinite(big) & (big > 0.0) & np.isfinite(h)
+    g[~ok], h[~ok], big[~ok] = 0.0, 0.0, 1.0
+    lb, ub = tab.lb[:n0], tab.ub[:n0]
+    tiny = (g != 0.0) & (np.abs(g) < _GMI_TINY * big[:, None])
+    top = np.where(g > 0.0, ub, lb)
+    reach = np.isfinite(top)
+    ok &= ~np.any(tiny & ~reach, axis=1)
+    h -= np.sum(np.where(tiny & reach, g * np.where(reach, top, 0.0), 0.0),
+                axis=1)
+    g[tiny] = 0.0
+    least = np.min(np.where(g != 0.0, np.abs(g), np.inf), axis=1)
+    ok &= least * _GMI_DYNAMISM >= big
+    h -= _GMI_RELAX * (1.0 + np.abs(h))
+    ok &= np.isfinite(h)
+    return g[ok], h[ok]
+
+
+def gomory_rounds(A, b, c, lb, ub, int_idx, deadline=None):
+    """Up to _GMI_ROUNDS rounds of Gomory mixed-integer rows at the root of
+    min c.x s.t. A x = b, lb <= x <= ub, x_j integer on int_idx.
+
+    Each round solves the root LP, warm from the last round's tableau
+    carried onto the bordered array, and appends the rows _gomory_rows
+    reads off its optimum, each with its slack column.  Every GMI row is
+    valid for every integer point of the box, so the result (GomoryRounds)
+    has the same integer-feasible points and optimum; it is an array the
+    given one borders.  The rounds end when one appends no row, its LP is
+    not optimal, the deadline (a time.monotonic() value) has passed before
+    its LP, or its LP or factorization raises NumericFailure; a round that
+    does not finish appends nothing.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b, c, lb, ub = (np.asarray(v, dtype=float).ravel()
+                    for v in (b, c, lb, ub))
+    n0 = A.shape[1]
+    G, H = np.zeros((0, n0)), np.zeros(0)
+    out = GomoryRounds(A, b, c, lb, ub)
+    tab = None
+    while out.rounds < _GMI_ROUNDS:
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        if tab is not None:
+            tab = border(tab, out.A, {})
+        out.lps += 1
+        try:
+            res = solve_lp(LpProblem(out.A, out.b, out.c, out.lb, out.ub),
+                           warm=tab)
+            out.pivots += res.iterations
+            if res.status != OPTIMAL:
+                if res.status == INFEASIBLE:
+                    out.warm = []
+                break
+            # rows are read off, and the next round starts from, a fresh
+            # factorization of the optimal basis
+            tab = dataclasses.replace(res.basis)
+            tab.refactor()
+            g, h = _gomory_rows(tab, int_idx, n0, G, H)
+        except NumericFailure:
+            break
+        if out.rounds or len(h):
+            out.warm = [(res.obj, 0, out.lb, out.ub, tab)]
+        if not len(h):
+            break
+        k, (m, n) = len(h), out.A.shape
+        grown = np.zeros((m + k, n + k))
+        grown[:m, :n] = out.A
+        grown[m:, :n0] = g
+        grown[m:, n:] -= np.eye(k)
+        out.A = grown
+        out.b = np.concatenate([out.b, h])
+        out.c = np.concatenate([out.c, np.zeros(k)])
+        out.lb = np.concatenate([out.lb, np.zeros(k)])
+        out.ub = np.concatenate([out.ub, np.full(k, np.inf)])
+        G, H = np.vstack([G, g]), np.concatenate([H, h])
+        out.rounds += 1
+        out.rows += k
+    return out

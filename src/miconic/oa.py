@@ -33,9 +33,21 @@ Each MILP is the previous one plus the new cut rows, a raised objective
 row and raised lower bounds, so it tightens the previous one in the sense
 of milp.py, and MILP k+1 resumes MILP k's search tree from its leaves:
 one tree serves the whole run, while each OA iteration still solves one
-MILP to optimality and so keeps the fixed-point rule above.
+MILP to optimality and so keeps the fixed-point rule above.  OA keeps the
+last MILP's arrays and appends only what changed (_grow).
+
+The first MILP's root gets up to ten rounds of Gomory mixed-integer rows
+(milp.gomory_rounds, whose docstring states their numerical-safety
+rules) before its search, which starts from the last round's tableau.
+The rows are valid for every integer point of the first MILP, and so of
+every later one, which tightens it; they are MILP rows, not cuts, so
+they stay in every later MILP's arrays, which border them, and never
+enter the cut pool or OaOutcome.cuts.  The first trace record counts
+them: gmi_rounds, gmi_rows, and gmi_lps and gmi_pivots, the rounds' LPs
+and their simplex iterations, which milp_nodes and milp_pivots leave out.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -54,7 +66,7 @@ from .ipm import (
     primal_feasible,
     solve_continuous,
 )
-from .milp import TIME_LIMIT, solve_milp
+from .milp import TIME_LIMIT, gomory_rounds, solve_milp
 
 SUBPROBLEM_DUAL = "subproblem_dual"
 INFEASIBILITY_RAY = "infeasibility_ray"
@@ -112,6 +124,22 @@ class OaState:
     _units: dict = field(default_factory=dict)
     # the last MILP's leaves, where the next MILP resumes its search
     leaves: list = None
+    # the last MILP's arrays, which the next MILP extends (_grow)
+    milp: "_Milp" = None
+
+
+@dataclass
+class _Milp:
+    """A MILP relaxation's arrays, the number of pool cuts they hold and
+    the index of the objective row, None until it is there."""
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    cuts: int = 0
+    objective: int = None
 
 
 @dataclass
@@ -218,7 +246,16 @@ def add_cut(state, cut):
 
 
 def _milp_data(program, state):
-    """The MILP relaxation: rows, cut rows with slack columns, boxes.
+    """The MILP relaxation of state built afresh, as (A, b, c, lb, ub,
+    int_idx): _grow applied to the program's own rows."""
+    milp = _grow(program, state, None)
+    return (milp.A, milp.b, milp.c, milp.lb, milp.ub,
+            list(range(program.num_integer)))
+
+
+def _grow(program, state, milp):
+    """milp, the last MILP's arrays, with what changed since appended, as
+    a new _Milp; the program's own rows when milp is None.
 
     A cut with a single nonzero coordinate is a sign restriction on one
     column, so it is folded into the column bounds instead of adding a row;
@@ -227,34 +264,47 @@ def _milp_data(program, state):
     Once a finite lower bound is known it is added as an objective row
     c.z >= bound (valid on every fiber), which keeps the relaxation
     bounded even though numerically repaired cuts are marginally weaker
-    than the exact dual inequalities.
-    Rows come in this order: the program's rows, the objective row, then
-    the pool's cut rows in pool order, each with its slack column in the
-    same order.  The pool only grows and the objective row, once there,
-    stays, so each MILP's array is the leading block of the next one's,
-    which borders it with the new cut rows and their slacks; each leaf
-    tableau this MILP hands on is then a warm start for the next one.
+    than the exact dual inequalities; each later MILP raises its
+    right-hand side.
+    New rows come in this order: the objective row when the lower bound
+    has just become finite, then the pool's new cut rows in pool order,
+    each with its slack column in the same order.  Rows are only ever
+    appended, so each MILP's array is the leading block of the next
+    one's, which borders it with the new rows and their slacks; each leaf
+    tableau a MILP hands on is then a warm start for the next one.  An
+    iteration that pools no new row keeps the very array.
     """
-    m, nx, nz = program.num_rows, program.num_integer, program.num_conic
-    betas = [cut.beta for cut in state.cuts]
-    cuts = np.array(betas).reshape(len(betas), nz)
+    nx, nz = program.num_integer, program.num_conic
+    if milp is None:
+        A = np.zeros((program.num_rows, nx + nz))
+        A[:, :nx] = program.A_x
+        A[:, nx:] = program.A_z
+        milp = _Milp(A, program.b, np.concatenate([np.zeros(nx), program.c]),
+                     np.concatenate([program.L, np.full(nz, -np.inf)]),
+                     np.concatenate([program.U, np.full(nz, np.inf)]))
+    new = [cut.beta for cut in state.cuts[milp.cuts:]]
+    cuts = np.array(new).reshape(len(new), nz)
     single = np.count_nonzero(cuts, axis=1) == 1
-    z_lb = np.full(nz, -np.inf)
-    z_lb[np.nonzero(cuts[single])[1]] = 0.0
-    top = [program.c] if np.isfinite(state.z_lower) else []
+    lb = milp.lb.copy()
+    lb[nx + np.nonzero(cuts[single])[1]] = 0.0
+    top = ([program.c] if milp.objective is None
+           and np.isfinite(state.z_lower) else [])
     rows = np.vstack(top + [cuts[~single]])
-    k = len(rows)
-    A = np.zeros((m + k, nx + nz + k))
-    A[:m, :nx] = program.A_x
-    A[:m, nx : nx + nz] = program.A_z
-    A[m:, nx : nx + nz] = rows
-    A[m:, nx + nz :] -= np.eye(k)  # -I; subtracting keeps its zeros +0.0
-    rhs = [state.z_lower - 1e-6 * (1.0 + abs(state.z_lower))] * len(top)
-    b = np.concatenate([program.b, rhs, np.zeros(k - len(top))])
-    c = np.concatenate([np.zeros(nx), program.c, np.zeros(k)])
-    lb = np.concatenate([program.L, z_lb, np.zeros(k)])
-    ub = np.concatenate([program.U, np.full(nz + k, np.inf)])
-    return A, b, c, lb, ub, list(range(nx))
+    k, (m, n) = len(rows), milp.A.shape
+    A = milp.A
+    if k:
+        A = np.zeros((m + k, n + k))
+        A[:m, :n] = milp.A
+        A[m:, nx : nx + nz] = rows
+        A[m:, n:] -= np.eye(k)  # -I; subtracting keeps its zeros +0.0
+    objective = m if top else milp.objective
+    b = np.concatenate([milp.b, np.zeros(k)])
+    if objective is not None:
+        b[objective] = state.z_lower - 1e-6 * (1.0 + abs(state.z_lower))
+    return _Milp(A, b, np.concatenate([milp.c, np.zeros(k)]),
+                 np.concatenate([lb, np.zeros(k)]),
+                 np.concatenate([milp.ub, np.full(k, np.inf)]),
+                 len(state.cuts), objective)
 
 
 def _root_relaxation(program):
@@ -419,19 +469,32 @@ def _initialize(program, state):
 
 
 def _iterate(program, state, record, deadline):
-    """One OA iteration: the MILP, then, unless its point is feasible and
-    closes the gap, the fiber of its assignment.
+    """One OA iteration: the MILP, the first one after its Gomory rounds,
+    then, unless its point is feasible and closes the gap, the fiber of
+    its assignment.
 
-    Fills the record's MILP and subproblem fields and returns (status,
-    diagnostic) when the run ends in this iteration, else None.  The MILP
-    stops at the deadline (a time.monotonic() value, or None for none);
-    its bound still raises the lower bound.
+    Fills the record's MILP and subproblem fields (and, in the first
+    iteration, its gmi_ fields) and returns (status, diagnostic) when the
+    run ends in this iteration, else None.  The rounds and the MILP stop
+    at the deadline (a time.monotonic() value, or None for none); the
+    MILP's bound still raises the lower bound.
     """
     pool, lower = len(state.cuts), state.z_lower
-    A, b, c, lb, ub, int_idx = _milp_data(program, state)
+    first = state.milp is None
+    milp = state.milp = _grow(program, state, state.milp)
+    int_idx = list(range(program.num_integer))
+    warm = state.leaves
+    if first:
+        gmi = gomory_rounds(milp.A, milp.b, milp.c, milp.lb, milp.ub,
+                            int_idx, deadline)
+        milp = state.milp = dataclasses.replace(
+            milp, A=gmi.A, b=gmi.b, c=gmi.c, lb=gmi.lb, ub=gmi.ub)
+        warm = gmi.warm
+        record.update(gmi_rounds=gmi.rounds, gmi_rows=gmi.rows,
+                      gmi_lps=gmi.lps, gmi_pivots=gmi.pivots)
     try:
-        mres = solve_milp(A, b, c, lb, ub, int_idx, deadline=deadline,
-                          warm=state.leaves)
+        mres = solve_milp(milp.A, milp.b, milp.c, milp.lb, milp.ub, int_idx,
+                          deadline=deadline, warm=warm)
     except NumericFailure as err:
         return ASSUMPTION_FAILURE, (
             "MILP relaxation could not be solved: %s" % err

@@ -12,10 +12,26 @@ n = 2..5, disk, trimloss, the duality failure program, and the seed
 Each program contributes its status and diagnostic, its objective and
 both bounds as ``float.hex``, its OA iterations, the incumbent x and z,
 each cut's bytes, provenance and assignment, and every trace record.
+
+A change meant to keep every answer, but not every bit, compares answers
+instead:
+
+    PYTHONPATH=src python tests/census.py --dump new.json
+    PYTHONPATH=src python tests/census.py --compare old.json new.json
+
+``--dump PATH`` writes, per IPM cap and program, the status, objective,
+both bounds, OA iterations, cut count and the MILP nodes of the whole
+run as JSON, and prints the digest lines as well.  ``--compare OLD NEW``
+prints each status change and the largest relative objective
+difference, |a - b| / max(1, |a|), and exits 1 on a status change or a
+difference above 1e-6.
 """
 
+import argparse
 import collections
 import hashlib
+import json
+import sys
 
 import numpy as np
 
@@ -49,9 +65,11 @@ def _array(value):
 
 
 def census():
-    """Status counts and the sha256 of every program's outcome."""
+    """Status counts, the sha256 of every program's outcome, and each
+    program's answer (see --dump)."""
     digest = hashlib.sha256()
     counts = collections.Counter()
+    answers = []
     for prog in programs():
         res = oa_solve(prog)
         counts[res.status] += 1
@@ -66,20 +84,80 @@ def census():
             digest.update(repr((cut.provenance, cut.assignment)).encode())
         for record in res.trace:
             digest.update(repr(sorted(record.items())).encode())
-    return counts, digest.hexdigest()
+        answers.append({
+            "status": res.status,
+            "objective": _number(res.obj),
+            "lower_bound": _number(res.lower_bound),
+            "upper_bound": _number(res.upper_bound),
+            "iterations": res.iterations,
+            "cuts": len(res.cuts),
+            "milp_nodes": sum(record["milp_nodes"] or 0
+                              for record in res.trace),
+        })
+    return counts, digest.hexdigest(), answers
 
 
-def main():
+def _number(value):
+    """A JSON value for a float: None for None, else its repr, which
+    keeps infinities and round-trips exactly."""
+    return None if value is None else repr(float(value))
+
+
+def run(dump=None):
+    answers = {}
     for label, cap in (("as is", ipm._MAX_ITERS), ("ipm._MAX_ITERS = 1", 1)):
         saved, ipm._MAX_ITERS = ipm._MAX_ITERS, cap
         try:
-            counts, digest = census()
+            counts, digest, answers[label] = census()
         finally:
             ipm._MAX_ITERS = saved
         summary = ", ".join("%d %s" % (n, status)
                             for status, n in sorted(counts.items()))
         print("%s: %s; sha256 %s" % (label, summary, digest))
+    if dump is not None:
+        with open(dump, "w") as handle:
+            json.dump(answers, handle, indent=1)
+
+
+def compare(old_path, new_path):
+    """Print the status changes and the largest relative objective
+    difference between two dumps; 1 when either shows a change."""
+    with open(old_path) as handle:
+        old = json.load(handle)
+    with open(new_path) as handle:
+        new = json.load(handle)
+    changes, worst = 0, 0.0
+    for label in old:
+        if len(old[label]) != len(new[label]):
+            print("%s: %d programs, then %d" % (label, len(old[label]),
+                                                 len(new[label])))
+            return 1
+        for i, (a, b) in enumerate(zip(old[label], new[label])):
+            if a["status"] != b["status"]:
+                changes += 1
+                print("%s: program %d: %s -> %s" % (label, i, a["status"],
+                                                     b["status"]))
+            elif a["objective"] is not None and b["objective"] is not None:
+                x, y = float(a["objective"]), float(b["objective"])
+                if x != y:
+                    worst = max(worst, abs(x - y) / max(1.0, abs(x)))
+    print("%d status changes; largest relative objective difference %.3g"
+          % (changes, worst))
+    return int(changes > 0 or not worst <= 1e-6)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--dump", metavar="PATH",
+                        help="also write each program's answer here")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two dumps instead of solving")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    run(args.dump)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 import miconic.milp as milp
 from miconic import instances, oa, simplex
 from miconic.compile import emit_conic
-from miconic.errors import UnboundedInteger
+from miconic.errors import NumericFailure, UnboundedInteger
 from miconic.milp import solve_milp
 from miconic.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 
@@ -193,29 +193,29 @@ def test_nodes_count_the_node_lps_and_children_start_warm(monkeypatch):
 
 def test_extended_ball_tree_has_every_node_and_no_fallback(monkeypatch):
     # no relaxation of the empty ball is infeasible before every x_i is
-    # fixed, so the tree is complete: 2^(n+1) - 1 node LPs
-    results, lps = [], []
-
-    def recording_milp(*args, **kwargs):
-        res = solve_milp(*args, **kwargs)
-        results.append(res)
-        return res
+    # fixed, so the tree of its first MILP, without Gomory rows, is
+    # complete: 2^(n+1) - 1 node LPs
+    lps = []
 
     def recording_lp(prob, warm=None):
         res = solve_lp(prob, warm=warm)
         lps.append(res)
         return res
 
-    monkeypatch.setattr(oa, "solve_milp", recording_milp)
     monkeypatch.setattr(milp, "solve_lp", recording_lp)
     for n in range(2, 6):
-        results.clear()
+        lps.clear()
+        res = solve_milp(*_ball_milp(n))
+        assert res.status == INFEASIBLE
+        assert res.nodes == len(lps) == 2 ** (n + 1) - 1
+        assert all(r.warm for r in lps[1:])
+        # through OA, where the Gomory rounds' LPs come first, too
         lps.clear()
         prog, _ = emit_conic(instances.empty_ball_model(n, "extended"))
         out = oa.oa_solve(prog)
         assert out.status == INFEASIBLE and out.iterations == 1
-        assert [r.nodes for r in results] == [2 ** (n + 1) - 1]
-        assert len(lps) == 2 ** (n + 1) - 1
+        (record,) = out.trace
+        assert len(lps) == record["gmi_lps"] + record["milp_nodes"]
         assert all(r.warm for r in lps[1:])
 
 
@@ -525,10 +525,10 @@ _HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 def _census_programs():
-    """The extended balls n=2..6, the aggregated balls n=2..5, disk,
+    """The extended balls n=2..8, the aggregated balls n=2..5, disk,
     trimloss and the seed-2024 oracle corpus."""
     progs = [emit_conic(instances.empty_ball_model(n, "extended"))[0]
-             for n in range(2, 7)]
+             for n in range(2, 9)]
     progs += [emit_conic(instances.empty_ball_model(n, "naive"))[0]
               for n in range(2, 6)]
     progs += [emit_conic(instances.disk_model())[0],
@@ -548,18 +548,37 @@ def test_every_oa_node_lp_agrees_with_highs(monkeypatch):
     # a start that no node LP returned is a leaf's tableau carried onto a
     # later MILP's array
     own = {id(res.basis) for _, _, res in seen}
-    carried = 0
+    carried = undecided = 0
     for prob, given, res in seen:
         bounds = [(lo if np.isfinite(lo) else None,
                    hi if np.isfinite(hi) else None)
                   for lo, hi in zip(prob.lb, prob.ub)]
         ref = linprog(prob.c, A_eq=prob.A, b_eq=prob.b, bounds=bounds,
                       method="highs")
+        if ref.status == 4:
+            # HiGHS leaves some LPs with Gomory rows undecided ("model
+            # status unknown")
+            undecided += 1
+            assert (_elastic_infeasible(prob.A, prob.b, bounds)
+                    == (res.status == INFEASIBLE))
+            continue
         assert _HIGHS_STATUS[ref.status] == res.status
         if res.status == OPTIMAL:
             assert abs(res.obj - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
         carried += given is not None and id(given) not in own
-    assert len(seen) > 400 and carried > 150
+    assert len(seen) > 400 and carried > 150 and 4 * undecided < len(seen)
+
+
+def _elastic_infeasible(A, b, bounds):
+    """Whether min sum(e+ + e-) subject to A x + e+ - e- = b and bounds
+    on x, HiGHS's elastic LP, exceeds 1e-7."""
+    m, n = A.shape
+    elastic = linprog(np.concatenate([np.zeros(n), np.ones(2 * m)]),
+                      A_eq=np.hstack([A, np.eye(m), -np.eye(m)]), b_eq=b,
+                      bounds=list(bounds) + [(0.0, None)] * (2 * m),
+                      method="highs")
+    assert elastic.status == 0
+    return elastic.fun > 1e-7
 
 
 def _random_mixed_milp(rng):
@@ -640,6 +659,103 @@ def test_fresh_and_resumed_milps_agree_with_enumeration(seed):
         solve_milp(A, b, c, lb, ub, int_idx, warm=res.leaves))
 
 
+# ------------------------------------------ Gomory mixed-integer rounds
+
+
+def _highs_fiber(A, b, c, lb, ub):
+    """HiGHS's status and value of one LP; an LP that HiGHS leaves
+    undecided ("model status unknown", 4) is decided by the elastic LP
+    (_elastic_infeasible), and counts as optimal, with value None, when
+    it is feasible."""
+    bounds = [(lo if np.isfinite(lo) else None,
+               hi if np.isfinite(hi) else None) for lo, hi in zip(lb, ub)]
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=bounds, method="highs")
+    if ref.status == 4:
+        return (INFEASIBLE if _elastic_infeasible(A, b, bounds) else OPTIMAL,
+                None)
+    status = _HIGHS_STATUS[ref.status]
+    return status, ref.fun if status == OPTIMAL else None
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gomory_rows_keep_every_integer_assignment_and_the_optimum(seed):
+    # the first of up to 20 draws whose rounds append rows (about one in
+    # six does); then each integer assignment's LP, with and without the
+    # rows: one feasible without them stays feasible with them, at the
+    # same value, so the MILP optimum stays too
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        A, b, c, lb, ub, int_idx = _random_mixed_milp(rng)
+        out = milp.gomory_rounds(A, b, c, lb, ub, int_idx)
+        if out.rows:
+            break
+    else:
+        return
+    assert out.A.shape == (len(b) + out.rows, len(c) + out.rows)
+    # the MILP optimum without and with the rows; an assignment whose LP
+    # HiGHS leaves undecided has no value to compare
+    best, best_after, valued = np.inf, np.inf, True
+    for values in itertools.product(
+            *(range(int(lb[j]), int(ub[j]) + 1) for j in int_idx)):
+        before = _highs_fiber(A, b, c, *_fixed(lb, ub, int_idx, values))
+        after = _highs_fiber(out.A, out.b, out.c,
+                             *_fixed(out.lb, out.ub, int_idx, values))
+        if before[0] == UNBOUNDED:
+            assert after[0] == UNBOUNDED
+            return
+        if before[0] != OPTIMAL:
+            continue
+        assert after[0] == OPTIMAL
+        best = min(best, before[1])
+        if after[1] is None:
+            valued = False
+            continue
+        assert abs(after[1] - before[1]) <= 1e-7 * max(1.0, abs(before[1]))
+        best_after = min(best_after, after[1])
+    if valued and np.isfinite(best):
+        assert abs(best_after - best) <= 1e-7 * max(1.0, abs(best))
+
+
+def _fixed(lb, ub, int_idx, values):
+    flb, fub = lb.copy(), ub.copy()
+    flb[int_idx] = fub[int_idx] = values
+    return flb, fub
+
+
+def test_a_numeric_failure_ends_the_rounds_with_the_finished_rounds_rows(
+        monkeypatch):
+    # the third round LP raises: the rounds keep the rows of the first two,
+    # and the start is the second round's tableau
+    args = _ball_milp(5)
+    monkeypatch.setattr(milp, "_GMI_ROUNDS", 2)
+    two = milp.gomory_rounds(*args)
+    monkeypatch.undo()
+    calls = itertools.count()
+
+    def failing(prob, warm=None):
+        if next(calls) == 2:
+            raise NumericFailure("injected")
+        return solve_lp(prob, warm=warm)
+
+    monkeypatch.setattr(milp, "solve_lp", failing)
+    out = milp.gomory_rounds(*args)
+    monkeypatch.undo()
+    assert out.rounds == two.rounds == 2
+    # the LP that raised counts as posed
+    assert out.lps == two.lps + 1 == 3
+    assert out.rows == two.rows > 0
+    for got, want in zip((out.A, out.b, out.c, out.lb, out.ub),
+                         (two.A, two.b, two.c, two.lb, two.ub)):
+        assert np.array_equal(got, want)
+    # the second round's LP was posed before its own rows were appended
+    (leaf,) = out.warm
+    assert leaf[4].source.shape[0] < out.A.shape[0]
+    res = solve_milp(out.A, out.b, out.c, out.lb, out.ub, args[5],
+                     warm=out.warm)
+    assert res.status == INFEASIBLE
+
+
 # --------------------------------------------- deadlines and pivot counts
 
 
@@ -690,9 +806,16 @@ def test_pivots_sum_the_node_lps_iterations(monkeypatch):
     prog, _ = emit_conic(instances.empty_ball_model(5, "extended"))
     out = oa.oa_solve(prog)
     (res,) = results
-    assert res.pivots == sum(r.iterations for _, _, r in seen) > res.nodes
-    assert out.trace[0]["milp_nodes"] == res.nodes == 63
-    assert out.trace[0]["milp_pivots"] == res.pivots
+    (record,) = out.trace
+    # the node LPs follow the Gomory rounds' LPs
+    assert len(seen) == record["gmi_lps"] + res.nodes
+    assert (res.pivots + record["gmi_pivots"]
+            == sum(r.iterations for _, _, r in seen)
+            > record["gmi_lps"] + res.nodes)
+    assert res.pivots == sum(r.iterations
+                             for _, _, r in seen[record["gmi_lps"]:])
+    assert record["milp_nodes"] == res.nodes
+    assert record["milp_pivots"] == res.pivots
     # an unbounded node is branched on its own LP's point: one LP per node
     seen.clear()
     A = np.array([[1.0, 1.0, 0.0]])

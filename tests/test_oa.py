@@ -251,6 +251,42 @@ def test_milp_data_matches_the_row_by_row_reference():
     assert folds > 0 and rows > 0
 
 
+def test_each_milp_array_extends_the_last_one(monkeypatch):
+    # OA keeps the last MILP's arrays and appends to them: the Gomory rows
+    # of the first MILP stay in every later one, and an iteration that
+    # adds no row hands the very same array on (seed 7's first program
+    # has one when the IPM is capped at one iteration)
+    arrays = []
+
+    def recording(*args, **kwargs):
+        arrays.append(args[0])
+        return solve_milp(*args, **kwargs)
+
+    monkeypatch.setattr(oa, "solve_milp", recording)
+    rng = np.random.default_rng(2024)
+    progs = [instances.random_feasible_program(rng) for _ in range(40)]
+    progs += [emit_conic(instances.empty_ball_model(n, "naive"))[0]
+              for n in (3, 4)]
+    capped = instances.random_feasible_program(np.random.default_rng(7))
+    gmi = kept = grown = 0
+    for prog in progs + [capped]:
+        if prog is capped:
+            monkeypatch.setattr(ipm, "_MAX_ITERS", 1)
+        arrays.clear()
+        out = oa_solve(prog)
+        if out.trace:
+            gmi += out.trace[0]["gmi_rows"] > 0 and len(arrays) > 1
+        for old, new in zip(arrays, arrays[1:]):
+            m, n = old.shape
+            assert np.array_equal(new[:m, :n], old)
+            if new.shape == old.shape:
+                assert new is old
+                kept += 1
+            else:
+                grown += 1
+    assert gmi > 0 and grown > 20 and kept > 0
+
+
 # --------------------------------------------------------- fixed instances
 
 
@@ -454,6 +490,32 @@ def test_time_limit_reaches_inside_branch_and_bound(monkeypatch):
     assert res.lower_bound == record["lower_bound"] < np.inf
 
 
+def test_a_deadline_passed_before_the_gomory_rounds_solves_no_round_lp(
+        monkeypatch):
+    # a clock that stands still for the run's first two readings, then
+    # advances 1 ms per reading: with no time at all, OA still poses its
+    # first MILP, and the Gomory rounds check the deadline before their
+    # first LP
+    clock = itertools.count()
+    monkeypatch.setattr(time, "monotonic",
+                        lambda: 1e-3 * max(0, next(clock) - 1))
+    lps = []
+
+    def recording(prob, warm=None):
+        lps.append(prob)
+        return simplex.solve_lp(prob, warm=warm)
+
+    monkeypatch.setattr(milp, "solve_lp", recording)
+    prog, _ = emit_conic(instances.empty_ball_model(8, "extended"))
+    res = oa_solve(prog, OaConfig(time_limit=0.0))
+    assert res.status == TIME_LIMIT and res.iterations == 1
+    (record,) = res.trace
+    assert record["milp_status"] == TIME_LIMIT
+    assert record["gmi_lps"] == record["gmi_rounds"] == 0
+    assert record["gmi_rows"] == record["milp_nodes"] == 0
+    assert lps == []
+
+
 def test_infeasible_milp_after_an_incumbent_keeps_it(monkeypatch):
     # valid cuts cannot cut off a feasible point, so the second MILP being
     # infeasible is a failed assumption; the run keeps what it has proven
@@ -510,9 +572,10 @@ def test_unsolvable_milp_after_an_incumbent_keeps_it(monkeypatch):
     (simplex, "_MAX_ITER", 1, "simplex iteration limit")])
 def test_a_milp_the_solver_gives_up_on_names_its_layer(monkeypatch, module,
                                                         cap, value, cause):
-    # the extended ball's first MILP needs 31 node LPs of several pivots
+    # the extended ball's first MILP needs 29 node LPs of several pivots
+    # after its Gomory rounds
     monkeypatch.setattr(module, cap, value)
-    prog, _ = emit_conic(instances.empty_ball_model(4, "extended"))
+    prog, _ = emit_conic(instances.empty_ball_model(6, "extended"))
     res = oa_solve(prog)
     assert res.status == ASSUMPTION_FAILURE
     assert res.diagnostic == "MILP relaxation could not be solved: " + cause
