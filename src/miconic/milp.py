@@ -7,10 +7,10 @@ bounds, which keeps the tree finite even when a node relaxation is unbounded:
 such a node is branched on the feasible point its unbounded LP result
 carries until the integer part is fixed.
 
-A node LP's final simplex tableau is its children's warm start, under the
-warm-start contract stated in simplex.py: each open node keeps its
-parent's tableau, and every node LP is posed on the one A array given to
-solve_milp.  Children of nodes without an optimal LP are solved cold.
+A node LP's final simplex tableau, optimal or unbounded, is its
+children's warm start, under the warm-start contract stated in
+simplex.py: each open node keeps its parent's tableau, and every node LP
+is posed on the one A array given to solve_milp.
 
 One tree serves a sequence of MILPs in which each one tightens the last:
 the integer columns and their boxes stay, and a later MILP is an earlier
@@ -42,12 +42,12 @@ last round and appending one row g.x - s = h, with its slack s >= 0,
 per cut read off the optimal tableau.  A GMI row holds at every integer
 point of the box, so the MILP keeps its integer-feasible points and its
 optimum, and the array with the rows borders the array without them;
-the search then starts from the last round's tableau.  A later MILP
-that tightens this one keeps the rows (outer approximation keeps them
-in every later MILP of its run), so its leaves resume.  The rows follow
-the numerical-safety rules of Cook, Dash, Fukasawa & Goycoolea
-("Numerically safe Gomory mixed-integer cuts", 2009), and a row that
-breaks one is dropped, never repaired:
+the search then starts from the last round's tableau, rows or none.  A
+later MILP that tightens this one keeps the rows (outer approximation
+keeps them in every later MILP of its run), so its leaves resume.  The
+rows follow the numerical-safety rules of Cook, Dash, Fukasawa &
+Goycoolea ("Numerically safe Gomory mixed-integer cuts", 2009), and a
+row that breaks one is dropped, never repaired:
 
 - rows are read only from a freshly factored basis, and only for integer
   basic columns whose value lies more than _GMI_F0 from an integer;
@@ -74,9 +74,9 @@ import numpy as np
 
 from .errors import NumericFailure, UnboundedInteger
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, border,
-                      solve_lp)
+                      bordered, solve_lp)
 
-_INT_TOL = 1e-6
+INT_TOL = 1e-6  # integral within INT_TOL: B&B's rule, and oa's
 # a node is pruned when its bound is within this relative gap of the incumbent
 _REL_GAP = 1e-8
 _NODE_LIMIT = 1_000_000
@@ -119,7 +119,7 @@ class MilpResult:
 
 
 def _most_fractional(x, int_idx):
-    best_j, best_score = -1, _INT_TOL
+    best_j, best_score = -1, INT_TOL
     for j in int_idx:
         f = x[j] - np.floor(x[j])
         score = min(f, 1.0 - f)
@@ -242,12 +242,12 @@ class GomoryRounds:
 
     A, b, c, lb and ub are the MILP given to gomory_rounds with one row
     g.x - s = h per GMI row and its slack column s >= 0 appended, over the
-    columns the MILP had before the rounds.  warm is the start to hand
-    solve_milp: the one leaf of the whole box with the last round's
-    optimal tableau, [] when a round LP proved the box infeasible, or None
-    (a fresh search) when the rounds appended no row.  rounds counts the
-    rounds that appended rows, rows those rows, lps the round LPs posed
-    and pivots the simplex iterations of those that returned.
+    columns the MILP had before the rounds.  warm is the leaves to hand
+    solve_milp: [] when a round LP proved the box infeasible, else the
+    box's one leaf with the last round LP's tableau (refactored if optimal)
+    or with none (a fresh search) when no round got that far.  rounds
+    counts the rounds that appended rows, rows those rows, lps the round
+    LPs posed and pivots the simplex iterations of those that returned.
     """
 
     A: np.ndarray
@@ -255,7 +255,7 @@ class GomoryRounds:
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    warm: list = None
+    warm: list
     rounds: int = 0
     rows: int = 0
     lps: int = 0
@@ -343,49 +343,38 @@ def gomory_rounds(A, b, c, lb, ub, int_idx, deadline=None):
     its LP, or its LP or factorization raises NumericFailure; a round that
     does not finish appends nothing.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b, c, lb, ub = (np.asarray(v, dtype=float).ravel()
-                    for v in (b, c, lb, ub))
-    n0 = A.shape[1]
+    prob = LpProblem(A, b, c, lb, ub)
+    n0 = prob.A.shape[1]
     G, H = np.zeros((0, n0)), np.zeros(0)
-    out = GomoryRounds(A, b, c, lb, ub)
+    warm = [(-np.inf, 0, prob.lb, prob.ub, None)]
+    rounds = rows = lps = pivots = 0
     tab = None
-    while out.rounds < _GMI_ROUNDS:
+    while rounds < _GMI_ROUNDS:
         if deadline is not None and time.monotonic() > deadline:
             break
         if tab is not None:
-            tab = border(tab, out.A, {})
-        out.lps += 1
+            tab = border(tab, prob.A, {})
+        lps += 1
         try:
-            res = solve_lp(LpProblem(out.A, out.b, out.c, out.lb, out.ub),
-                           warm=tab)
-            out.pivots += res.iterations
+            res = solve_lp(prob, warm=tab)
+            pivots += res.iterations
             if res.status != OPTIMAL:
-                if res.status == INFEASIBLE:
-                    out.warm = []
+                warm = ([] if res.status == INFEASIBLE
+                        else [(-np.inf, 0, prob.lb, prob.ub, res.basis)])
                 break
-            # rows are read off, and the next round starts from, a fresh
-            # factorization of the optimal basis
+            # rows are read off, and the next round and the search start
+            # from, a fresh factorization of the optimal basis
             tab = dataclasses.replace(res.basis)
             tab.refactor()
             g, h = _gomory_rows(tab, int_idx, n0, G, H)
         except NumericFailure:
             break
-        if out.rounds or len(h):
-            out.warm = [(res.obj, 0, out.lb, out.ub, tab)]
+        warm = [(res.obj, 0, prob.lb, prob.ub, tab)]
         if not len(h):
             break
-        k, (m, n) = len(h), out.A.shape
-        grown = np.zeros((m + k, n + k))
-        grown[:m, :n] = out.A
-        grown[m:, :n0] = g
-        grown[m:, n:] -= np.eye(k)
-        out.A = grown
-        out.b = np.concatenate([out.b, h])
-        out.c = np.concatenate([out.c, np.zeros(k)])
-        out.lb = np.concatenate([out.lb, np.zeros(k)])
-        out.ub = np.concatenate([out.ub, np.full(k, np.inf)])
+        prob = bordered(prob, g, h, slice(0, n0))
         G, H = np.vstack([G, g]), np.concatenate([H, h])
-        out.rounds += 1
-        out.rows += k
-    return out
+        rounds += 1
+        rows += len(h)
+    return GomoryRounds(prob.A, prob.b, prob.c, prob.lb, prob.ub, warm,
+                        rounds, rows, lps, pivots)

@@ -38,13 +38,14 @@ last MILP's arrays and appends only what changed (_grow).
 
 The first MILP's root gets up to ten rounds of Gomory mixed-integer rows
 (milp.gomory_rounds, whose docstring states their numerical-safety
-rules) before its search, which starts from the last round's tableau.
-The rows are valid for every integer point of the first MILP, and so of
-every later one, which tightens it; they are MILP rows, not cuts, so
-they stay in every later MILP's arrays, which border them, and never
-enter the cut pool or OaOutcome.cuts.  The first trace record counts
-them: gmi_rounds, gmi_rows, and gmi_lps and gmi_pivots, the rounds' LPs
-and their simplex iterations, which milp_nodes and milp_pivots leave out.
+rules) before its search, which starts from the last round's tableau: of
+a run's LPs only the first starts cold.  The rows are valid for every
+integer point of the first MILP, and so of every later one, which
+tightens it; they are MILP rows, not cuts, so they stay in every later
+MILP's arrays, which border them, and never enter the cut pool or
+OaOutcome.cuts.  The first trace record counts them: gmi_rounds,
+gmi_rows, and gmi_lps and gmi_pivots, the rounds' LPs and their simplex
+iterations, which milp_nodes and milp_pivots leave out.
 """
 
 import dataclasses
@@ -66,7 +67,8 @@ from .ipm import (
     primal_feasible,
     solve_continuous,
 )
-from .milp import TIME_LIMIT, gomory_rounds, solve_milp
+from .milp import INT_TOL, TIME_LIMIT, gomory_rounds, solve_milp
+from .simplex import bordered
 
 SUBPROBLEM_DUAL = "subproblem_dual"
 INFEASIBILITY_RAY = "infeasibility_ray"
@@ -122,7 +124,7 @@ class OaState:
     incumbent_z: np.ndarray = None
     # the unit vectors of the pool's cuts, keyed by cone factor index
     _units: dict = field(default_factory=dict)
-    # the last MILP's leaves, where the next MILP resumes its search
+    # where the next MILP resumes: the last MILP's leaves, or the rounds'
     leaves: list = None
     # the last MILP's arrays, which the next MILP extends (_grow)
     milp: "_Milp" = None
@@ -285,25 +287,15 @@ def _grow(program, state, milp):
     new = [cut.beta for cut in state.cuts[milp.cuts:]]
     cuts = np.array(new).reshape(len(new), nz)
     single = np.count_nonzero(cuts, axis=1) == 1
-    lb = milp.lb.copy()
-    lb[nx + np.nonzero(cuts[single])[1]] = 0.0
     top = ([program.c] if milp.objective is None
            and np.isfinite(state.z_lower) else [])
     rows = np.vstack(top + [cuts[~single]])
-    k, (m, n) = len(rows), milp.A.shape
-    A = milp.A
-    if k:
-        A = np.zeros((m + k, n + k))
-        A[:m, :n] = milp.A
-        A[m:, nx : nx + nz] = rows
-        A[m:, n:] -= np.eye(k)  # -I; subtracting keeps its zeros +0.0
-    objective = m if top else milp.objective
-    b = np.concatenate([milp.b, np.zeros(k)])
+    grown = bordered(milp, rows, np.zeros(len(rows)), slice(nx, nx + nz))
+    grown.lb[nx + np.nonzero(cuts[single])[1]] = 0.0
+    objective = milp.A.shape[0] if top else milp.objective
     if objective is not None:
-        b[objective] = state.z_lower - 1e-6 * (1.0 + abs(state.z_lower))
-    return _Milp(A, b, np.concatenate([milp.c, np.zeros(k)]),
-                 np.concatenate([lb, np.zeros(k)]),
-                 np.concatenate([milp.ub, np.full(k, np.inf)]),
+        grown.b[objective] = state.z_lower - 1e-6 * (1.0 + abs(state.z_lower))
+    return _Milp(grown.A, grown.b, grown.c, grown.lb, grown.ub,
                  len(state.cuts), objective)
 
 
@@ -349,15 +341,15 @@ def _certificate(program, res):
 def _feasible(program, x, z):
     """x rounded when (x, z) is feasible for the program, else None.
 
-    x must be integral within 1e-6 and its rounding inside [L, U], and
-    (x rounded, z) must pass ipm.primal_feasible, the rule an optimal
+    x must be integral within milp.INT_TOL and its rounding inside [L, U],
+    and (x rounded, z) must pass ipm.primal_feasible, the rule an optimal
     certificate's point passes.  Rounding moves the rows by
     A_x (x_round - x), so they are checked after it.
     """
     if not (np.isfinite(x).all() and np.isfinite(z).all()):
         return None
     xr = np.round(x)
-    if np.any(np.abs(x - xr) > 1e-6):
+    if np.any(np.abs(x - xr) > INT_TOL):
         return None
     if np.any(xr < program.L) or np.any(xr > program.U):
         return None
@@ -483,18 +475,17 @@ def _iterate(program, state, record, deadline):
     first = state.milp is None
     milp = state.milp = _grow(program, state, state.milp)
     int_idx = list(range(program.num_integer))
-    warm = state.leaves
     if first:
         gmi = gomory_rounds(milp.A, milp.b, milp.c, milp.lb, milp.ub,
                             int_idx, deadline)
         milp = state.milp = dataclasses.replace(
             milp, A=gmi.A, b=gmi.b, c=gmi.c, lb=gmi.lb, ub=gmi.ub)
-        warm = gmi.warm
+        state.leaves = gmi.warm
         record.update(gmi_rounds=gmi.rounds, gmi_rows=gmi.rows,
                       gmi_lps=gmi.lps, gmi_pivots=gmi.pivots)
     try:
         mres = solve_milp(milp.A, milp.b, milp.c, milp.lb, milp.ub, int_idx,
-                          deadline=deadline, warm=warm)
+                          deadline=deadline, warm=state.leaves)
     except NumericFailure as err:
         return ASSUMPTION_FAILURE, (
             "MILP relaxation could not be solved: %s" % err

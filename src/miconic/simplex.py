@@ -14,33 +14,34 @@ rounding noise; that column is then kept out until the basis changes.
 More false rays in one phase than the extended array has columns end the
 solve with NumericFailure.
 
-The warm-start contract.  An optimal result carries its final tableau:
-the extended array [A, I'] the solve pivoted on (I' the signed artificial
-columns), the basis, every column's rest and the basis inverse.  Passing
-the tableau back with another problem re-optimizes by the bounded
-dual simplex method (Koberstein, *The dual simplex method*, 2005), then
-prices with c by the primal simplex.  b, c and the bounds may all differ
-from the earlier problem's, but A must be the very same array
-(prob.A is warm.source).  The solve starts from the carried inverse
-rather than a fresh factorization.  The extended array is never written,
-so every warm descendant of one solve shares it, and the inverse's age,
-the product-form updates since its last refactor, carries over too, so
-the refactor after 64 updates counts them along the whole chain of warm
+The warm-start contract.  An optimal or unbounded result carries its final
+tableau: the extended array [A, I'] the solve pivoted on (I' the signed
+artificial columns), the basis, every column's rest and the basis
+inverse.  Passing the tableau back with another problem re-optimizes by
+the bounded dual simplex method (Koberstein, *The dual simplex method*,
+2005), then prices with c by the primal simplex.  b, c and the bounds may
+all differ from the earlier problem's, but A must be the very same array
+(prob.A is warm.source).  The solve starts from the carried inverse rather
+than a fresh factorization.  The extended array is never written, so every
+warm descendant of one solve shares it, and the inverse's age, the
+product-form updates since its last refactor, carries over too, so the
+refactor after 64 updates counts them along the whole chain of warm
 starts.  Branch and bound solves each child node this way from its
-parent's final tableau.
+parent's final tableau, whatever its parent's status.
 
 A tableau reaches another array only through border, when that array
 borders its own: more rows, the old array equal in value to its leading
 block, and each appended column zero above the old rows and the slack of
-one new row, the i-th column of the i-th row.  The old columns keep their
-rests, the new slacks enter the basis, the new artificials rest at zero,
-and the basis inverse is the carried one extended by the block formula
-for a bordered matrix, so no factorization runs and its age carries
-over.  The result is posed on the new array, a warm start as above.
-Outer approximation resumes each MILP's search tree this way: every leaf
-the previous MILPs handed on carries a tableau on an earlier array,
-which the new cut rows border, and branch and bound checks the bordering
-and builds the extended array once per earlier array, not once per leaf.
+one new row, the i-th column of the i-th row.  bordered builds every such
+array the package poses.  The old columns keep their rests, the new slacks
+enter the basis, the new artificials rest at zero, and the basis inverse
+is the carried one extended by the block formula for a bordered matrix, so
+no factorization runs and its age carries over.  The result is posed on
+the new array, a warm start as above.  Outer approximation resumes each
+MILP's search tree this way: every leaf the previous MILPs handed on
+carries a tableau on an earlier array, which the new cut rows border, and
+branch and bound checks the bordering and builds the extended array once
+per earlier array, not once per leaf.
 
 Tightening bounds keeps the basis dual feasible, and so do new rows with
 basic slacks; the final primal pass, which ends every solve, mends
@@ -97,14 +98,14 @@ class LpResult:
     """Outcome of a simplex solve.
 
     status is one of optimal / infeasible / unbounded.  For optimal results
-    x, obj, the equality-row duals y and basis, the solve's final tableau
-    and a re-solve's warm start (see the module docstring), are set.  For
-    infeasible results farkas holds y with y.b > sup{y.A x : l <= x <= u}.
-    For unbounded results x is a point that meets the rows and bounds and
-    ray a recession direction with A ray = 0 and c.ray < 0.  iterations
-    counts simplex iterations of both methods when a warm start fell back
-    to a cold solve; warm tells whether the result, of any status, came
-    from the warm start.
+    x, obj and the equality-row duals y are set.  For infeasible results
+    farkas holds y with y.b > sup{y.A x : l <= x <= u}.  For unbounded
+    results x is a point that meets the rows and bounds and ray a recession
+    direction with A ray = 0 and c.ray < 0.  basis, set for both, is the
+    final tableau, a warm start (module docstring).  iterations counts
+    simplex iterations of both methods when a warm start fell back to a
+    cold solve; warm tells whether the result, of any status, came from the
+    warm start.
     """
 
     status: str
@@ -326,16 +327,16 @@ def _finish(prob, tab, c, warm):
 
     Both solves end here, so this is the one place that decides dual
     feasibility.  It mends what a warm start lacks: Harris residue, a basis
-    from another c, or a column that looser bounds freed.
+    from another c, or a column that looser bounds freed.  Nothing touches
+    tab once the solve returns: it is the warm start of either result.
     """
     n = prob.A.shape[1]
     st, res = _phase(tab, c, allow_unbounded=True)
     if st == UNBOUNDED:
         # the basic point at which the ray was found
         return LpResult(UNBOUNDED, x=tab.values()[:n], ray=res[:n],
-                        iterations=tab.iterations, warm=warm)
+                        iterations=tab.iterations, basis=tab, warm=warm)
     x = res[:n]
-    # nothing touches tab once the solve returns: it is the warm start
     return LpResult(OPTIMAL, x=x, obj=float(prob.c @ x), y=tab.duals(c),
                     iterations=tab.iterations, basis=tab, warm=warm)
 
@@ -479,10 +480,29 @@ def _bordering(A, warm):
     return np.hstack([A, np.diag(signs)])
 
 
+def bordered(prob, rows, rhs, cols):
+    """prob (an LpProblem or any object with its five arrays) with rows
+    g.x - s = h, g from rows on the columns cols and h from rhs, each with
+    its own slack s in [0, inf) at cost 0, the slacks last: an LpProblem
+    whose A borders prob.A (see _bordering), or is prob.A if rhs is empty,
+    and whose b, c and bounds are new arrays, free to write."""
+    k, (m, n) = len(rhs), prob.A.shape
+    A = prob.A
+    if k:
+        A = np.zeros((m + k, n + k))
+        A[:m, :n] = prob.A
+        A[m:, cols] = rows
+        A[m:, n:] -= np.eye(k)  # -I; subtracting keeps its zeros +0.0
+    return LpProblem(A, np.concatenate([prob.b, rhs]),
+                     np.concatenate([prob.c, np.zeros(k)]),
+                     np.concatenate([prob.lb, np.zeros(k)]),
+                     np.concatenate([prob.ub, np.full(k, np.inf)]))
+
+
 def border(warm, A, arrays):
-    """warm, the final tableau of an optimal solve, carried onto A, an
-    array that borders warm.source (see _bordering), as a warm start posed
-    on A; None when A does not border it.
+    """warm, the final tableau of an optimal or unbounded solve, carried
+    onto A, an array that borders warm.source (see _bordering), as a warm
+    start posed on A; None when A does not border it.
 
     Old structural columns keep their index and rest, old artificial
     columns their rest and sign; the new slacks are basic and the new
@@ -522,7 +542,7 @@ def border(warm, A, arrays):
 
 
 def _solve_warm(prob, warm):
-    """Dual simplex from the final tableau of an earlier optimal solve.
+    """Dual simplex from the final tableau of an earlier solve.
 
     Returns (result, iterations); result is None when the warm start cannot
     finish and the caller should solve cold.
@@ -565,10 +585,10 @@ def solve_lp(prob, warm=None):
     """Solve a bounded-variable LP by the simplex method.
 
     Without warm, runs the two-phase primal simplex.  With warm set to the
-    basis (the final tableau) of an optimal result on the very same A, or
-    to such a tableau carried onto A by border, re-optimizes from it under
-    the warm-start contract of this module's docstring, and falls back to
-    the two-phase method when that does not finish.
+    basis (the final tableau) of an optimal or unbounded result on the very
+    same A, or to such a tableau carried onto A by border, re-optimizes
+    from it under the warm-start contract of this module's docstring, and
+    falls back to the two-phase method when that does not finish.
     """
     if prob.A.shape[0] == 0:
         return _solve_box(prob)

@@ -477,15 +477,16 @@ def test_time_limit_status():
 
 def test_time_limit_reaches_inside_branch_and_bound(monkeypatch):
     # a clock that advances 1 ms per reading: the extended ball's one MILP
-    # would take its full 511 nodes, but stops at the 50 ms limit
+    # stops at the 50 ms limit, before the node LPs it takes without one
+    prog, _ = emit_conic(instances.empty_ball_model(8, "extended"))
+    (full,) = oa_solve(prog).trace
     clock = itertools.count()
     monkeypatch.setattr(time, "monotonic", lambda: 1e-3 * next(clock))
-    prog, _ = emit_conic(instances.empty_ball_model(8, "extended"))
     res = oa_solve(prog, OaConfig(time_limit=0.05))
     assert res.status == TIME_LIMIT and res.iterations == 1
     (record,) = res.trace
     assert record["milp_status"] == TIME_LIMIT
-    assert 0 < record["milp_nodes"] < 511
+    assert 0 < record["milp_nodes"] < full["milp_nodes"]
     assert record["milp_pivots"] >= record["milp_nodes"]
     assert res.lower_bound == record["lower_bound"] < np.inf
 

@@ -868,8 +868,11 @@ def test_warm_start_on_an_array_with_fewer_rows_solves_cold():
 # ------------------------------------------------ every start against HiGHS
 
 # linprog's status codes for a solved LP, infeasible LP and unbounded LP,
-# as in test_milp.py
+# and feasibility tolerances tight enough for a 1e-7 comparison, as in
+# test_milp.py
 _HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 
 
 def _random_bounded_lp(rng):
@@ -898,7 +901,7 @@ def _assert_agrees_with_highs(prob, res):
     bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
               for lo, hi in zip(prob.lb, prob.ub)]
     ref = linprog(prob.c, A_eq=prob.A, b_eq=prob.b, bounds=bounds,
-                  method="highs")
+                  method="highs", options=_HIGHS_OPTIONS)
     assert _HIGHS_STATUS[ref.status] == res.status
     if res.status == OPTIMAL:
         assert abs(res.obj - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
