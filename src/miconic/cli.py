@@ -105,7 +105,8 @@ def _cmd_solve(args):
         oracle = brute_force_solve(program)
         agree = oracle.status == res.status
         if agree and oracle.obj is not None and res.obj is not None:
-            agree = abs(oracle.obj - res.obj) <= 1e-5 * (1 + abs(oracle.obj))
+            agree = (abs(oracle.obj - res.obj)  # OA's own gap rule
+                     <= config.tol * (1 + abs(res.obj)))
         result["oracle"] = {
             "status": oracle.status,
             "objective": _shifted(oracle.obj, offset),

@@ -60,9 +60,9 @@ row that breaks one is dropped, never repaired:
 - the right-hand side moves outward by _GMI_RELAX (1 + |h|).
 
 Each row is written over the columns the MILP had before the rounds,
-earlier rounds' slacks substituted by their rows: a row on an earlier
-GMI slack leaves a rounding residue on that unbounded column, enough to
-fail the Farkas check of a warm infeasible node LP and send it cold.
+earlier rounds' slacks substituted by their rows, so that the rule for
+tiny coefficients moves h over the MILP's own bounds: an earlier slack
+has no upper bound, and a tiny coefficient on it can refuse the row.
 """
 
 import dataclasses

@@ -7,20 +7,21 @@ and read by _certificate: a feasible one contributes its dual certificate
 and a candidate incumbent, an infeasible one its ray, and when neither
 certificate is available the driver separates the MILP point from each
 cone factor.  Every cut enters the pool as (factor, block) pairs: the
-initial tangents and separation vectors are made one factor at a time,
-and the root relaxation's dual, each fiber's certificate and cuts given
-to add_cut are split by factor (_blocks).  Each block takes one path
-(_block): it is checked (or repaired) against its own dual factor only
-and pooled as a cut of its own, unless an earlier cut on that factor
-points the same way.  The MILP depends only on the cut pool
-and the lower bound, and every solve is deterministic, so an iteration
-that adds no cut and leaves the lower bound where it was, up to a rise
-within the gap tolerance, is a fixed point: the next MILP differs from
-this one only in its objective row's right-hand side, which stays below
-its optimum, so the next iteration would repeat this one forever (a
-rise at rounding level is no progress).  Instances whose fibers admit no
-dual certificates end there, and the driver reports an assumption failure
-rather than loop on.
+initial tangents and separation vectors are made one factor at a time, and
+the root relaxation's dual, each fiber's certificate and cuts given to
+add_cut are split by factor (_blocks), a certificate within the IPM's
+EPS_OPT of zero into none.  Each block but a tangent, which cones makes in
+its dual factor, takes one path (_block): it is checked (or repaired)
+against its own dual factor only.  Each is pooled as a cut of its own,
+unless an earlier cut on that factor points the same way.  The MILP
+depends only on the cut pool and the lower bound, and every solve is
+deterministic, so an iteration that adds no cut and leaves the lower bound
+where it was, up to a rise within the gap tolerance, is a fixed point: the
+next MILP differs from this one only in its objective row's right-hand
+side, which stays below its optimum, so the next iteration would repeat
+this one forever (a rise at rounding level is no progress).  Instances
+whose fibers admit no dual certificates end there, and the driver reports
+an assumption failure rather than loop on.
 
 The root relaxation and each MILP are relaxations of the program, so
 their optimal values are lower bounds.  One rule ends the run early: a
@@ -59,6 +60,7 @@ import numpy as np
 from . import cones
 from .errors import InvalidCut, NumericFailure, TooLarge
 from .ipm import (
+    EPS_OPT,
     INFEASIBLE,
     NUMERIC_FAILURE,
     OPTIMAL,
@@ -158,7 +160,10 @@ class OaOutcome:
     diagnostic: str = None
 
 
+_DUAL_TOL = 1e-9  # a block of max-abs 1 this near its dual factor is in
 _REPAIR_CAP = 1e-3
+_BLOCK_FLOOR = 1e-12  # of a vector's max-abs: a smaller block is none
+_GRID_TOL = 1e-9  # integer bounds this near an integer count as it
 
 
 def _onto_dual(f, block):
@@ -171,13 +176,13 @@ def _onto_dual(f, block):
     repair cap.
     """
     d = cones.dual(f)
-    if cones.member(d, block, 1e-9):
+    if cones.member(d, block, _DUAL_TOL):
         return block
     g = cones.interior_point(d)
     delta = 1e-10
     while delta <= _REPAIR_CAP:
         cand = block + delta * g
-        if cones.member(d, cand, 1e-9):
+        if cones.member(d, cand, _DUAL_TOL):
             return cand
         delta *= 2.0
     return None
@@ -192,14 +197,14 @@ def _block(f, raw):
 
 def _blocks(state, beta):
     """(factor index, _block) for each cone factor whose block of beta
-    exceeds 1e-12 of beta's max-abs, in factor order; none when beta is
-    zero or not finite.  The dual of a product is the product of the
-    duals, so the blocks imply beta."""
+    exceeds _BLOCK_FLOOR of beta's max-abs, in factor order; none when
+    beta is zero or not finite.  The dual of a product is the product of
+    the duals, so the blocks imply beta."""
     scale = float(np.max(np.abs(beta), initial=0.0))
     if not 0.0 < scale < np.inf:
         return []
     K = state.cones
-    hit = np.unique(K.factor_of[np.abs(beta) > 1e-12 * scale]).tolist()
+    hit = np.unique(K.factor_of[np.abs(beta) > _BLOCK_FLOOR * scale]).tolist()
     return [(i, _block(K.factors[i], beta[K.slices()[i][1]])) for i in hit]
 
 
@@ -222,13 +227,13 @@ def _pool(state, blocks, provenance, assignment):
 def add_cut(state, cut):
     """Validate and pool a cut the way the solver pools its certificates.
 
-    The cut is split by cone factor (see _blocks): each block above 1e-12
-    of the cut's max-abs is scaled to max-abs 1, must lie (essentially
-    exactly) in its own dual factor, and is pooled as a cut of its own.
-    Blocks that miss by a small margin are repaired toward the dual
-    interior; vacuous or repeated blocks drop.  A block that stays outside
-    the repair cap raises InvalidCut before any block is pooled, so a
-    rejected cut leaves the pool unchanged.
+    The cut is split by cone factor (see _blocks): each block above
+    _BLOCK_FLOOR of the cut's max-abs is scaled to max-abs 1, must lie in
+    its own dual factor within _DUAL_TOL, and is pooled as a cut of its
+    own.  Blocks that miss by up to _REPAIR_CAP are repaired toward the
+    dual interior; vacuous or repeated blocks drop, but a cut of any
+    nonzero size is read.  A block beyond repair raises InvalidCut before
+    any block is pooled, so a rejected cut leaves the pool unchanged.
     """
     beta = np.asarray(cut.beta, dtype=float).ravel()
     if beta.shape != (state.cones.dim,):
@@ -245,14 +250,6 @@ def add_cut(state, cut):
                              % state.cones.factors[i].kind)
     _pool(state, blocks, cut.provenance, cut.assignment)
     return state
-
-
-def _milp_data(program, state):
-    """The MILP relaxation of state built afresh, as (A, b, c, lb, ub,
-    int_idx): _grow applied to the program's own rows."""
-    milp = _grow(program, state, None)
-    return (milp.A, milp.b, milp.c, milp.lb, milp.ub,
-            list(range(program.num_integer)))
 
 
 def _grow(program, state, milp):
@@ -332,10 +329,13 @@ def _fiber(program, x):
 
 def _certificate(program, res):
     """The dual vector a subproblem certifies: c - A_z'lam when res is
-    optimal, the ray -(A_z'lam) when it is infeasible."""
+    optimal, the ray -(A_z'lam) when it is infeasible; zero, which gives
+    no block, when its max-abs is within EPS_OPT, within which the IPM's
+    validators call a ray's A'lam zero."""
+    beta = -(program.A_z.T @ res.lam)
     if res.status == OPTIMAL:
-        return program.c - program.A_z.T @ res.lam
-    return -(program.A_z.T @ res.lam)
+        beta += program.c
+    return beta if np.max(np.abs(beta), initial=0.0) > EPS_OPT else 0 * beta
 
 
 def _feasible(program, x, z):
@@ -392,17 +392,10 @@ def oa_solve(program, config=None):
         if deadline is not None and time.monotonic() > deadline:
             end = TIME_LIMIT, None
             break
-        record = {
-            "iteration": len(trace) + 1,
-            "milp_status": None,
-            "milp_value": None,
-            "milp_nodes": None,
-            "milp_pivots": None,
-            "milp_leaves": None,
-            "assignment": None,
-            "subproblem_status": None,
-            "subproblem_value": None,
-        }
+        record = {"iteration": len(trace) + 1, **dict.fromkeys((
+            "milp_status", "milp_value", "milp_nodes", "milp_pivots",
+            "milp_leaves", "assignment", "subproblem_status",
+            "subproblem_value"))}
         pool = len(state.cuts)
         end = _iterate(program, state, record, deadline)
         record["new_cuts"] = len(state.cuts) - pool
@@ -432,7 +425,8 @@ def _initialize(program, state):
     it is infeasible or unbounded, or its optimum is feasible for the
     program (its x is L plus the first nx entries of its z).
     """
-    tangents = [(i, _block(f, t))
+    # cones makes each tangent in its dual factor: none needs _onto_dual
+    tangents = [(i, t / float(np.max(np.abs(t))))
                 for i, f in enumerate(program.cones.factors)
                 for t in cones.tangents(f)]
     _pool(state, tangents, INITIAL_RELAXATION, None)
@@ -565,7 +559,8 @@ def brute_force_solve(program):
     numeric_failure when any fiber came back without a certificate (the
     enumeration then proves nothing).
     """
-    ranges = [range(int(math.ceil(lo - 1e-9)), int(math.floor(hi + 1e-9)) + 1)
+    ranges = [range(int(math.ceil(lo - _GRID_TOL)),
+                    int(math.floor(hi + _GRID_TOL)) + 1)
               for lo, hi in zip(program.L, program.U)]
     total = math.prod(len(r) for r in ranges)
     if total > _GRID_LIMIT:

@@ -184,6 +184,7 @@ _COST_TOL = 1e-9
 _MAX_ITER = 50000
 _FEAS_TOL = 1e-9
 _DUAL_PIVOT_TOL = 1e-9
+_TIE_TOL = 1e-12  # ratio-test caps this close are a tie
 
 
 def _rests(status, lb, ub):
@@ -257,8 +258,8 @@ def _phase(tab, c, allow_unbounded):
         np.maximum(cap, 0.0, out=cap)
         limit = tab.ub[e] - tab.lb[e]
         cap_min = float(np.min(cap, initial=np.inf))
-        if cap_min < limit - 1e-12:
-            idx = np.nonzero(cap <= cap_min + 1e-12)[0]
+        if cap_min < limit - _TIE_TOL:
+            idx = np.nonzero(cap <= cap_min + _TIE_TOL)[0]
             if bland:
                 leave = int(idx[np.argmin(tab.basis[idx])])
             else:
@@ -442,12 +443,13 @@ def _dual_phase(tab, c):
 def _farkas_holds(prob, y, margin):
     """y.b exceeds sup{y.A x : l <= x <= u} by more than margin.
 
-    y is scaled to max|y| = 1, so the margin is in units of the rows.
+    y is scaled to max|y| = 1, so the margin is in units of the rows.  A
+    product (A'y)_j within _DUAL_PIVOT_TOL, _dual_phase's zero, bounds
+    nothing toward an infinite bound; every other one counts exactly.
     """
     g = prob.A.T @ y
-    # products that are zero up to rounding carry no bound (max|y| = 1)
-    g[np.abs(g) <= 1e-12] = 0.0
     top = np.where(g > 0, prob.ub, prob.lb)
+    g[(np.abs(g) <= _DUAL_PIVOT_TOL) & np.isinf(top)] = 0.0
     with np.errstate(invalid="ignore"):
         sup = float(np.sum(np.where(g != 0.0, g * top, 0.0)))
     return np.isfinite(sup) and float(prob.b @ y) > sup + margin

@@ -3,8 +3,11 @@
 Run with ``PYTHONPATH=src python tests/census.py``.  It prints the status
 counts and a digest twice: once as is, and once with the IPM capped at
 one iteration, which sends fibers without a certificate down the
-separation path.  A change meant to keep every answer compares both lines
-with its parent's.  pytest does not collect this file.
+separation path.  After each digest come the LPs that milp.py posed with
+a warm start and how many of those fell back to a cold solve (the
+result's LpResult.warm is false).  A change meant to keep every answer
+compares both lines with its parent's.  pytest does not collect this
+file.
 
 The programs are the extended balls n = 2..8, the aggregated balls
 n = 2..5, disk, trimloss, the duality failure program, and the seed
@@ -25,6 +28,12 @@ run as JSON, and prints the digest lines as well.  ``--compare OLD NEW``
 prints each status change and the largest relative objective
 difference, |a - b| / max(1, |a|), and exits 1 on a status change or a
 difference above 1e-6.
+
+tests/data/census_answers.json is such a dump, and CI compares a fresh
+dump with it.  A change that moves a status or an objective on purpose
+refreshes it, and says why in CHANGES.md:
+
+    PYTHONPATH=src python tests/census.py --dump tests/data/census_answers.json
 """
 
 import argparse
@@ -35,7 +44,7 @@ import sys
 
 import numpy as np
 
-from miconic import instances, ipm
+from miconic import instances, ipm, milp
 from miconic.compile import emit_conic
 from miconic.oa import oa_solve
 
@@ -105,15 +114,29 @@ def _number(value):
 
 def run(dump=None):
     answers = {}
+    solve_lp = milp.solve_lp
+    starts = collections.Counter()
+
+    def counting_lp(prob, warm=None):
+        res = solve_lp(prob, warm=warm)
+        # solve_lp ignores the start of an LP without rows
+        if warm is not None and len(prob.A):
+            starts["warm"] += 1
+            starts["cold"] += not res.warm
+        return res
+
     for label, cap in (("as is", ipm._MAX_ITERS), ("ipm._MAX_ITERS = 1", 1)):
         saved, ipm._MAX_ITERS = ipm._MAX_ITERS, cap
+        starts.clear()
+        milp.solve_lp = counting_lp
         try:
             counts, digest, answers[label] = census()
         finally:
-            ipm._MAX_ITERS = saved
+            ipm._MAX_ITERS, milp.solve_lp = saved, solve_lp
         summary = ", ".join("%d %s" % (n, status)
                             for status, n in sorted(counts.items()))
-        print("%s: %s; sha256 %s" % (label, summary, digest))
+        print("%s: %s; sha256 %s; %d warm starts, %d fell back cold"
+              % (label, summary, digest, starts["warm"], starts["cold"]))
     if dump is not None:
         with open(dump, "w") as handle:
             json.dump(answers, handle, indent=1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from miconic import cones
+from miconic import cones, oa
 from miconic.cones import Cone, ConeProduct
 from miconic.errors import DimensionMismatch, NotInterior
 
@@ -226,13 +226,21 @@ def test_a_one_coordinate_dual_member_is_positive(cone):
         assert not cones.member(dual, -row, 1e-9)
 
 
-@pytest.mark.parametrize("cone", ALL_PRIMAL, ids=str)
+@pytest.mark.parametrize(
+    "cone",
+    ALL_PRIMAL + [cones.nonneg(8), cones.soc(8), cones.rsoc(8)]
+    + [cones.pow_cone(k / 10.0) for k in (1, 2, 3, 4, 6, 7, 9)],
+    ids=str)
 def test_initial_tangents_lie_in_the_dual_cone(cone):
+    # so OA pools each one, scaled to max-abs 1, as made: its repair
+    # (oa._onto_dual) hands back the very block
     dual = cones.dual(cone)
     tangents = cones.tangents(cone)
     assert tangents
     for beta in tangents:
         assert cones.member(dual, beta, 1e-12)
+        unit = beta / np.max(np.abs(beta))
+        assert oa._onto_dual(cone, unit) is unit
 
 
 def _near_boundary(cone, rng, push):

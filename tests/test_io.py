@@ -536,6 +536,18 @@ def test_cli_oracle_agreement(capsys):
                                                 abs=1e-6)
 
 
+def test_cli_oracle_agreement_reads_the_run_tolerance(capsys):
+    # at --tol 0.1 OA stops at 13.000, within its gap of brute force's
+    # 12.333, and the oracle judges it by that same gap
+    code, out, _ = _run(
+        ["solve", str(INSTANCE_DIR / "trimloss_toy.model"), "--tol", "0.1",
+         "--oracle", "--no-timing"], capsys)
+    assert code == 0
+    result = json.loads(out)
+    assert result["oracle"]["agree"] is True
+    assert result["objective"] - result["oracle"]["objective"] > 0.5
+
+
 def test_cli_oracle_disagreement_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(cli, "brute_force_solve",
                         lambda program: OaOutcome(INFEASIBLE))

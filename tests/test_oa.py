@@ -194,8 +194,9 @@ def test_every_pool_cut_lies_on_exactly_one_factor():
 
 
 def _milp_data_by_rows(program, state):
-    """_milp_data as a loop over the pool, one row at a time: the
-    reference its array assembly must match byte for byte."""
+    """The first MILP of state, as a loop over the pool, one row at a
+    time: the reference oa._grow's array assembly must match byte for
+    byte."""
     m, nx, nz = program.num_rows, program.num_integer, program.num_conic
     z_lb = np.full(nz, -np.inf)
     rows, rhs = [], []
@@ -236,7 +237,9 @@ def test_milp_data_matches_the_row_by_row_reference():
         end = None
         for step in range(5):
             for st in (state, dataclasses.replace(state, z_lower=-np.inf)):
-                got = oa._milp_data(prog, st)
+                grown = oa._grow(prog, st, None)
+                got = (grown.A, grown.b, grown.c, grown.lb, grown.ub,
+                       list(range(prog.num_integer)))
                 want = _milp_data_by_rows(prog, st)
                 for g, w in zip(got, want):
                     assert np.shape(g) == np.shape(w)
@@ -319,6 +322,23 @@ def test_aggregated_ball_needs_exponentially_many_cuts(n):
     assert res.status == INFEASIBLE
     assert res.iterations > 3
     assert len(res.cuts) >= 2 ** n
+
+
+def test_no_block_of_a_ball_run_is_dropped_beyond_repair(monkeypatch):
+    # the balls' root duals are within ipm.EPS_OPT of zero, so they give no
+    # block to repair, and tangents are pooled without a repair
+    outcomes, onto_dual = [], oa._onto_dual
+
+    def recording(f, block):
+        outcomes.append(onto_dual(f, block))
+        return outcomes[-1]
+
+    monkeypatch.setattr(oa, "_onto_dual", recording)
+    for n, variant in ([(n, "extended") for n in range(2, 9)]
+                       + [(n, "naive") for n in range(2, 6)]):
+        prog, _ = emit_conic(instances.empty_ball_model(n, variant))
+        assert oa_solve(prog).status == INFEASIBLE
+    assert outcomes and all(block is not None for block in outcomes)
 
 
 def test_unattained_dual_fiber_reports_assumption_failure():

@@ -457,7 +457,7 @@ def test_false_ray_through_a_nearly_singular_basis_is_not_unbounded():
 
 def _first_milp_root_lp(name):
     # the root LP of the first OA MILP of a corpus program, as
-    # oa._initialize and oa._milp_data built it and solve_milp solves it
+    # oa._initialize and oa._grow built it and solve_milp solves it
     # cold.  Its path through the false rays hangs on the last bits of the
     # root relaxation's cut, so the LP is kept as data, each float in hex,
     # which round-trips exactly
