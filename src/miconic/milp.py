@@ -77,6 +77,7 @@ from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, border,
                       bordered, solve_lp)
 
 INT_TOL = 1e-6  # integral within INT_TOL: B&B's rule, and oa's
+_FRACTION_TIE = 1e-15  # fractionalities this close tie; the first one wins
 # a node is pruned when its bound is within this relative gap of the incumbent
 _REL_GAP = 1e-8
 _NODE_LIMIT = 1_000_000
@@ -123,7 +124,7 @@ def _most_fractional(x, int_idx):
     for j in int_idx:
         f = x[j] - np.floor(x[j])
         score = min(f, 1.0 - f)
-        if score > best_score + 1e-15:
+        if score > best_score + _FRACTION_TIE:
             best_j, best_score = j, score
     return best_j
 

@@ -161,9 +161,12 @@ class OaOutcome:
 
 
 _DUAL_TOL = 1e-9  # a block of max-abs 1 this near its dual factor is in
+_REPAIR_START = 1e-10  # _onto_dual's first shift, doubled up to the cap
 _REPAIR_CAP = 1e-3
 _BLOCK_FLOOR = 1e-12  # of a vector's max-abs: a smaller block is none
 _GRID_TOL = 1e-9  # integer bounds this near an integer count as it
+_PARALLEL_TOL = 1e-10  # unit cuts of cosine above 1 - this are one cut
+_OBJECTIVE_SLACK = 1e-6  # objective row: c.z >= z_lower - this (1 + |z_lower|)
 
 
 def _onto_dual(f, block):
@@ -179,7 +182,7 @@ def _onto_dual(f, block):
     if cones.member(d, block, _DUAL_TOL):
         return block
     g = cones.interior_point(d)
-    delta = 1e-10
+    delta = _REPAIR_START
     while delta <= _REPAIR_CAP:
         cand = block + delta * g
         if cones.member(d, cand, _DUAL_TOL):
@@ -216,7 +219,7 @@ def _pool(state, blocks, provenance, assignment):
             continue
         unit = block / float(np.linalg.norm(block))
         units = state._units.setdefault(i, [])
-        if any(float(unit @ u) > 1.0 - 1e-10 for u in units):
+        if any(float(unit @ u) > 1.0 - _PARALLEL_TOL for u in units):
             continue
         units.append(unit)
         beta = np.zeros(state.cones.dim)
@@ -291,7 +294,8 @@ def _grow(program, state, milp):
     grown.lb[nx + np.nonzero(cuts[single])[1]] = 0.0
     objective = milp.A.shape[0] if top else milp.objective
     if objective is not None:
-        grown.b[objective] = state.z_lower - 1e-6 * (1.0 + abs(state.z_lower))
+        grown.b[objective] = (state.z_lower
+                              - _OBJECTIVE_SLACK * (1.0 + abs(state.z_lower)))
     return _Milp(grown.A, grown.b, grown.c, grown.lb, grown.ub,
                  len(state.cuts), objective)
 

@@ -14,6 +14,15 @@ rounding noise; that column is then kept out until the basis changes.
 More false rays in one phase than the extended array has columns end the
 solve with NumericFailure.
 
+Both methods carry the basic values x_B and the reduced costs d through
+the one pivot step, _Tableau.pivot (Koberstein 2005, ch. 3; Maros 2003):
+x_B moves along the pivot column, and d along the dual method's pivot row;
+the primal method, which forms no pivot row, prices d afresh after each
+pivot.  Both are computed afresh at a solve's start, when the objective
+changes and at each refactor.  The dual method decides that it is primal
+feasible on x_B recomputed from the inverse, and hands those values and
+the carried d to the primal pricing that ends every solve.
+
 The warm-start contract.  An optimal or unbounded result carries its final
 tableau: the extended array [A, I'] the solve pivoted on (I' the signed
 artificial columns), the basis, every column's rest and the basis
@@ -129,6 +138,9 @@ class _Tableau:
     of the basis columns and age the product-form updates it has taken
     since it was last refactored.  Each update or refactor makes a new
     Binv array and none is written in place, so tableaus may share one.
+    xB holds the basic values by basis position and d the reduced costs of
+    the objective c, zero on the basis; pivot carries both, and recompute,
+    which each refactor calls, computes them afresh.
     """
 
     A: np.ndarray
@@ -142,6 +154,9 @@ class _Tableau:
     Binv: np.ndarray = None
     age: int = 0
     source: np.ndarray = None
+    c: np.ndarray = None
+    xB: np.ndarray = None
+    d: np.ndarray = None
 
     def refactor(self):
         try:
@@ -149,30 +164,64 @@ class _Tableau:
         except np.linalg.LinAlgError:
             raise NumericFailure("singular simplex basis")
         self.age = 0
+        self.recompute()
 
-    def pivot(self, leave, enter, w, rest):
+    def recompute(self):
+        """xB, and d when c is set, afresh from Binv."""
+        self.xB = self.basic_values()
+        if self.c is not None:
+            self.price()
+
+    def price(self):
+        """d afresh from Binv."""
+        d = self.c - self.A.T @ self.duals(self.c)
+        d[self.basis] = 0.0
+        self.d = d
+
+    def pivot(self, leave, enter, w, rest, step, row=None):
         """Replace basis[leave] by enter, w = Binv a_enter, updating Binv
-        in product form; the leaving column comes to rest at rest."""
+        in product form; the leaving column comes to rest at rest.
+
+        The entering column moves by step from its rest and every basic
+        value by -step w.  row, the pivot row Binv[leave] A under any
+        nonzero scale, updates d; without it d is priced afresh.
+        """
+        st = self.status[enter]
+        value = step + (self.lb[enter] if st == _AT_LOWER
+                        else self.ub[enter] if st == _AT_UPPER else 0.0)
         self.status[self.basis[leave]] = rest
         self.status[enter] = _BASIC
+        self.basis[leave] = enter
         wl = w[leave]
-        if abs(wl) < 1e-13 or self.age >= 64:
-            self.basis[leave] = enter
+        if abs(wl) < _TINY_PIVOT or self.age >= 64:
             self.refactor()
             return
-        row = self.Binv[leave] / wl
+        row_inv = self.Binv[leave] / wl
         # into a new array: Binv is never written in place, so a warm
         # start shares it with the tableau it starts from
-        Binv = np.outer(w, row)
+        Binv = np.outer(w, row_inv)
         np.subtract(self.Binv, Binv, out=Binv)
-        Binv[leave] = row
+        Binv[leave] = row_inv
         self.Binv = Binv
-        self.basis[leave] = enter
         self.age += 1
+        self.xB = self.xB - step * w
+        self.xB[leave] = value
+        if row is None:
+            self.price()
+        else:
+            d = self.d - (self.d[enter] / row[enter]) * row
+            d[self.basis] = 0.0
+            self.d = d
+
+    def basic_values(self):
+        """The basic values afresh from Binv, by basis position."""
+        return self.Binv @ (self.b - self.A @ _rests(self.status, self.lb,
+                                                     self.ub))
 
     def values(self):
+        """Every column's value, the basic ones afresh from Binv."""
         v = _rests(self.status, self.lb, self.ub)
-        v[self.basis] = self.Binv @ (self.b - self.A @ v)
+        v[self.basis] = self.basic_values()
         return v
 
     def duals(self, c):
@@ -185,6 +234,9 @@ _MAX_ITER = 50000
 _FEAS_TOL = 1e-9
 _DUAL_PIVOT_TOL = 1e-9
 _TIE_TOL = 1e-12  # ratio-test caps this close are a tie
+_TINY_PIVOT = 1e-13  # a pivot element this small refactors, not updates
+_DEGENERATE_STEP = 1e-9  # a primal step this short is a degenerate pivot
+_INFEASIBLE_TOL = 1e-8  # phase one's floor, per unit of 1 + max|b|
 
 
 def _rests(status, lb, ub):
@@ -222,6 +274,9 @@ def _phase(tab, c, allow_unbounded):
     latter only when allow_unbounded is set (phase one is always bounded).
     """
     m, n = tab.A.shape
+    if tab.c is not c:
+        tab.c = c
+        tab.recompute()
     bland_after = 10 * (m + n)
     # columns whose ray proved false on a fresh factorization; they may
     # enter again once the basis changes
@@ -236,18 +291,17 @@ def _phase(tab, c, allow_unbounded):
         tab.iterations += 1
         if tab.iterations > _MAX_ITER:
             raise NumericFailure("simplex iteration limit")
-        x = tab.values()
-        y = tab.duals(c)
-        d = c - tab.A.T @ y
         bland = degenerate > bland_after or false_rays >= 2
-        pick = _choose_entering(tab, d, bland, barred)
+        pick = _choose_entering(tab, tab.d, bland, barred)
         if pick is None:
+            x = _rests(tab.status, tab.lb, tab.ub)
+            x[tab.basis] = tab.xB
             return OPTIMAL, x
         e, sigma = pick
         w = tab.Binv @ tab.A[:, e]
         # entering moves by t >= 0 in direction sigma; basic values move -sigma*w*t
         wi = sigma * w
-        xB = x[tab.basis]
+        xB = tab.xB
         # x_B is finite, so an infinite bound gives an infinite cap
         with np.errstate(divide="ignore", invalid="ignore"):
             cap = np.where(
@@ -287,14 +341,16 @@ def _phase(tab, c, allow_unbounded):
             else:
                 barred.append(e)
             continue
-        degenerate = degenerate + 1 if t_best < 1e-9 else 0
+        degenerate = degenerate + 1 if t_best < _DEGENERATE_STEP else 0
         # the basis or a rest changes below: barred columns may enter again
         barred.clear()
         if leave < 0:
-            # entering variable flips to its opposite bound
+            # entering variable flips to its opposite bound; the basis, so
+            # d, stays
             tab.status[e] = _AT_UPPER if sigma > 0 else _AT_LOWER
+            tab.xB = xB - (sigma * t_best) * w
             continue
-        tab.pivot(leave, e, w, leave_hit)
+        tab.pivot(leave, e, w, leave_hit, sigma * t_best)
 
 
 def _ray_holds(A, c, ray):
@@ -370,9 +426,9 @@ def _solve_cold(prob):
     tab, c2 = _tableau(prob, np.hstack([prob.A, np.diag(signs)]),
                        np.arange(n, n + m),
                        np.concatenate([status, np.full(m, _BASIC)]), np.inf)
-    tab.refactor()
-
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    tab.c = c1
+    tab.refactor()
     _, x1 = _phase(tab, c1, allow_unbounded=False)
     infeas = float(c1 @ x1)
     if infeas > _infeasible_floor(prob):
@@ -387,7 +443,7 @@ def _solve_cold(prob):
 
 def _infeasible_floor(prob):
     """Total infeasibility above which a problem counts as infeasible."""
-    return 1e-8 * (1.0 + float(np.linalg.norm(prob.b, np.inf)))
+    return _INFEASIBLE_TOL * (1.0 + float(np.linalg.norm(prob.b, np.inf)))
 
 
 def _dual_phase(tab, c):
@@ -398,20 +454,37 @@ def _dual_phase(tab, c):
     column that keeps every reduced cost of the right sign (Harris' ratio
     test, largest pivot among near ties).  Returns None once every basic
     value is within its bounds, or a Farkas vector when the violating row
-    can no longer move toward its bound.  The start need not be dual
-    feasible: _finish checks the first exit and _farkas_holds the second.
+    can no longer move toward its bound.  The first exit is decided on
+    basic values recomputed from Binv, which tab then carries.  The start
+    need not be dual feasible: _finish checks the first exit and
+    _farkas_holds the second.
     """
     m, n = tab.A.shape
     cap = tab.iterations + 10 * (m + n)
+    fresh = tab.c is not c
+    if fresh:
+        tab.c = c
+        tab.recompute()
+    # the basic columns' bounds, and the columns that may enter from each
+    # rest: a pivot changes one basic column and moves two columns' rests
+    lbB, ubB = tab.lb[tab.basis], tab.ub[tab.basis]
+    st = tab.status
+    at_lower = tab.enterable & (st == _AT_LOWER)
+    at_upper = tab.enterable & (st == _AT_UPPER)
+    free = tab.enterable & (st == _FREE)
     while True:
-        x = tab.values()
-        xB = x[tab.basis]
-        below = tab.lb[tab.basis] - xB
-        above = xB - tab.ub[tab.basis]
+        xB = tab.xB
+        below = lbB - xB
+        above = xB - ubB
         viol = np.maximum(below, above)
         r = int(np.argmax(viol))
         if viol[r] <= _FEAS_TOL * (1.0 + abs(xB[r])):
-            return None
+            if fresh:
+                return None
+            # exit on basic values recomputed from Binv, not carried ones
+            tab.xB, fresh = tab.basic_values(), True
+            continue
+        fresh = False
         if not np.isfinite(viol[r]):
             raise NumericFailure("non-finite basic value in dual simplex")
         tab.iterations += 1
@@ -421,23 +494,29 @@ def _dual_phase(tab, c):
         s = 1.0 if below[r] > 0 else -1.0
         rho = tab.Binv[r]
         alpha = s * (rho @ tab.A)
-        d = c - tab.A.T @ tab.duals(c)
-        st = tab.status
-        at_lower = (st == _AT_LOWER) & (alpha < -_DUAL_PIVOT_TOL)
-        at_upper = (st == _AT_UPPER) & (alpha > _DUAL_PIVOT_TOL)
-        free = (st == _FREE) & (np.abs(alpha) > _DUAL_PIVOT_TOL)
-        cand = np.nonzero(tab.enterable & (at_lower | at_upper | free))[0]
+        up = at_lower & (alpha < -_DUAL_PIVOT_TOL)
+        down = at_upper & (alpha > _DUAL_PIVOT_TOL)
+        cand = np.nonzero(up | down
+                          | (free & (np.abs(alpha) > _DUAL_PIVOT_TOL)))[0]
         if len(cand) == 0:
             return -s * rho
-        slack = np.where(st[cand] == _AT_LOWER, d[cand], -d[cand])
-        slack[st[cand] == _FREE] = np.abs(d[cand][st[cand] == _FREE])
+        dc = tab.d[cand]
+        slack = np.where(up[cand], dc, -dc)
+        f = free[cand]
+        slack[f] = np.abs(dc[f])
         np.maximum(slack, 0.0, out=slack)
         size = np.abs(alpha[cand])
         bound = float(np.min((slack + _COST_TOL) / size))
         near = slack / size <= bound
         q = int(cand[near][np.argmax(size[near])])
-        tab.pivot(r, q, tab.Binv @ tab.A[:, q],
-                  _AT_LOWER if s > 0 else _AT_UPPER)
+        w = tab.Binv @ tab.A[:, q]
+        leaving = tab.basis[r]
+        target = lbB[r] if s > 0 else ubB[r]
+        tab.pivot(r, q, w, _AT_LOWER if s > 0 else _AT_UPPER,
+                  (xB[r] - target) / w[r], alpha)
+        lbB[r], ubB[r] = tab.lb[q], tab.ub[q]
+        (at_lower if s > 0 else at_upper)[leaving] = tab.enterable[leaving]
+        at_lower[q] = at_upper[q] = free[q] = False
 
 
 def _farkas_holds(prob, y, margin):

@@ -4,9 +4,10 @@ Run with ``PYTHONPATH=src python tests/census.py``.  It prints the status
 counts and a digest twice: once as is, and once with the IPM capped at
 one iteration, which sends fibers without a certificate down the
 separation path.  After each digest come the LPs that milp.py posed with
-a warm start and how many of those fell back to a cold solve (the
-result's LpResult.warm is false).  A change meant to keep every answer
-compares both lines with its parent's.  pytest does not collect this
+a warm start, how many of those fell back to a cold solve (the result's
+LpResult.warm is false), and all the LPs milp.py posed with their
+simplex iterations.  A change meant to keep every answer compares both
+lines with its parent's.  pytest does not collect this
 file.
 
 The programs are the extended balls n = 2..8, the aggregated balls
@@ -25,9 +26,10 @@ instead:
 ``--dump PATH`` writes, per IPM cap and program, the status, objective,
 both bounds, OA iterations, cut count and the MILP nodes of the whole
 run as JSON, and prints the digest lines as well.  ``--compare OLD NEW``
-prints each status change and the largest relative objective
-difference, |a - b| / max(1, |a|), and exits 1 on a status change or a
-difference above 1e-6.
+prints each status change, each program whose OA iterations, cut count
+or MILP nodes changed, and the largest relative objective difference,
+|a - b| / max(1, |a|), and exits 1 on a status change or a difference
+above 1e-6; the counts gate nothing.
 
 tests/data/census_answers.json is such a dump, and CI compares a fresh
 dump with it.  A change that moves a status or an objective on purpose
@@ -119,6 +121,8 @@ def run(dump=None):
 
     def counting_lp(prob, warm=None):
         res = solve_lp(prob, warm=warm)
+        starts["lps"] += 1
+        starts["iterations"] += res.iterations
         # solve_lp ignores the start of an LP without rows
         if warm is not None and len(prob.A):
             starts["warm"] += 1
@@ -135,16 +139,19 @@ def run(dump=None):
             ipm._MAX_ITERS, milp.solve_lp = saved, solve_lp
         summary = ", ".join("%d %s" % (n, status)
                             for status, n in sorted(counts.items()))
-        print("%s: %s; sha256 %s; %d warm starts, %d fell back cold"
-              % (label, summary, digest, starts["warm"], starts["cold"]))
+        print("%s: %s; sha256 %s; %d warm starts, %d fell back cold; "
+              "%d LPs, %d simplex iterations"
+              % (label, summary, digest, starts["warm"], starts["cold"],
+                 starts["lps"], starts["iterations"]))
     if dump is not None:
         with open(dump, "w") as handle:
             json.dump(answers, handle, indent=1)
 
 
 def compare(old_path, new_path):
-    """Print the status changes and the largest relative objective
-    difference between two dumps; 1 when either shows a change."""
+    """Print the status changes, the programs whose counts moved and the
+    largest relative objective difference between two dumps; 1 on a
+    status change or an objective difference above 1e-6."""
     with open(old_path) as handle:
         old = json.load(handle)
     with open(new_path) as handle:
@@ -156,6 +163,11 @@ def compare(old_path, new_path):
                                                  len(new[label])))
             return 1
         for i, (a, b) in enumerate(zip(old[label], new[label])):
+            moved = ["%s %s -> %s" % (key, a[key], b[key])
+                     for key in ("iterations", "cuts", "milp_nodes")
+                     if a[key] != b[key]]
+            if moved:
+                print("%s: program %d: %s" % (label, i, ", ".join(moved)))
             if a["status"] != b["status"]:
                 changes += 1
                 print("%s: program %d: %s -> %s" % (label, i, a["status"],

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 from miconic import instances, oa, simplex
+from miconic.compile import emit_conic
 from miconic.errors import NumericFailure
 from miconic.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpResult, solve_lp
 
@@ -934,3 +935,98 @@ def test_cold_warm_and_bordered_solves_agree_with_highs(seed):
     tab = simplex.border(first.basis, grown.A, {})
     assert tab is not None
     _assert_agrees_with_highs(grown, solve_lp(grown, warm=tab))
+
+
+# ----------------------------- carried basic values and reduced costs
+
+
+def _random_solves(seeds):
+    """Solve, for each seed, an LP drawn as the HiGHS property draws it:
+    cold; when optimal, warm with one bound tightened and a new c; and
+    through border with one to three rows cutting near its point."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        prob = _random_bounded_lp(rng)
+        first = solve_lp(prob)
+        if first.status != OPTIMAL:
+            continue
+        j = int(rng.integers(len(prob.c)))
+        xj = float(np.clip(first.x[j], prob.lb[j], prob.ub[j]))
+        lb, ub = prob.lb.copy(), prob.ub.copy()
+        if rng.uniform() < 0.5:
+            ub[j] = np.floor(xj)
+        else:
+            lb[j] = np.ceil(xj)
+        c = np.round(rng.standard_normal(len(prob.c)) * 2.0, 1)
+        solve_lp(LpProblem(prob.A, prob.b, c, lb, ub), warm=first.basis)
+        grown = bordered(prob, rng, int(rng.integers(1, 4)), first.x)
+        solve_lp(grown, warm=simplex.border(first.basis, grown.A, {}))
+
+
+def _extended_ball_solves(ns=range(5, 9)):
+    for n in ns:
+        prog, _ = emit_conic(instances.empty_ball_model(n, "extended"))
+        assert oa.oa_solve(prog).status == INFEASIBLE
+
+
+def test_carried_values_and_reduced_costs_track_a_fresh_recomputation(
+    monkeypatch,
+):
+    # after every pivot of cold, warm and bordered solves and of the
+    # extended balls' Gomory and node LPs, xB and d agree with Binv's
+    # recomputation, and d is exactly zero on the basis, the entering
+    # column included
+    drift = {"xB": [], "d": []}
+    real = simplex._Tableau.pivot
+
+    def pivot(tab, *args):
+        real(tab, *args)
+        fresh = {"xB": tab.values()[tab.basis],
+                 "d": tab.c - tab.A.T @ tab.duals(tab.c)}
+        for key, want in fresh.items():
+            err = np.max(np.abs(getattr(tab, key) - want))
+            assert err <= 1e-9 * (1.0 + np.max(np.abs(want))), key
+            drift[key].append(err)
+        assert not np.any(tab.d[tab.basis])
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
+    _random_solves(range(300))
+    random_pivots = len(drift["xB"])
+    _extended_ball_solves()
+    assert random_pivots > 300
+    assert len(drift["xB"]) - random_pivots > 500
+
+
+def _recording_farkas(monkeypatch):
+    # each Farkas vector _dual_phase returns, with the problem it was
+    # posed on: the tableau's b and bounds lead with the problem's own
+    seen = []
+    real = simplex._dual_phase
+
+    def dual_phase(tab, c):
+        y = real(tab, c)
+        if y is not None:
+            n = tab.source.shape[1]
+            seen.append((LpProblem(tab.source, tab.b, c[:n], tab.lb[:n],
+                                   tab.ub[:n]), y))
+        return y
+
+    monkeypatch.setattr(simplex, "_dual_phase", dual_phase)
+    return seen
+
+
+def test_every_dual_phase_farkas_vector_passes_its_check(monkeypatch):
+    # the dual phase's exit and _farkas_holds read one zero rule: every
+    # Farkas vector it returns, scaled to max|y| = 1, passes the check,
+    # on random bordered LPs and on the extended balls' infeasible node
+    # LPs, whose n = 7 vectors leave rounding residues on unbounded
+    # columns
+    seen = _recording_farkas(monkeypatch)
+    _random_solves(range(300))
+    random_vectors = len(seen)
+    _extended_ball_solves()
+    assert random_vectors > 100
+    assert len(seen) - random_vectors > 50
+    for prob, y in seen:
+        assert simplex._farkas_holds(prob, y / np.max(np.abs(y)),
+                                     simplex._infeasible_floor(prob))
