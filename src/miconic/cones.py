@@ -97,9 +97,10 @@ class ConeGroup:
 class ConeProduct:
     """An ordered product of cone factors covering a z-block.  Its
     dimension, barrier parameter, (factor, slice) pairs, the index of the
-    factor holding each coordinate, and its groups are fixed when it is
-    made; its dual product and its interior-point start are made once,
-    when first used, so every solve over one product shares them."""
+    factor holding each coordinate, its groups and its orthant group (the
+    NONNEG(1) rows, or None) are fixed when it is made; its dual product
+    and its interior-point start are made once, when first used, so every
+    solve over one product shares them."""
 
     factors: tuple
     dim: int = field(init=False, repr=False, compare=False)
@@ -107,6 +108,7 @@ class ConeProduct:
     _pairs: tuple = field(init=False, repr=False, compare=False)
     factor_of: np.ndarray = field(init=False, repr=False, compare=False)
     groups: tuple = field(init=False, repr=False, compare=False)
+    orthant: ConeGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         factors, pairs, dim = tuple(self.factors), [], 0
@@ -132,6 +134,8 @@ class ConeProduct:
         object.__setattr__(self, "factor_of", np.repeat(
             np.arange(len(factors)), [f.dim for f in factors]))
         object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "orthant", next(
+            (g for g in groups if g.cone.kind == NONNEG), None))
 
     def slices(self):
         """The (factor, slice) pairs in order."""
@@ -296,6 +300,14 @@ class _Nonneg(_Family):
 
     def tangents(self, cone):
         return list(np.eye(cone.dim))
+
+    def proximity(self, z, beta, mu):
+        # F'' = diag(1/z^2) and F' = -1/z, so e'(mu F'')^-1 e / mu with
+        # e = beta + mu F'(z) is a sum over coordinates
+        if not z.min() > 0.0:
+            return None
+        r = (beta * z - mu) / mu
+        return float(r @ r)
 
 
 class _Quadratic(_Family):
@@ -647,8 +659,8 @@ class _PowDual(_LinearImage):
         return self.primal.sample(cone, rng, scale, interior, shape, surface)
 
 
-_SOC, _EXP, _POW = _Soc(), _Exp(), _Pow()
-_FAMILIES = {f.kind: f for f in (_Nonneg(), _SOC, _Rsoc(), _EXP, _POW,
+_NONNEG, _SOC, _EXP, _POW = _Nonneg(), _Soc(), _Exp(), _Pow()
+_FAMILIES = {f.kind: f for f in (_NONNEG, _SOC, _Rsoc(), _EXP, _POW,
                                  _ExpDual(_EXP), _PowDual(_POW))}
 
 
@@ -723,6 +735,16 @@ def barrier_third(cone, z, d):
     term overflows it is not finite."""
     return cone.family.barrier_third(cone, _check_dim(cone, z),
                                      _check_dim(cone, d))
+
+
+def orthant_proximity(z, beta, mu):
+    """The orthant's share of a point's squared proximity to the central
+    path, e'(mu F''(z))^-1 e / mu with e = beta + mu F'(z), for z and beta
+    the orthant coordinates of a primal and a dual point, or None unless
+    every z_i > 0, the barrier's domain.  The orthant's Hessian is
+    diagonal, so the share is sum(((beta_i z_i - mu) / mu)^2), exactly,
+    with no barrier call."""
+    return _NONNEG.proximity(z, beta, mu)
 
 
 def tangents(cone):

@@ -23,7 +23,14 @@ solve returns.
 One function judges every point, the start and each trial: it returns
 the point's record with mu, the block Hessian and the proximity, or None.
 An accepted trial's record is the next iterate as it is, so its Hessian is
-never built again.
+never built again.  Its tests run cheapest first, so that a doomed trial
+costs no Hessian: tau and kappa, before a trial's vectors are formed; mu;
+the orthant coordinates of z; a floor on the proximity, its tau-kappa term
+plus the orthant's exact block, which needs no barrier call since the
+orthant's Hessian is diagonal, held to the step's acceptance limit; and
+only then beta's strict-interior tests, the Hessian build and the exact
+proximity.  Each test is necessary for acceptance, so the order leaves
+every verdict as it is.
 
 The problems are small, so the linear algebra is dense.  The block-diagonal
 barrier Hessian of a point is one matrix with one Cholesky factor, as is
@@ -49,10 +56,10 @@ and short-circuits problems whose rows already determine z completely.
 """
 
 from dataclasses import dataclass, field
+import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from . import cones
@@ -127,18 +134,21 @@ class ConicResult:
 # residual and pairing tests, which fail on most iterates, cost less.
 
 
-def primal_feasible(K, r, b, z):
+def scale(v):
+    """1 + max|v|, the unit of every tolerance on v or on what v bounds."""
+    return 1.0 + float(np.abs(v).max(initial=0.0))
+
+
+def primal_feasible(K, r, b_scale, z):
     """Whether a point z with row residual r = A z - b is primal feasible:
-    max|r| within EPS_OPT (1 + max|b|), and z in K within
-    EPS_OPT (1 + max|z|)."""
-    if np.abs(r).max(initial=0.0) > EPS_OPT * (
-            1.0 + np.abs(b).max(initial=0.0)):
+    max|r| within EPS_OPT b_scale, b_scale = scale(b), and z in K within
+    EPS_OPT scale(z)."""
+    if np.abs(r).max(initial=0.0) > EPS_OPT * b_scale:
         return False
-    zs = 1.0 + np.abs(z).max(initial=0.0)
-    return cones.member_product(K, z, EPS_OPT * zs)
+    return cones.member_product(K, z, EPS_OPT * scale(z))
 
 
-def _validate_optimal(A, b, c, K, Kd, z, lam):
+def _validate_optimal(A, b, c, K, Kd, z, lam, b_scale):
     if not np.isfinite(z).all() or not np.isfinite(lam).all():
         return None
     pobj = float(c @ z)
@@ -148,11 +158,10 @@ def _validate_optimal(A, b, c, K, Kd, z, lam):
     # residuals of size EPS_OPT already move it by about that much
     if abs(pobj - dobj) > 0.1 * EPS_OPT * (1.0 + abs(pobj) + abs(dobj)):
         return None
-    if not primal_feasible(K, A @ z - b, b, z):
+    if not primal_feasible(K, A @ z - b, b_scale, z):
         return None
     beta = c - A.T @ lam
-    bs = 1.0 + float(np.abs(beta).max(initial=0.0))
-    if not cones.member_product(Kd, beta, EPS_OPT * bs):
+    if not cones.member_product(Kd, beta, EPS_OPT * scale(beta)):
         return None
     return z, lam, pobj
 
@@ -179,20 +188,25 @@ def _validate_infeasible(A, b, Kd, lam):
     return lam_n
 
 
-def _validate_unbounded(A, c, K, z):
+def _validate_unbounded(A, c, K, z, A_scale, c_scale):
     if not np.isfinite(z).all():
         return None
     s = float(np.abs(z).max(initial=0.0))
     if s <= 0.0:
         return None
     ray = z / s
+    # the pairing's fixed floor first: a ray that misses it fails below
+    # whatever A ray is, and most do
+    descent = float(c @ ray)
+    if descent > -EPS_PAIRING:
+        return None
     arow = float(np.abs(A @ ray).max(initial=0.0))
-    if arow > EPS_OPT * (1.0 + float(np.abs(A).max(initial=0.0))):
+    if arow > EPS_OPT * A_scale:
         return None
     # an interior point hugging a flat face of K can fake a descent rate of
     # order sqrt(kernel residual); demand the pairing clear that scale
-    floor = 30.0 * np.sqrt(arow) * (1.0 + float(np.abs(c).max(initial=0.0)))
-    if float(c @ ray) > -max(EPS_PAIRING, floor):
+    floor = 30.0 * np.sqrt(arow) * c_scale
+    if descent > -max(EPS_PAIRING, floor):
         return None
     # rays come from strictly interior iterates, so membership must hold
     # essentially exactly after rescaling
@@ -201,11 +215,26 @@ def _validate_unbounded(A, c, K, z):
     return ray
 
 
-# LAPACK's Cholesky factorization and solve, called without scipy.linalg's
-# per-call input validation, which costs several times the work itself on
-# these small matrices
+# LAPACK's Cholesky factorization and solve, and its column-pivoted QR,
+# called without scipy.linalg's per-call input validation, which costs
+# several times the work itself on these small matrices
 _potrf = scipy.linalg.lapack.dpotrf
 _potrs = scipy.linalg.lapack.dpotrs
+_geqp3 = scipy.linalg.lapack.dgeqp3
+
+
+def _pivoted_qr(M):
+    """|diag R| and the column order p of the pivoted QR M[:, p] = Q R,
+    with the workspace scipy.linalg.qr(M, pivoting=True) queries."""
+    if M.size == 0:
+        return np.zeros(0), np.arange(M.shape[1])
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork = int(_geqp3(M, lwork=-1)[3][0])
+    qr, jpvt, _, _, info = _geqp3(M, lwork=lwork)
+    if info < 0:
+        raise ValueError("illegal value in argument %d of dgeqp3" % -info)
+    return np.abs(np.diag(qr)), jpvt - 1
 
 
 class _BlockHessian:
@@ -271,29 +300,51 @@ class _Point(NamedTuple):
     prox2: float
 
 
-def _point(K, Kd, z, beta, tau, kappa, metrics):
-    """The point's record, or None unless it is interior.
+# the relative margin by which a proximity floor must exceed its limit to
+# refuse a point: the floor and prox2 round their common terms differently
+_FLOOR_MARGIN = 1e-9
 
-    The one place a point is judged: tau and kappa positive, beta strictly
-    inside Kd, mu finite and positive, and z strictly inside K, which the
-    barrier decides as it builds the Hessian.  Each build begun counts in
-    metrics["hessian_builds"].
+
+def _point(K, Kd, z, beta, tau, kappa, metrics, limit=np.inf):
+    """The point's record, or None unless it is interior and its prox2 can
+    lie within limit.
+
+    The one place a point is judged, each test cheaper than the next: tau
+    and kappa positive; mu finite and positive; the orthant coordinates of
+    z positive; a floor on prox2, its tau-kappa term plus the orthant's
+    exact block (cones.orthant_proximity), within limit (1 + _FLOOR_MARGIN);
+    beta strictly inside Kd; and z strictly inside K, which the barrier
+    decides as it builds the Hessian.  Each build begun counts in
+    metrics["hessian_builds"].  z and beta may also be functions that form
+    them, called once tau and kappa pass.
     """
     if not (tau > 0.0 and kappa > 0.0):
+        return None
+    if callable(z):
+        z, beta = z(), beta()
+    mu = (float(z @ beta) + tau * kappa) / (K.nu + 1.0)
+    if not (mu > 0.0 and math.isfinite(mu)):
+        return None
+    tau_kappa_term = (tau * kappa / mu - 1.0) ** 2
+    floor = tau_kappa_term
+    g = K.orthant
+    if g is not None:
+        share = cones.orthant_proximity(z[g.index], beta[g.index], mu)
+        if share is None:
+            return None
+        floor += share
+    if floor > limit * (1.0 + _FLOOR_MARGIN):
         return None
     for g in Kd.groups:
         if not cones.strict_member(g.cone, g.stack(beta)).all():
             return None
-    mu = (float(z @ beta) + tau * kappa) / (K.nu + 1.0)
-    if not np.isfinite(mu) or mu <= 0.0:
-        return None
     metrics["hessian_builds"] += 1
     try:
         W = _BlockHessian(K, z, mu)
     except (np.linalg.LinAlgError, NotInterior):
         return None
     e = beta + mu * W.grad
-    prox2 = float(e @ W.solve(e)) / mu + (tau * kappa / mu - 1.0) ** 2
+    prox2 = float(e @ W.solve(e)) / mu + tau_kappa_term
     if not np.isfinite(prox2):
         return None
     return _Point(z, beta, tau, kappa, mu, W, prox2)
@@ -303,6 +354,7 @@ def _hsde_loop(A, b, c, K, Kd):
     """Run the embedding on a preprocessed full-row-rank system."""
     m, n = A.shape
     metrics = _no_steps()
+    b_scale, A_scale, c_scale = scale(b), scale(A), scale(c)
     # the start's Hessian is built here, in every solve
     point = _point(K, Kd, *K.start, 1.0, 1.0, metrics)
     if point is None:
@@ -315,7 +367,8 @@ def _hsde_loop(A, b, c, K, Kd):
         z, beta, tau, kappa, mu, W, prox2 = point
         # offer scaled candidates to the validators first
         if tau > 1e-300:
-            cand = _validate_optimal(A, b, c, K, Kd, z / tau, lam / tau)
+            cand = _validate_optimal(A, b, c, K, Kd, z / tau, lam / tau,
+                                     b_scale)
             if cand is not None:
                 zc, lc, obj = cand
                 return ConicResult(OPTIMAL, z=zc, obj=obj, lam=lc,
@@ -324,7 +377,7 @@ def _hsde_loop(A, b, c, K, Kd):
         if lc is not None:
             return ConicResult(INFEASIBLE, lam=lc, obj=np.inf,
                                iterations=it, metrics=metrics)
-        cand = _validate_unbounded(A, c, K, z)
+        cand = _validate_unbounded(A, c, K, z, A_scale, c_scale)
         if cand is not None:
             return ConicResult(UNBOUNDED, ray=cand, obj=-np.inf,
                                iterations=it, metrics=metrics)
@@ -348,8 +401,9 @@ def _hsde_loop(A, b, c, K, Kd):
         if info != 0 or not np.isfinite(Gf).all():
             why = "Schur complement not factored"
             break
-        v = _potrs(Gf, b + A @ Winv_c)[0]
-        g1 = b - A @ Winv_c
+        A_Winv_c = A @ Winv_c
+        v = _potrs(Gf, b + A_Winv_c)[0]
+        g1 = b - A_Winv_c
         # mu/tau^2 is tau's block of the scaled barrier Hessian
         wtau = mu / tau**2
         denom = float(g1 @ v) + float(c @ Winv_c) + wtau
@@ -370,7 +424,8 @@ def _hsde_loop(A, b, c, K, Kd):
         d2 = (sigma - 1.0) * r_d - beta - sigma * mu * W.grad
         d3 = (sigma - 1.0) * r_g - kappa + sigma * mu / tau
         dz, dlam, dtau = solve_reduced(d1, d2, d3)
-        dbeta = -beta - sigma * mu * W.grad - W.H @ dz
+        H_dz = W.H @ dz
+        dbeta = -beta - sigma * mu * W.grad - H_dz
         dkappa = -kappa + sigma * mu / tau - wtau * dtau
 
         # a predictor step follows the second-order curve
@@ -385,7 +440,7 @@ def _hsde_loop(A, b, c, K, Kd):
             with np.errstate(all="ignore"):
                 third = _barrier_third(K, z, dz)
             if np.isfinite(third).all():
-                t2 = W.H @ dz - 0.5 * mu * third
+                t2 = H_dz - 0.5 * mu * third
                 t3 = wtau * dtau + wtau * (dtau / tau) * dtau
                 tz, tlam, ttau = solve_reduced(np.zeros(m), t2, t3)
                 tbeta = t2 - W.H @ tz
@@ -393,15 +448,18 @@ def _hsde_loop(A, b, c, K, Kd):
 
         # backtrack until the trial point is interior and stays near the
         # central path: predictor steps must land inside the wide
-        # neighbourhood, centering steps must at least shrink the proximity
+        # neighbourhood, centering steps must at least shrink the proximity;
+        # a trial's vectors are formed only once its tau and kappa pass
+        limit = max(_WIDE, prox2) if centering else _WIDE
         alpha = 1.0
         for _ in range(90):
             metrics["line_search_trials"] += 1
             a2 = alpha * alpha
-            trial = _point(K, Kd, z + alpha * dz + a2 * tz,
-                           beta + alpha * dbeta + a2 * tbeta,
+            trial = _point(K, Kd, lambda: z + alpha * dz + a2 * tz,
+                           lambda: beta + alpha * dbeta + a2 * tbeta,
                            tau + alpha * dtau + a2 * ttau,
-                           kappa + alpha * dkappa + a2 * tkappa, metrics)
+                           kappa + alpha * dkappa + a2 * tkappa, metrics,
+                           limit)
             if trial is not None and (
                 trial.prox2 <= _WIDE or (centering and trial.prox2 < prox2)
             ):
@@ -445,8 +503,7 @@ def solve_continuous(prob):
     A, b, d_scale = _equilibrate(A0, b0)
 
     # drop dependent rows; inconsistent dependencies give an exact certificate
-    r, perm = scipy.linalg.qr(A.T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
+    diag, perm = _pivoted_qr(A.T)
     rank = int(np.sum(diag > max(m, n) * 1e-13 * (diag[0] if len(diag) else 1.0)))
     kept = np.sort(perm[:rank])
     dropped = np.sort(perm[rank:])

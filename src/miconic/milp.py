@@ -282,13 +282,14 @@ def _gomory_rows(tab, int_idx, n0, G, H):
     finite.  h then moves outward by _GMI_RELAX (1 + |h|).  A row that
     fails a check is dropped, never repaired.
     """
-    x = tab.values()
+    # the refactor has just computed the basic values
+    x = tab.point()
     n = tab.source.shape[1]
     basic = np.zeros(len(x), dtype=bool)
     basic[tab.basis] = True
     is_int = np.zeros(len(x), dtype=bool)
     is_int[int_idx] = True
-    xB = x[tab.basis]
+    xB = tab.xB
     f0 = xB - np.floor(xB)
     rows = np.flatnonzero(is_int[tab.basis] & (f0 > _GMI_F0)
                           & (f0 < 1.0 - _GMI_F0))

@@ -67,6 +67,7 @@ from .ipm import (
     UNBOUNDED,
     ContinuousConicProblem,
     primal_feasible,
+    scale,
     solve_continuous,
 )
 from .milp import INT_TOL, TIME_LIMIT, gomory_rounds, solve_milp
@@ -358,7 +359,8 @@ def _feasible(program, x, z):
     if np.any(xr < program.L) or np.any(xr > program.U):
         return None
     r = program.A_x @ xr + program.A_z @ z - program.b
-    return xr if primal_feasible(program.cones, r, program.b, z) else None
+    feasible = primal_feasible(program.cones, r, scale(program.b), z)
+    return xr if feasible else None
 
 
 def _offer(state, x, z, obj):

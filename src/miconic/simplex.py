@@ -224,6 +224,12 @@ class _Tableau:
         v[self.basis] = self.basic_values()
         return v
 
+    def point(self):
+        """Every column's value, the basic ones as carried in xB."""
+        v = _rests(self.status, self.lb, self.ub)
+        v[self.basis] = self.xB
+        return v
+
     def duals(self, c):
         return c[self.basis] @ self.Binv
 
@@ -294,9 +300,7 @@ def _phase(tab, c, allow_unbounded):
         bland = degenerate > bland_after or false_rays >= 2
         pick = _choose_entering(tab, tab.d, bland, barred)
         if pick is None:
-            x = _rests(tab.status, tab.lb, tab.ub)
-            x[tab.basis] = tab.xB
-            return OPTIMAL, x
+            return OPTIMAL, tab.point()
         e, sigma = pick
         w = tab.Binv @ tab.A[:, e]
         # entering moves by t >= 0 in direction sigma; basic values move -sigma*w*t

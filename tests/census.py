@@ -5,9 +5,10 @@ counts and a digest twice: once as is, and once with the IPM capped at
 one iteration, which sends fibers without a certificate down the
 separation path.  After each digest come the LPs that milp.py posed with
 a warm start, how many of those fell back to a cold solve (the result's
-LpResult.warm is false), and all the LPs milp.py posed with their
-simplex iterations.  A change meant to keep every answer compares both
-lines with its parent's.  pytest does not collect this
+LpResult.warm is false), all the LPs milp.py posed with their simplex
+iterations, and the IPM solves oa.py posed with their iterations,
+line-search trials and Hessian builds.  A change meant to keep every
+answer compares both lines with its parent's.  pytest does not collect this
 file.
 
 The programs are the extended balls n = 2..8, the aggregated balls
@@ -46,7 +47,7 @@ import sys
 
 import numpy as np
 
-from miconic import instances, ipm, milp
+from miconic import instances, ipm, milp, oa
 from miconic.compile import emit_conic
 from miconic.oa import oa_solve
 
@@ -129,20 +130,35 @@ def run(dump=None):
             starts["cold"] += not res.warm
         return res
 
+    solve_continuous = oa.solve_continuous
+    ipm_work = collections.Counter()
+
+    def counting_ipm(prob):
+        res = solve_continuous(prob)
+        ipm_work["solves"] += 1
+        ipm_work["iterations"] += res.iterations
+        ipm_work.update(res.metrics)
+        return res
+
     for label, cap in (("as is", ipm._MAX_ITERS), ("ipm._MAX_ITERS = 1", 1)):
         saved, ipm._MAX_ITERS = ipm._MAX_ITERS, cap
         starts.clear()
-        milp.solve_lp = counting_lp
+        ipm_work.clear()
+        milp.solve_lp, oa.solve_continuous = counting_lp, counting_ipm
         try:
             counts, digest, answers[label] = census()
         finally:
-            ipm._MAX_ITERS, milp.solve_lp = saved, solve_lp
+            ipm._MAX_ITERS = saved
+            milp.solve_lp, oa.solve_continuous = solve_lp, solve_continuous
         summary = ", ".join("%d %s" % (n, status)
                             for status, n in sorted(counts.items()))
         print("%s: %s; sha256 %s; %d warm starts, %d fell back cold; "
-              "%d LPs, %d simplex iterations"
+              "%d LPs, %d simplex iterations; %d IPM solves, %d iterations, "
+              "%d line-search trials, %d Hessian builds"
               % (label, summary, digest, starts["warm"], starts["cold"],
-                 starts["lps"], starts["iterations"]))
+                 starts["lps"], starts["iterations"], ipm_work["solves"],
+                 ipm_work["iterations"], ipm_work["line_search_trials"],
+                 ipm_work["hessian_builds"]))
     if dump is not None:
         with open(dump, "w") as handle:
             json.dump(answers, handle, indent=1)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from miconic import cones, instances, ipm
@@ -370,7 +372,7 @@ def test_validate_optimal(z, lam, accepted):
     # min z0 + z1 s.t. z0 + z1 = 2: every feasible point is optimal, lam = 1
     A, b, c = np.array([[1.0, 1.0]]), np.array([2.0]), np.array([1.0, 1.0])
     cand = ipm._validate_optimal(A, b, c, _ORTHANT, _ORTHANT.dual(),
-                                 np.array(z), np.array(lam))
+                                 np.array(z), np.array(lam), ipm.scale(b))
     assert (cand is not None) == accepted
 
 
@@ -404,10 +406,70 @@ def test_validate_unbounded(z, accepted):
     # min -z0 - z1 s.t. z0 = z1 over R^3_+ is unbounded along (1, 1, 0)
     A, c = np.array([[1.0, -1.0, 0.0]]), np.array([-1.0, -1.0, 0.0])
     K = ConeProduct([cones.nonneg(3)])
-    ray = ipm._validate_unbounded(A, c, K, np.array(z))
+    ray = ipm._validate_unbounded(A, c, K, np.array(z), ipm.scale(A),
+                                  ipm.scale(c))
     assert (ray is not None) == accepted
     if accepted:
         assert ray.tolist() == [1.0, 1.0, 0.0]
+
+
+def _unbounded_in_full(A, c, K, z):
+    # _validate_unbounded as written before its early exit: every test in
+    # its first order, A ray before the pairing
+    if not np.isfinite(z).all():
+        return None
+    s = float(np.abs(z).max(initial=0.0))
+    if s <= 0.0:
+        return None
+    ray = z / s
+    arow = float(np.abs(A @ ray).max(initial=0.0))
+    if arow > ipm.EPS_OPT * (1.0 + float(np.abs(A).max(initial=0.0))):
+        return None
+    floor = 30.0 * np.sqrt(arow) * (1.0 + float(np.abs(c).max(initial=0.0)))
+    if float(c @ ray) > -max(ipm.EPS_PAIRING, floor):
+        return None
+    if not cones.member_product(K, ray, 1e-14):
+        return None
+    return ray
+
+
+def test_unbounded_early_exit_keeps_every_verdict_and_ray():
+    # rays near the kernel of A, inside K or on its boundary, with c.ray
+    # drawn on both sides of -EPS_PAIRING and of the sqrt(kernel residual)
+    # floor; one A in three is zero, so A ray = 0 exactly and EPS_PAIRING
+    # alone decides
+    rng = np.random.default_rng(921)
+    verdicts = {True: 0, False: 0}
+    early = close = 0
+    for _ in range(400):
+        K = random_cone_product(rng)
+        n = K.dim
+        m = int(rng.integers(1, n))
+        z = cones.sample_product(K, rng, interior=bool(rng.integers(2)))
+        ray = z / np.abs(z).max()
+        A = rng.standard_normal((m, n))
+        A -= np.outer(A @ ray, ray) / float(ray @ ray)
+        A += 10.0 ** rng.uniform(-22, -10) * rng.standard_normal((m, n))
+        if rng.integers(3) == 0:
+            A[:] = 0.0
+        c = rng.standard_normal(n)
+        target = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10, -4)
+        c += (target - float(c @ ray)) * ray / float(ray @ ray)
+        zs = z * 10.0 ** rng.uniform(-3, 3)
+        want = _unbounded_in_full(A, c, K, zs)
+        got = ipm._validate_unbounded(A, c, K, zs, ipm.scale(A), ipm.scale(c))
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_array_equal(got, want)
+        verdicts[want is not None] += 1
+        descent = float(c @ (zs / np.abs(zs).max()))
+        early += descent > -ipm.EPS_PAIRING
+        close += want is not None and descent > -10.0 * ipm.EPS_PAIRING
+    # both verdicts, both sides of the early exit, and rays accepted within
+    # a decade of its threshold are exercised
+    assert min(verdicts.values()) >= 20
+    assert 100 <= early <= 300
+    assert close >= 3, close
 
 
 def test_empty_z_block():
@@ -427,6 +489,25 @@ def test_a_zero_row_with_a_tiny_right_side_is_infeasible_at_any_width():
         assert res.status == INFEASIBLE
         assert not np.any(prob.A.T @ res.lam)
         assert float(prob.b @ res.lam) > 0.0
+
+
+def test_pivoted_qr_matches_scipy_qr():
+    # the direct dgeqp3 call against scipy.linalg.qr(pivoting=True), bit
+    # for bit, on the transposed row arrays preprocessing factors: full
+    # rank, with dependent rows, and empty
+    rng = np.random.default_rng(925)
+    shapes = [(0, 1), (2, 0), (0, 0)] + [
+        tuple(rng.integers(1, 9, size=2)) for _ in range(300)]
+    for n, m in shapes:
+        A = rng.standard_normal((m, n))
+        if m > 1 and rng.integers(2):
+            A[-1] = rng.standard_normal(m - 1) @ A[:-1]
+        r, perm = scipy.linalg.qr(A.T, mode="r", pivoting=True)
+        diag, order = ipm._pivoted_qr(A.T)
+        assert_array_equal(diag, np.abs(np.diag(r)))
+        assert_array_equal(order, perm)
+    with pytest.raises(ValueError):
+        ipm._pivoted_qr(np.array([[1.0, np.nan]]))
 
 
 def test_block_hessian_solve_matches_checked_triangular_solves():
@@ -681,6 +762,58 @@ def test_point_is_none_for_each_way_a_point_fails(monkeypatch):
             assert _point(K, Kd, zf, bf, tau, kappa, metrics) is None
         assert metrics["hessian_builds"] == built
         assert calls == ([cones.SOC, cones.NONNEG, cones.EXP] if built else [])
+
+    # the proximity floor alone: with the orthant duals scaled up, the
+    # orthant's share of prox2 exceeds the wide neighbourhood, so a trial
+    # held to it is refused before beta's interior tests and any barrier
+    tested = []
+    real_strict = cones.strict_member
+
+    def counted_strict(f, p):
+        tested.append(f.kind)
+        return real_strict(f, p)
+
+    monkeypatch.setattr(cones, "strict_member", counted_strict)
+    beta_far = beta.copy()
+    beta_far[3:5] *= 10.0
+    far = _point(K, Kd, z, beta_far, 1.0, 1.0, _no_steps())
+    assert far is not None and far.prox2 > ipm._WIDE
+    calls.clear()
+    tested.clear()
+    metrics = _no_steps()
+    assert _point(K, Kd, z, beta_far, 1.0, 1.0, metrics, ipm._WIDE) is None
+    assert metrics["hessian_builds"] == 0
+    assert calls == [] and tested == []
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_proximity_floor_never_refuses_a_point_within_its_limit(seed):
+    # held to its own prox2 as the limit, an interior point of a product
+    # with an orthant group is built, not refused by the floor: the floor
+    # never exceeds prox2 beyond the margin
+    rng = np.random.default_rng(seed)
+    factors = [cones.nonneg(int(rng.integers(1, 4)))]
+    factors += random_cone_product(rng).factors
+    K = ConeProduct([factors[i] for i in rng.permutation(len(factors))])
+    Kd = K.dual()
+    z = cones.sample_product(K, rng, interior=True)
+    z = z * 10.0 ** rng.uniform(-3, 3)
+    beta = sample_dual_interior(K, rng) * 10.0 ** rng.uniform(-3, 3)
+    tau, kappa = 10.0 ** rng.uniform(-2, 2, size=2)
+    point = _point(K, Kd, z, beta, tau, kappa, _no_steps())
+    assert point is not None
+    metrics = _no_steps()
+    again = _point(K, Kd, z, beta, tau, kappa, metrics, point.prox2)
+    assert again is not None and again.prox2 == point.prox2
+    assert metrics["hessian_builds"] == 1
+    if all(f.kind == cones.NONNEG for f in K.factors):
+        # the orthant alone: the floor is prox2 itself, so a limit just
+        # below it refuses the point without a build
+        metrics = _no_steps()
+        assert _point(K, Kd, z, beta, tau, kappa, metrics,
+                      point.prox2 * (1.0 - 1e-6)) is None
+        assert metrics["hessian_builds"] == 0
 
 
 def _one_problem():
