@@ -10,9 +10,13 @@ neighbourhoods of the central path, measured by the squared proximity in
 the local barrier-Hessian metric.  While the point lies outside the
 narrow one (0.1) the step is a centering step; from inside it the step is
 a pure predictor, which backtracks until it lands inside the wide one
-(0.25).  The predictor follows a second-order curve, not a straight line
-(Coey, Kapelevich and Vielma, "Performance enhancements for a generic conic
-interior point algorithm", Math. Prog. Comp. 2023): after its direction d,
+(0.25).  Both devices of the predictor follow Coey, Kapelevich and Vielma
+("Performance enhancements for a generic conic interior point algorithm",
+Math. Prog. Comp. 2023).  Its step lengths start just below 1: the first
+trial is one long step (0.995), accepted only inside the narrow
+neighbourhood, so that the next step is a predictor again; past it the
+search backtracks from 0.8 by factors of 0.8.  And it follows a
+second-order curve, not a straight line: after its direction d,
 the same factored reduced system is solved once more, for the curve's
 second-order term t, from the barrier's third derivative along d
 (cones.barrier_third), and the trial at step alpha is x + alpha d +
@@ -79,6 +83,21 @@ _MAX_ITERS = 400
 # step starts only inside the narrow one and must land inside the wide one
 _NARROW = 0.1
 _WIDE = 0.25
+# a predictor's first trial step, accepted only inside the narrow one
+_LONG = 0.995
+
+_BACKTRACK = 0.8  # each line-search trial's step is this times the last's
+_TAU_FLOOR = 1e-300  # only a point with tau above this is rescaled by it
+_GAP_SHARE = 0.1  # of EPS_OPT: the optimality validator's relative gap
+_FARKAS_ZERO = 1e-12  # of max(1, max|lam|): a smaller max|A'lam| is zero
+_UNIT_SCALE = 2.0  # scale() of a vector of max-abs 1
+_FACE_FACTOR = 30.0  # a ray's descent must clear this sqrt(max|A ray|)
+_RAY_MEMBER_TOL = 1e-14  # a ray of max-abs 1 lies in K within this
+_HESSIAN_JITTER = 1e-13  # of max(1, trace / d): a failed block's shift
+_SCHUR_JITTER = 1e-13  # of max(1, trace / m): the Schur diagonal's shift
+_RANK_TOL = 1e-13  # |R_ii| within this max(m, n) |R_11| is a dependent row
+_INCONSISTENT_TOL = 1e-9  # a dependent row's residual above this scale(b)
+_FAST_PATH_TOL = 1e-9  # a determined z lies in K within this scale(z)
 
 
 @dataclass
@@ -101,7 +120,7 @@ class ContinuousConicProblem:
 
 def _no_steps():
     """The interior-point step counts reported in ConicResult.metrics."""
-    return dict.fromkeys(("predictor_steps", "centering_steps",
+    return dict.fromkeys(("predictor_steps", "centering_steps", "long_steps",
                           "line_search_trials", "hessian_builds"), 0)
 
 
@@ -113,7 +132,8 @@ class ConicResult:
     -A'lam in K* and b.lam > 0, scaled so that either max|A'lam| = 1 or
     b.lam = 1.  For unbounded: ray with max|ray| = 1.  iterations counts
     interior-point iterations run, and metrics counts their predictor and
-    centering steps, the trial points of their line searches and the block
+    centering steps, the predictor steps accepted at the long first trial
+    (long_steps), the trial points of their line searches and the block
     Hessian builds begun, also those the barrier ends at a z outside K; all
     are 0 when preprocessing settled the problem.  For numeric_failure,
     diagnostic names the exit that ended the iterations.
@@ -156,7 +176,8 @@ def _validate_optimal(A, b, c, K, Kd, z, lam, b_scale):
     # the gap test is a tenth of the others: the objective of the returned
     # point should be as accurate as its feasibility, and primal and dual
     # residuals of size EPS_OPT already move it by about that much
-    if abs(pobj - dobj) > 0.1 * EPS_OPT * (1.0 + abs(pobj) + abs(dobj)):
+    gap = _GAP_SHARE * EPS_OPT * (1.0 + abs(pobj) + abs(dobj))
+    if abs(pobj - dobj) > gap:
         return None
     if not primal_feasible(K, A @ z - b, b_scale, z):
         return None
@@ -172,11 +193,11 @@ def _validate_infeasible(A, b, Kd, lam):
     g = -(A.T @ lam)
     s = float(np.abs(g).max(initial=0.0))
     pairing = float(b @ lam)
-    if s > 1e-12 * max(1.0, float(np.abs(lam).max(initial=0.0))):
+    if s > _FARKAS_ZERO * max(1.0, float(np.abs(lam).max(initial=0.0))):
         lam_n = lam / s
         if float(b @ lam_n) <= EPS_PAIRING:
             return None
-        if not cones.member_product(Kd, g / s, EPS_OPT * 2.0):
+        if not cones.member_product(Kd, g / s, EPS_OPT * _UNIT_SCALE):
             return None
         return lam_n
     if pairing <= 0.0:
@@ -205,12 +226,12 @@ def _validate_unbounded(A, c, K, z, A_scale, c_scale):
         return None
     # an interior point hugging a flat face of K can fake a descent rate of
     # order sqrt(kernel residual); demand the pairing clear that scale
-    floor = 30.0 * np.sqrt(arow) * c_scale
+    floor = _FACE_FACTOR * np.sqrt(arow) * c_scale
     if descent > -max(EPS_PAIRING, floor):
         return None
     # rays come from strictly interior iterates, so membership must hold
     # essentially exactly after rescaling
-    if not cones.member_product(K, ray, 1e-14):
+    if not cones.member_product(K, ray, _RAY_MEMBER_TOL):
         return None
     return ray
 
@@ -267,7 +288,7 @@ class _BlockHessian:
                 bad = np.array([_potrf(h, lower=1)[1] != 0 for h in blocks])
                 traces = np.trace(blocks[bad], axis1=1, axis2=2)
                 scale = np.maximum(1.0, traces / d)[:, None, None]
-                blocks[bad] += 1e-13 * scale * np.eye(d)
+                blocks[bad] += _HESSIAN_JITTER * scale * np.eye(d)
                 self.H[g.blocks] = blocks
             self.L, info = _potrf(self.H, lower=1)
             if info != 0:
@@ -366,7 +387,7 @@ def _hsde_loop(A, b, c, K, Kd):
     for it in range(1, _MAX_ITERS + 1):
         z, beta, tau, kappa, mu, W, prox2 = point
         # offer scaled candidates to the validators first
-        if tau > 1e-300:
+        if tau > _TAU_FLOOR:
             cand = _validate_optimal(A, b, c, K, Kd, z / tau, lam / tau,
                                      b_scale)
             if cand is not None:
@@ -396,7 +417,7 @@ def _hsde_loop(A, b, c, K, Kd):
         S = W.solve(A.T)
         G = A @ S
         # a fresh array, so the jitter goes onto its diagonal in place
-        G.flat[:: m + 1] += 1e-13 * max(1.0, np.trace(G) / m)
+        G.flat[:: m + 1] += _SCHUR_JITTER * max(1.0, np.trace(G) / m)
         Gf, info = _potrf(G)
         if info != 0 or not np.isfinite(Gf).all():
             why = "Schur complement not factored"
@@ -448,26 +469,35 @@ def _hsde_loop(A, b, c, K, Kd):
 
         # backtrack until the trial point is interior and stays near the
         # central path: predictor steps must land inside the wide
-        # neighbourhood, centering steps must at least shrink the proximity;
-        # a trial's vectors are formed only once its tau and kappa pass
+        # neighbourhood, centering steps must at least shrink the proximity.
+        # A predictor's first trial is instead one long step, alpha =
+        # _LONG, held to the narrow neighbourhood, so that the next step is
+        # a predictor again; past it the search goes on from alpha =
+        # _BACKTRACK.  A trial's vectors are formed only once its tau and
+        # kappa pass
         limit = max(_WIDE, prox2) if centering else _WIDE
-        alpha = 1.0
+        long = not centering
+        step = 1.0
         for _ in range(90):
             metrics["line_search_trials"] += 1
+            alpha = _LONG if long else step
             a2 = alpha * alpha
             trial = _point(K, Kd, lambda: z + alpha * dz + a2 * tz,
                            lambda: beta + alpha * dbeta + a2 * tbeta,
                            tau + alpha * dtau + a2 * ttau,
                            kappa + alpha * dkappa + a2 * tkappa, metrics,
-                           limit)
+                           _NARROW if long else limit)
             if trial is not None and (
-                trial.prox2 <= _WIDE or (centering and trial.prox2 < prox2)
+                trial.prox2 <= (_NARROW if long else _WIDE)
+                or (centering and trial.prox2 < prox2)
             ):
                 break
-            alpha *= 0.8
+            long = False
+            step *= _BACKTRACK
         else:
             why = "line search stalled"
             break
+        metrics["long_steps"] += long
         # the accepted trial's record is the next iterate, bit for bit
         point, lam = trial, lam + alpha * dlam + alpha * alpha * tlam
 
@@ -504,14 +534,15 @@ def solve_continuous(prob):
 
     # drop dependent rows; inconsistent dependencies give an exact certificate
     diag, perm = _pivoted_qr(A.T)
-    rank = int(np.sum(diag > max(m, n) * 1e-13 * (diag[0] if len(diag) else 1.0)))
+    top = diag[0] if len(diag) else 1.0
+    rank = int(np.sum(diag > max(m, n) * _RANK_TOL * top))
     kept = np.sort(perm[:rank])
     dropped = np.sort(perm[rank:])
     if len(dropped):
         Wc, *_ = np.linalg.lstsq(A[kept].T, A[dropped].T, rcond=None)
         rho = b[dropped] - Wc.T @ b[kept]
         worst = int(np.argmax(np.abs(rho)))
-        if abs(rho[worst]) > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
+        if abs(rho[worst]) > _INCONSISTENT_TOL * scale(b):
             lam = np.zeros(m)
             lam[dropped[worst]] = 1.0
             lam[kept] = -Wc[:, worst]
@@ -530,8 +561,7 @@ def solve_continuous(prob):
     if rank == n:
         # the rows determine z outright: certify by direct linear algebra
         z = np.linalg.solve(Ak, bk)
-        zs = 1.0 + float(np.abs(z).max())
-        if cones.member_product(K, z, 1e-9 * zs):
+        if cones.member_product(K, z, _FAST_PATH_TOL * scale(z)):
             lam_k = np.linalg.solve(Ak.T, c)
             return ConicResult(OPTIMAL, z=z, obj=float(c @ z),
                                lam=embed_lam(lam_k))
@@ -542,9 +572,8 @@ def solve_continuous(prob):
                 parts[sl] = beta
                 break
         lam_k = np.linalg.solve(Ak.T, -parts)
-        scale = float(bk @ lam_k)
         # beta.z < 0 for the separating beta, so the pairing is positive
-        lam_k /= scale
+        lam_k /= float(bk @ lam_k)
         return ConicResult(INFEASIBLE, lam=embed_lam(lam_k), obj=np.inf)
 
     res = _hsde_loop(Ak, bk, c, K, Kd)

@@ -7,9 +7,10 @@ separation path.  After each digest come the LPs that milp.py posed with
 a warm start, how many of those fell back to a cold solve (the result's
 LpResult.warm is false), all the LPs milp.py posed with their simplex
 iterations, and the IPM solves oa.py posed with their iterations,
-line-search trials and Hessian builds.  A change meant to keep every
-answer compares both lines with its parent's.  pytest does not collect this
-file.
+line-search trials and Hessian builds, then their predictor steps,
+centering steps and long steps (predictors accepted at the long first
+trial).  A change meant to keep every answer compares both lines with
+its parent's.  pytest does not collect this file.
 
 The programs are the extended balls n = 2..8, the aggregated balls
 n = 2..5, disk, trimloss, the duality failure program, and the seed
@@ -154,11 +155,13 @@ def run(dump=None):
                             for status, n in sorted(counts.items()))
         print("%s: %s; sha256 %s; %d warm starts, %d fell back cold; "
               "%d LPs, %d simplex iterations; %d IPM solves, %d iterations, "
-              "%d line-search trials, %d Hessian builds"
+              "%d line-search trials, %d Hessian builds; %d predictor, "
+              "%d centering and %d long steps"
               % (label, summary, digest, starts["warm"], starts["cold"],
                  starts["lps"], starts["iterations"], ipm_work["solves"],
                  ipm_work["iterations"], ipm_work["line_search_trials"],
-                 ipm_work["hessian_builds"]))
+                 ipm_work["hessian_builds"], ipm_work["predictor_steps"],
+                 ipm_work["centering_steps"], ipm_work["long_steps"]))
     if dump is not None:
         with open(dump, "w") as handle:
             json.dump(answers, handle, indent=1)

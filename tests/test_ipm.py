@@ -1,5 +1,6 @@
 """Continuous conic solver checks: certificates are validated independently."""
 
+import inspect
 import math
 
 import numpy as np
@@ -344,13 +345,13 @@ def test_cost_at_the_dual_boundary_without_effective_rows(rows):
 
 def test_iteration_limit_is_a_named_numeric_failure(monkeypatch):
     prob = instances.random_continuous_feasible(np.random.default_rng(2))
-    # 14 iterations reach optimal; 12 stop with no certificate
-    assert solve_continuous(prob).iterations == 14
-    monkeypatch.setattr(ipm, "_MAX_ITERS", 12)
+    # 10 iterations reach optimal; 8 stop with no certificate
+    assert solve_continuous(prob).iterations == 10
+    monkeypatch.setattr(ipm, "_MAX_ITERS", 8)
     res = solve_continuous(prob)
     assert res.status == NUMERIC_FAILURE
-    assert res.iterations == 12
-    assert res.diagnostic == "iteration limit of 12 reached"
+    assert res.iterations == 8
+    assert res.diagnostic == "iteration limit of 8 reached"
     assert res.z is None and res.lam is None
 
 
@@ -612,6 +613,51 @@ def test_step_counts_add_up_and_line_searches_stay_short():
         trials += steps["line_search_trials"]
     # predictors start near the central path, so few backtracks are needed
     assert trials / iterations <= 3.0
+
+
+def test_each_predictor_first_tries_one_long_step_held_to_the_narrow_one(
+        monkeypatch):
+    # each line search's trials, read through _point: a trial's z is a
+    # closure over its step alpha, and each search is one more predictor
+    # or centering step in the metrics
+    searches = {}
+    real = ipm._point
+
+    def recorded(K, Kd, z, beta, tau, kappa, metrics, limit=np.inf):
+        point = real(K, Kd, z, beta, tau, kappa, metrics, limit)
+        if callable(z):
+            steps = (metrics["predictor_steps"], metrics["centering_steps"])
+            alpha = inspect.getclosurevars(z).nonlocals["alpha"]
+            searches.setdefault(steps, []).append((alpha, limit, point))
+        return point
+
+    monkeypatch.setattr(ipm, "_point", recorded)
+    rng = np.random.default_rng(11)
+    probs = list(random_feasible_problems(509, 20))
+    probs += [instances.random_continuous_infeasible(rng) for _ in range(10)]
+    total_long = 0
+    for prob in probs:
+        searches.clear()
+        res = solve_continuous(prob)
+        assert res.status in (OPTIMAL, INFEASIBLE)
+        predictors = long_first = previous = 0
+        for (_, centering), trials in searches.items():
+            # a predictor step leaves the centering count as it was
+            predictor, previous = centering == previous, centering
+            if not predictor:
+                continue
+            predictors += 1
+            alpha, limit, point = trials[0]
+            assert (alpha, limit) == (ipm._LONG, ipm._NARROW)
+            # a search stops at its accepted trial
+            if len(trials) == 1:
+                assert point.prox2 <= ipm._NARROW
+                long_first += 1
+        steps = res.metrics
+        assert predictors == steps["predictor_steps"]
+        assert long_first == steps["long_steps"] <= steps["predictor_steps"]
+        total_long += steps["long_steps"]
+    assert total_long > 0
 
 
 def test_accepted_trial_hessian_is_not_built_again(monkeypatch):

@@ -370,14 +370,19 @@ def test_zero_certificate_cycle_without_incumbent_is_caught(monkeypatch):
     # adds no cut; with no incumbent the run must still stop at the first
     # fiber that also leaves the lower bound where it was, up to a rise
     # within the gap tolerance, since the next MILP would repeat its
-    # iteration.  Here the first MILP's bound exceeds the root's by about
-    # 3e-11, so the run stops after one MILP.  The root is solved as it is
+    # iteration.  The root is solved as it is, but reports its bound
+    # lowered by 1e-7 (1 + |obj|), inside the gap tolerance: the first
+    # MILP's bound lands about 2e-7 below the root's own, so it rises
+    # above the reported one by about 6e-7 and the run stops after one
+    # MILP
     root = []
 
     def zero_certificate(prob):
         if not root:
-            root.append(solve_continuous(prob))
-            return root[0]
+            res = solve_continuous(prob)
+            res.obj -= 1e-7 * (1.0 + abs(res.obj))
+            root.append(res)
+            return res
         return ConicResult(INFEASIBLE, lam=np.zeros(prob.A.shape[0]),
                            obj=np.inf)
 
