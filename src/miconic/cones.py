@@ -18,7 +18,10 @@ Membership, the interior test, the barrier, its third derivative and the
 samplers take one point or a stack along the last axis.  A ConeProduct
 groups its factors by (kind, dim, alpha), the orthant's coordinates as
 NONNEG(1) rows of one group, so a solver makes one call per group instead
-of one per factor.
+of one per factor.  What depends on a shape alone, the canonical point,
+the barrier's gradient and Hessian there and the first tangent cuts, is
+made once per shape (shape_table); a product's start is assembled from
+these tables, and its dual product reuses its groups.
 
 NONNEG, SOC and RSOC are self-dual.  The duals of EXP and POW are linear
 images of them: p = (u, v, w) is in EXPDUAL iff (-v, -u, e*w) is in EXP,
@@ -32,6 +35,7 @@ generated instances are seeded through them.
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,14 +97,27 @@ class ConeGroup:
         return z[self.index].reshape(self.k, self.cone.dim)
 
 
+class Start(NamedTuple):
+    """A product's interior-point start: z0, each factor's canonical
+    interior point, beta0 = -F'(z0) and grad = F'(z0), F the product's
+    barrier, and hessians, one F''(z0) block per group, in group order."""
+
+    z: np.ndarray
+    beta: np.ndarray
+    grad: np.ndarray
+    hessians: tuple
+
+
 @dataclass(frozen=True)
 class ConeProduct:
     """An ordered product of cone factors covering a z-block.  Its
     dimension, barrier parameter, (factor, slice) pairs, the index of the
     factor holding each coordinate, its groups and its orthant group (the
-    NONNEG(1) rows, or None) are fixed when it is made; its dual product
-    and its interior-point start are made once, when first used, so every
-    solve over one product shares them."""
+    NONNEG(1) rows, or None) are fixed when it is made.  Its dual product,
+    its interior-point start and what a solver keeps (keep) are made once,
+    when first used, so every solve over one product shares them; the
+    dual takes our groups, and the start is read from the shape tables
+    (shape_table), with no barrier call."""
 
     factors: tuple
     dim: int = field(init=False, repr=False, compare=False)
@@ -109,6 +126,7 @@ class ConeProduct:
     factor_of: np.ndarray = field(init=False, repr=False, compare=False)
     groups: tuple = field(init=False, repr=False, compare=False)
     orthant: ConeGroup = field(init=False, repr=False, compare=False)
+    _kept: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         factors, pairs, dim = tuple(self.factors), [], 0
@@ -127,42 +145,68 @@ class ConeProduct:
             blocks = ((index, index) if len(rows) == 1
                       else (rows[:, :, None], rows[:, None, :]))
             groups.append(ConeGroup(cone, len(rows), index, blocks))
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "nu", sum(f.nu for f in factors))
-        object.__setattr__(self, "_pairs", tuple(pairs))
-        object.__setattr__(self, "factor_of", np.repeat(
-            np.arange(len(factors)), [f.dim for f in factors]))
-        object.__setattr__(self, "groups", tuple(groups))
-        object.__setattr__(self, "orthant", next(
-            (g for g in groups if g.cone.kind == NONNEG), None))
+        factor_of = np.repeat(np.arange(len(factors)),
+                              [f.dim for f in factors])
+        factor_of.flags.writeable = False
+        self._fill(factors, dim, tuple(pairs), factor_of, tuple(groups))
+
+    def _fill(self, factors, dim, pairs, factor_of, groups):
+        for name, value in (
+                ("factors", factors), ("dim", dim),
+                ("nu", sum(f.nu for f in factors)), ("_pairs", pairs),
+                ("factor_of", factor_of), ("groups", groups),
+                ("orthant", next((g for g in groups
+                                  if g.cone.kind == NONNEG), None)),
+                ("_kept", {})):
+            object.__setattr__(self, name, value)
 
     def slices(self):
         """The (factor, slice) pairs in order."""
         return self._pairs
 
     def dual(self):
-        """The dual of each factor, in order; the groups line up with ours.
-        Made on the first call and kept."""
+        """The dual of each factor, in order; its groups are ours, each
+        with its cone dualized, and its dual is this product.  Made on the
+        first call and kept."""
         return self._dual
 
     @cached_property
     def _dual(self):
-        return ConeProduct(tuple(dual(f) for f in self.factors))
+        # a factor and its dual have one dimension and barrier parameter,
+        # and distinct shapes have distinct duals: regrouping would give
+        # our groups back
+        d = object.__new__(ConeProduct)
+        d._fill(tuple(dual(f) for f in self.factors), self.dim,
+                tuple((dual(f), sl) for f, sl in self._pairs), self.factor_of,
+                tuple(ConeGroup(dual(g.cone), g.k, g.index, g.blocks)
+                      for g in self.groups))
+        d.__dict__["_dual"] = self
+        return d
 
     @cached_property
     def start(self):
-        """The interior-point start (z0, -F'(z0)): z0 each factor's
-        canonical interior point and F the product's barrier, one barrier
-        call per group.  Made on the first use and kept, read-only."""
-        z = np.concatenate([interior_point(f) for f in self.factors])
-        grad = np.empty_like(z)
+        """The interior-point start (see Start), each group's rows read
+        from its shape's table; made on the first use and kept, read-only.
+        A dual product has no start."""
+        z, grad, hessians = np.empty(self.dim), np.empty(self.dim), []
         for g in self.groups:
-            grad[g.index] = barrier_value_grad_hess(
-                g.cone, g.stack(z))[1].ravel()
+            table = shape_table(g.cone)
+            z[g.index] = np.tile(table.z, g.k)
+            grad[g.index] = np.tile(table.grad, g.k)
+            hessians.append(table.hess)
         beta = -grad
-        z.flags.writeable = beta.flags.writeable = False
-        return z, beta
+        return Start(*_frozen(z, beta, grad), tuple(hessians))
+
+    def keep(self, key, make):
+        """What make() returns, made by the first call for key at which it
+        is not None and kept on this product: state a solver derives from
+        the product alone, which every later solve over it shares."""
+        value = self._kept.get(key)
+        if value is None:
+            value = make()
+            if value is not None:
+                self._kept[key] = value
+        return value
 
 
 def _pow_surface(a, b, alpha):
@@ -717,6 +761,10 @@ def interior_point(cone):
     """A canonical strictly interior point with max-abs 1: the conic
     solver's start on a primal factor, and on a dual factor the direction
     along which outer approximation repairs a cut."""
+    return _interior(cone)
+
+
+def _interior(cone):
     head, rest = cone.family.interior
     return np.r_[head, np.full(cone.dim - len(head), rest)]
 
@@ -754,6 +802,61 @@ def tangents(cone):
     first polyhedral relaxation of the cone.
     """
     return cone.family.tangents(cone)
+
+
+_PARALLEL_TOL = 1e-10  # unit vectors of cosine above 1 - this point one way
+
+
+def unit(block):
+    """block over its Euclidean norm."""
+    return block / float(np.linalg.norm(block))
+
+
+def parallel(u, units):
+    """Whether the unit vector u points as one of units does: a cosine
+    above 1 - _PARALLEL_TOL with any of them."""
+    return any(float(u @ v) > 1.0 - _PARALLEL_TOL for v in units)
+
+
+class Shape(NamedTuple):
+    """What depends only on a primal factor's shape (kind, dim, alpha):
+    its canonical interior point z, the barrier's gradient grad and
+    Hessian hess there, and cuts, its tangents each scaled to max-abs 1,
+    in order, less each that is parallel to an earlier one, with units,
+    their unit vectors."""
+
+    z: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    cuts: tuple
+    units: tuple
+
+
+@lru_cache(maxsize=None)
+def shape_table(cone):
+    """The Shape of a primal factor, made on the first call for its shape
+    and kept, every array read-only.  It is computed by the family's own
+    methods, one point at a time, so a table equals what interior_point,
+    barrier_value_grad_hess and tangents give, bit for bit, and no
+    replacement of those functions reaches it."""
+    family = cone.family
+    z = _interior(cone)
+    _, grad, hess = family.barrier(cone, z)
+    cuts, units = [], []
+    for t in family.tangents(cone):
+        block = t / float(np.max(np.abs(t)))
+        u = unit(block)
+        if not parallel(u, units):
+            cuts.append(block)
+            units.append(u)
+    return Shape(*_frozen(z, grad, hess), _frozen(*cuts), _frozen(*units))
+
+
+def _frozen(*arrays):
+    # the arrays, each made read-only
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def sample_point(cone, rng, scale=1.0, interior=False):

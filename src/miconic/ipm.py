@@ -24,8 +24,13 @@ alpha^2 t.  Each right-hand side is solved once on the factored system,
 with no iterative refinement; the validators below judge every point a
 solve returns.
 
-One function judges every point, the start and each trial: it returns
-the point's record with mu, the block Hessian and the proximity, or None.
+The start is each factor's canonical interior point z0 with beta =
+-F'(z0) and tau = kappa = 1.  Its record is made in the first solve over
+a cone product, from per-shape tables with no barrier call and no
+interior test, and kept on the product: every later solve shares it.
+
+One function judges every other point, each trial: it returns the
+point's record with mu, the block Hessian and the proximity, or None.
 An accepted trial's record is the next iterate as it is, so its Hessian is
 never built again.  Its tests run cheapest first, so that a doomed trial
 costs no Hessian: tau and kappa, before a trial's vectors are formed; mu;
@@ -134,8 +139,10 @@ class ConicResult:
     interior-point iterations run, and metrics counts their predictor and
     centering steps, the predictor steps accepted at the long first trial
     (long_steps), the trial points of their line searches and the block
-    Hessian builds begun, also those the barrier ends at a z outside K; all
-    are 0 when preprocessing settled the problem.  For numeric_failure,
+    Hessian builds begun, also those the barrier ends at a z outside K.
+    The start's build counts only in the first solve over a cone product:
+    later solves share its kept record and build it no more.  All are 0
+    when preprocessing settled the problem.  For numeric_failure,
     diagnostic names the exit that ended the iterations.
     """
 
@@ -263,21 +270,29 @@ class _BlockHessian:
 
     H has one diagonal block per cone factor (per coordinate on the
     orthant), written a cone group at a time from one barrier call per
-    group, which also leaves the barrier gradient at z in grad.  A block
+    group, which also leaves the barrier gradient at z in grad; z may
+    also be the product's cones.Start, whose gradient and blocks need no
+    barrier call.  A block
     whose own Cholesky factorization fails gets a small jitter on its
     diagonal and H is factored again; every other block is kept as
     evaluated.
     """
 
     def __init__(self, K, z, mu):
-        # every group's barrier before any allocation: a z outside K
-        # raises NotInterior having allocated nothing
-        evaluated = [cones.barrier_value_grad_hess(g.cone, g.stack(z))
-                     for g in K.groups]
-        self.grad = np.empty_like(z)
-        self.H = np.zeros((len(z), len(z)))
-        for g, (_, grad, hess) in zip(K.groups, evaluated):
-            self.grad[g.index] = grad.ravel()
+        if isinstance(z, cones.Start):
+            # the product's start, whose derivatives are tabled per shape
+            self.grad, hessians = z.grad, z.hessians
+        else:
+            # every group's barrier before any allocation: a z outside K
+            # raises NotInterior having allocated nothing
+            evaluated = [cones.barrier_value_grad_hess(g.cone, g.stack(z))
+                         for g in K.groups]
+            self.grad = np.empty_like(z)
+            for g, (_, grad, _) in zip(K.groups, evaluated):
+                self.grad[g.index] = grad.ravel()
+            hessians = [hess for _, _, hess in evaluated]
+        self.H = np.zeros((K.dim, K.dim))
+        for g, hess in zip(K.groups, hessians):
             self.H[g.blocks] = mu * hess
         self.L, info = _potrf(self.H, lower=1)
         if info != 0:
@@ -346,8 +361,7 @@ def _point(K, Kd, z, beta, tau, kappa, metrics, limit=np.inf):
     mu = (float(z @ beta) + tau * kappa) / (K.nu + 1.0)
     if not (mu > 0.0 and math.isfinite(mu)):
         return None
-    tau_kappa_term = (tau * kappa / mu - 1.0) ** 2
-    floor = tau_kappa_term
+    floor = (tau * kappa / mu - 1.0) ** 2
     g = K.orthant
     if g is not None:
         share = cones.orthant_proximity(z[g.index], beta[g.index], mu)
@@ -359,16 +373,40 @@ def _point(K, Kd, z, beta, tau, kappa, metrics, limit=np.inf):
     for g in Kd.groups:
         if not cones.strict_member(g.cone, g.stack(beta)).all():
             return None
+    return _built(K, z, z, beta, tau, kappa, mu, metrics)
+
+
+def _built(K, at, z, beta, tau, kappa, mu, metrics):
+    """The record of an interior point, or None when its Hessian, built at
+    at (z, or K.start), is not formed or its prox2 is not finite; the
+    build counts in metrics["hessian_builds"]."""
     metrics["hessian_builds"] += 1
     try:
-        W = _BlockHessian(K, z, mu)
+        W = _BlockHessian(K, at, mu)
     except (np.linalg.LinAlgError, NotInterior):
         return None
     e = beta + mu * W.grad
-    prox2 = float(e @ W.solve(e)) / mu + tau_kappa_term
+    prox2 = float(e @ W.solve(e)) / mu + (tau * kappa / mu - 1.0) ** 2
     if not np.isfinite(prox2):
         return None
     return _Point(z, beta, tau, kappa, mu, W, prox2)
+
+
+def _start(K, metrics):
+    """The record of K's start (z0, -F'(z0)) with tau = kappa = 1, or None
+    when its Hessian is not formed.  The first solve over K makes it and
+    counts its Hessian build; it is kept on K read-only, and every later
+    solve over K shares it.  It needs no interior test and no barrier
+    call: z0 is each factor's canonical interior point, -F'(z0) lies in
+    int K*, and K.start holds the barrier's derivatives at z0."""
+    def make():
+        start = K.start
+        mu = (float(start.z @ start.beta) + 1.0) / (K.nu + 1.0)
+        point = _built(K, start, start.z, start.beta, 1.0, 1.0, mu, metrics)
+        if point is not None:
+            point.W.H.flags.writeable = point.W.L.flags.writeable = False
+        return point
+    return K.keep(_start, make)
 
 
 def _hsde_loop(A, b, c, K, Kd):
@@ -376,8 +414,7 @@ def _hsde_loop(A, b, c, K, Kd):
     m, n = A.shape
     metrics = _no_steps()
     b_scale, A_scale, c_scale = scale(b), scale(A), scale(c)
-    # the start's Hessian is built here, in every solve
-    point = _point(K, Kd, *K.start, 1.0, 1.0, metrics)
+    point = _start(K, metrics)
     if point is None:
         return ConicResult(NUMERIC_FAILURE, metrics=metrics, diagnostic=(
             "barrier Hessian not formed at the starting point"))
@@ -402,6 +439,9 @@ def _hsde_loop(A, b, c, K, Kd):
         if cand is not None:
             return ConicResult(UNBOUNDED, ray=cand, obj=-np.inf,
                                iterations=it, metrics=metrics)
+        if it == _MAX_ITERS:
+            # no validator would see the next point
+            break
 
         # predictor-corrector: re-centre until the point is inside the
         # narrow neighbourhood, then take a pure predictor step from it

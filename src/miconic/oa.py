@@ -166,7 +166,6 @@ _REPAIR_START = 1e-10  # _onto_dual's first shift, doubled up to the cap
 _REPAIR_CAP = 1e-3
 _BLOCK_FLOOR = 1e-12  # of a vector's max-abs: a smaller block is none
 _GRID_TOL = 1e-9  # integer bounds this near an integer count as it
-_PARALLEL_TOL = 1e-10  # unit cuts of cosine above 1 - this are one cut
 _OBJECTIVE_SLACK = 1e-6  # objective row: c.z >= z_lower - this (1 + |z_lower|)
 
 
@@ -214,18 +213,37 @@ def _blocks(state, beta):
 
 def _pool(state, blocks, provenance, assignment):
     """Pool each block as a cut of its own, zero off its factor, unless it
-    is None or an earlier cut on the same factor points its way."""
+    is None or an earlier cut on the same factor points its way
+    (cones.parallel)."""
     for i, block in blocks:
         if block is None:
             continue
-        unit = block / float(np.linalg.norm(block))
+        unit = cones.unit(block)
         units = state._units.setdefault(i, [])
-        if any(float(unit @ u) > 1.0 - _PARALLEL_TOL for u in units):
+        if cones.parallel(unit, units):
             continue
         units.append(unit)
-        beta = np.zeros(state.cones.dim)
-        beta[state.cones.slices()[i][1]] = block
-        state.cuts.append(Cut(beta, provenance, assignment))
+        _append(state, i, block, provenance, assignment)
+
+
+def _append(state, i, block, provenance, assignment):
+    # the block as a cut, zero off factor i
+    beta = np.zeros(state.cones.dim)
+    beta[state.cones.slices()[i][1]] = block
+    state.cuts.append(Cut(beta, provenance, assignment))
+
+
+def _seed(state):
+    """Pool each factor's tangent cuts into the empty pool, as _pool would
+    pool them: its shape's table (cones.shape_table) holds them scaled to
+    max-abs 1, without the ones _pool would drop, and their unit vectors,
+    which become the factor's entry in state._units.  cones makes each
+    tangent in its dual factor, so none needs _onto_dual."""
+    for i, f in enumerate(state.cones.factors):
+        table = cones.shape_table(f)
+        state._units[i] = list(table.units)
+        for block in table.cuts:
+            _append(state, i, block, INITIAL_RELAXATION, None)
 
 
 def add_cut(state, cut):
@@ -425,17 +443,14 @@ def oa_solve(program, config=None):
 
 
 def _initialize(program, state):
-    """Seed the pool with tangent cuts and the root relaxation's dual cut.
+    """Seed the empty pool with tangent cuts (_seed) and the root
+    relaxation's dual cut.
 
     Returns (status, diagnostic) when the root relaxation ends the run:
     it is infeasible or unbounded, or its optimum is feasible for the
     program (its x is L plus the first nx entries of its z).
     """
-    # cones makes each tangent in its dual factor: none needs _onto_dual
-    tangents = [(i, t / float(np.max(np.abs(t))))
-                for i, f in enumerate(program.cones.factors)
-                for t in cones.tangents(f)]
-    _pool(state, tangents, INITIAL_RELAXATION, None)
+    _seed(state)
     root = _root_relaxation(program)
     if root.status == INFEASIBLE:
         state.z_lower = np.inf

@@ -12,6 +12,11 @@ centering steps and long steps (predictors accepted at the long first
 trial).  A change meant to keep every answer compares both lines with
 its parent's.  pytest does not collect this file.
 
+``--reverse`` solves the programs last to first, then hashes and counts
+their outcomes in the usual order, so its two digests equal the forward
+run's unless a solve leaves state behind that moves a later one; its
+work counts are those of the reverse run.
+
 The programs are the extended balls n = 2..8, the aggregated balls
 n = 2..5, disk, trimloss, the duality failure program, and the seed
 2024, 42 and 7 corpora of 40 feasible then 20 infeasible programs each.
@@ -77,14 +82,19 @@ def _array(value):
     return b"None" if value is None else np.asarray(value, float).tobytes()
 
 
-def census():
+def census(reverse=False):
     """Status counts, the sha256 of every program's outcome, and each
-    program's answer (see --dump)."""
+    program's answer (see --dump), all in the programs' order; reverse
+    solves the programs last to first."""
+    progs = programs()
+    order = range(len(progs))
+    outcomes = [None] * len(progs)
+    for i in reversed(order) if reverse else order:
+        outcomes[i] = oa_solve(progs[i])
     digest = hashlib.sha256()
     counts = collections.Counter()
     answers = []
-    for prog in programs():
-        res = oa_solve(prog)
+    for res in outcomes:
         counts[res.status] += 1
         fields = [res.status, res.diagnostic, _hex(res.obj),
                   _hex(res.lower_bound), _hex(res.upper_bound),
@@ -116,7 +126,7 @@ def _number(value):
     return None if value is None else repr(float(value))
 
 
-def run(dump=None):
+def run(dump=None, reverse=False):
     answers = {}
     solve_lp = milp.solve_lp
     starts = collections.Counter()
@@ -147,7 +157,7 @@ def run(dump=None):
         ipm_work.clear()
         milp.solve_lp, oa.solve_continuous = counting_lp, counting_ipm
         try:
-            counts, digest, answers[label] = census()
+            counts, digest, answers[label] = census(reverse)
         finally:
             ipm._MAX_ITERS = saved
             milp.solve_lp, oa.solve_continuous = solve_lp, solve_continuous
@@ -206,10 +216,12 @@ def main(argv=None):
                         help="also write each program's answer here")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two dumps instead of solving")
+    parser.add_argument("--reverse", action="store_true",
+                        help="solve the programs last to first")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    run(args.dump)
+    run(args.dump, args.reverse)
     return 0
 
 

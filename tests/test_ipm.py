@@ -355,6 +355,22 @@ def test_iteration_limit_is_a_named_numeric_failure(monkeypatch):
     assert res.z is None and res.lam is None
 
 
+def test_last_allowed_iteration_takes_no_step(monkeypatch):
+    # the last allowed iteration offers its point to the validators and
+    # stops: a step from it would give a point no validator sees
+    prob = instances.random_continuous_feasible(np.random.default_rng(2))
+    monkeypatch.setattr(ipm, "_MAX_ITERS", 1)
+    res = solve_continuous(prob)
+    assert res.status == NUMERIC_FAILURE and res.iterations == 1
+    assert res.diagnostic == "iteration limit of 1 reached"
+    steps = res.metrics
+    assert steps["line_search_trials"] == 0
+    assert steps["predictor_steps"] == steps["centering_steps"] == 0
+    assert steps["long_steps"] == 0
+    # the start's, made in this first solve over the product
+    assert steps["hessian_builds"] == 1
+
+
 # the validators called directly on small orthant programs; each
 # parametrization holds one accepted input and rejections that no solve in
 # this suite reaches
@@ -690,22 +706,24 @@ def test_accepted_trial_hessian_is_not_built_again(monkeypatch):
         res = solve_continuous(prob)
         assert res.status == OPTIMAL
         groups = len(prob.cones.groups)
-        # the start point, then one per trial point, and none at the top
-        # of later iterations
-        assert len(points) == 1 + res.metrics["line_search_trials"]
-        # one barrier call per cone group for the starting gradient, and
-        # every other inside a _point call
-        assert len(outside) == groups
+        # one per trial point, and none at the top of later iterations:
+        # the start is not judged by _point
+        assert len(points) == res.metrics["line_search_trials"]
+        # every barrier call inside a _point call: the start's gradient
+        # and Hessian come from the shape tables
+        assert outside == []
         # each Hessian build begun calls the first group's barrier, and at
-        # most one call per group
-        assert res.metrics["hessian_builds"] == sum(map(bool, points))
+        # most one call per group; the start's build, made in this first
+        # solve over the product, calls none
+        assert res.metrics["hessian_builds"] == 1 + sum(map(bool, points))
         assert all(len(calls) <= groups for calls in points)
 
 
 def test_solves_over_one_product_share_its_start(monkeypatch):
-    # the start (z0, -F'(z0)) and the dual product are made once per cone
-    # product and kept read-only; each solve still builds the start's
-    # Hessian, so both solves count the same builds
+    # the start (z0, -F'(z0)), its record with the Hessian and its factor,
+    # and the dual product are made once per cone product and kept
+    # read-only; only the first solve over the product builds the start's
+    # Hessian, so a second solve counts one build fewer and the rest alike
     made = []
     real = cones.interior_point
 
@@ -717,19 +735,29 @@ def test_solves_over_one_product_share_its_start(monkeypatch):
     prob = next(random_feasible_problems(507, 1))
     K = prob.cones
     first = solve_continuous(prob)
-    assert first.status == OPTIMAL and len(made) == len(K.factors)
-    z0, beta0 = K.start
+    # the start is read from the shape tables, not from interior_point
+    assert first.status == OPTIMAL and made == []
+    start = K.start
+    metrics = _no_steps()
+    point = ipm._start(K, metrics)
+    assert metrics["hessian_builds"] == 0
     again = solve_continuous(ContinuousConicProblem(prob.A, prob.b, prob.c, K))
-    assert len(made) == len(K.factors)
-    assert K.start[0] is z0 and K.start[1] is beta0 and K.dual() is K.dual()
-    assert not z0.flags.writeable and not beta0.flags.writeable
-    assert again.metrics == first.metrics
-    assert again.metrics["hessian_builds"] > again.iterations > 0
+    assert K.start is start and ipm._start(K, _no_steps()) is point
+    assert K.dual() is K.dual() and K.dual().dual() is K
+    assert point.z is start.z and point.beta is start.beta
+    assert (point.tau, point.kappa) == (1.0, 1.0)
+    for a in (start.z, start.beta, start.grad, point.W.grad, point.W.H,
+              point.W.L):
+        assert not a.flags.writeable
+    builds = first.metrics["hessian_builds"]
+    assert builds > first.iterations > 0
+    assert again.metrics == dict(first.metrics, hessian_builds=builds - 1)
+    assert again.iterations == first.iterations
     assert_array_equal(again.z, first.z)
     for f, sl in K.slices():
-        assert_array_equal(z0[sl], real(f))
-        grad = cones.barrier_value_grad_hess(f, z0[sl])[1]
-        assert_allclose(beta0[sl], -grad, rtol=1e-12)
+        assert_array_equal(start.z[sl], real(f))
+        grad = cones.barrier_value_grad_hess(f, start.z[sl])[1]
+        assert_array_equal(start.beta[sl], -grad)
 
 
 @pytest.mark.parametrize("factor", [
