@@ -272,10 +272,9 @@ class _BlockHessian:
     orthant), written a cone group at a time from one barrier call per
     group, which also leaves the barrier gradient at z in grad; z may
     also be the product's cones.Start, whose gradient and blocks need no
-    barrier call.  A block
-    whose own Cholesky factorization fails gets a small jitter on its
-    diagonal and H is factored again; every other block is kept as
-    evaluated.
+    barrier call.  A block whose own Cholesky factorization fails gets a
+    small jitter on its diagonal and H is factored again; every other
+    block is kept as evaluated.
     """
 
     def __init__(self, K, z, mu):
